@@ -34,6 +34,14 @@ cargo test -q --release --offline --test conformance -- --ignored conformance_fu
 echo "==> tcov conformance matrix: 4 paper benchmarks + 32 generated graphs (release)"
 cargo test -q --release --offline --test tcov_conformance -- --ignored
 
+echo "==> table coverage pins: full-size paper-table rows (release)"
+cargo test -q --release --offline --test table_coverage -- --ignored
+
+echo "==> perf benchmark smoke: builds against the library APIs, every workload at smoke scale"
+# perf/ is a package of its own (outside the workspace), so the
+# workspace build above never compiles it.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+
 echo "==> bench smoke: testability solvers + speedup gate"
 cargo bench -q --bench testability --offline
 

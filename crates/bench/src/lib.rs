@@ -2,15 +2,19 @@
 //!
 //! Shared plumbing for the table/figure regeneration binaries (see
 //! `src/bin/`) and the Criterion benches: running all four synthesis
-//! flows on a benchmark, elaborating the results to gates and measuring
-//! the paper's columns (fault coverage, test-generation effort, applied
-//! test cycles, area).
+//! flows on a benchmark and measuring the paper's columns (fault
+//! coverage, test-generation effort, applied test cycles, area). The
+//! coverage columns come from the same grading engine as the CLI, the
+//! sweeps and the daemon — [`hlts_tcov::grade_design`], single-threaded
+//! under [`table_atpg_config`].
 //!
 //! Binaries (one per table/figure of the paper):
 //!
 //! * `table1_ex`, `table2_dct`, `table3_diffeq` — Tables 1–3;
 //! * `figure2_ex_schedule`, `figure3_schedules` — Figures 2–3;
-//! * `param_sweep` — the paper's (k, α, β) insensitivity claim.
+//! * `param_sweep` — the paper's (k, α, β) insensitivity claim;
+//! * `extra_benchmarks`, `ablation_sr2` — the unprinted benchmarks and
+//!   the SR2/balance ablation, graded like the tables.
 //!
 //! Set `HLTS_QUICK=1` to shrink the fault sample and pattern budget for
 //! a fast smoke run.
@@ -18,11 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hlts_atpg::{AtpgConfig, TestGenerator, TestReport};
-use hlts_core::{baselines, CoreError, IntegratedSynthesizer, SynthesisParams, SynthesisResult};
+use std::time::{Duration, Instant};
+
+use hlts_core::{
+    baselines, CoreError, IntegratedSynthesizer, RunCtl, SynthesisParams, SynthesisResult,
+};
 use hlts_dfg::Dfg;
-use hlts_etpn::Etpn;
-use hlts_netlist::elaborate;
+use hlts_tcov::{AtpgConfig, CoverageReport, TcovConfig, TcovError};
 
 /// The four synthesis flows of the paper's comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,10 +93,10 @@ impl Flow {
 pub struct Measurement {
     /// Synthesis output (schedule, allocation, structural metrics).
     pub result: SynthesisResult,
-    /// ATPG outcome.
-    pub report: TestReport,
-    /// Gate count of the elaborated netlist.
-    pub gates: usize,
+    /// Grading outcome (also carries the netlist's gate count).
+    pub report: CoverageReport,
+    /// Wall-clock test-generation time: elaboration plus grading.
+    pub wall: Duration,
 }
 
 /// Whether quick mode is enabled (`HLTS_QUICK=1`).
@@ -120,6 +126,27 @@ pub fn table_atpg_config(steps: usize, bits: u32) -> AtpgConfig {
     }
 }
 
+/// Grade a synthesized design at `bits` the way every table does:
+/// single-threaded under [`table_atpg_config`].
+///
+/// # Errors
+///
+/// Propagates elaboration failures.
+pub fn grade_table(result: &SynthesisResult, bits: u32) -> Result<CoverageReport, TcovError> {
+    let cfg = TcovConfig {
+        atpg: table_atpg_config(result.schedule.num_steps(), bits),
+        jobs: 1,
+    };
+    hlts_tcov::grade_design(
+        &result.dfg,
+        &result.schedule,
+        &result.allocation,
+        bits,
+        &cfg,
+        &RunCtl::none(),
+    )
+}
+
 /// Synthesize with `flow` and measure fault coverage / effort / cycles
 /// at `bits`.
 ///
@@ -132,18 +159,10 @@ pub fn measure(
     bits: u32,
 ) -> Result<Measurement, Box<dyn std::error::Error>> {
     let result = flow.run(dfg, bits)?;
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)?;
-    let nl = elaborate(
-        &result.dfg,
-        &result.schedule,
-        &result.allocation,
-        &etpn,
-        bits,
-    )?;
-    let cfg = table_atpg_config(result.schedule.num_steps(), bits);
-    let report = TestGenerator::new(cfg).run(&nl);
+    let start = Instant::now();
+    let report = grade_table(&result, bits)?;
     Ok(Measurement {
-        gates: nl.num_gates(),
+        wall: start.elapsed(),
         result,
         report,
     })
@@ -171,39 +190,27 @@ pub fn print_table(title: &str, dfg: &Dfg, with_area: bool) {
             shape.metrics.num_registers,
             shape.metrics.num_modules,
         );
-        if with_area {
-            println!(
-                "{:>5} {:>9} {:>10} {:>12} {:>10} {:>10}",
-                "#Bit", "Fault cov", "TG effort", "TG wall [ms]", "Test cyc", "Area"
-            );
-        } else {
-            println!(
-                "{:>5} {:>9} {:>10} {:>12} {:>10}",
-                "#Bit", "Fault cov", "TG effort", "TG wall [ms]", "Test cyc"
-            );
-        }
+        let area = |cell: String| if with_area { cell } else { String::new() };
+        println!(
+            "{:>5} {:>9} {:>10} {:>12} {:>10}{}",
+            "#Bit",
+            "Fault cov",
+            "TG effort",
+            "TG wall [ms]",
+            "Test cyc",
+            area(format!(" {:>10}", "Area")),
+        );
         for &bits in widths {
             let m = measure(flow, dfg, bits).expect("measurement succeeds");
-            if with_area {
-                println!(
-                    "{:>5} {:>8.2}% {:>10.0} {:>12.0} {:>10} {:>10.3}",
-                    bits,
-                    m.report.coverage(),
-                    m.report.effort(),
-                    m.report.wall.as_millis(),
-                    m.report.test_cycles,
-                    m.result.metrics.hardware.total(),
-                );
-            } else {
-                println!(
-                    "{:>5} {:>8.2}% {:>10.0} {:>12.0} {:>10}",
-                    bits,
-                    m.report.coverage(),
-                    m.report.effort(),
-                    m.report.wall.as_millis(),
-                    m.report.test_cycles,
-                );
-            }
+            println!(
+                "{:>5} {:>8.2}% {:>10.0} {:>12.0} {:>10}{}",
+                bits,
+                m.report.coverage(),
+                m.report.effort(),
+                m.wall.as_millis(),
+                m.report.test_cycles,
+                area(format!(" {:>10.3}", m.result.metrics.hardware.total())),
+            );
         }
     }
 }
@@ -226,7 +233,7 @@ mod tests {
         let dfg = hlts_benchmarks::tseng();
         std::env::set_var("HLTS_QUICK", "1");
         let m = measure(Flow::Ours, &dfg, 4).unwrap();
-        assert!(m.gates > 0);
+        assert!(m.report.gates > 0);
         assert!(m.report.coverage() > 30.0);
         std::env::remove_var("HLTS_QUICK");
     }

@@ -84,21 +84,26 @@ mod armed {
             self
         }
 
-        /// Install the plan process-wide, replacing any previous one.
-        /// The returned guard disarms everything when dropped.
+        /// Install the plan process-wide. Blocks while another thread
+        /// holds a [`FaultGuard`], so armed tests run one at a time; the
+        /// returned guard disarms everything when dropped.
         #[must_use]
         pub fn install(self) -> FaultGuard {
+            static SERIAL: Mutex<()> = Mutex::new(());
+            // A test that fails while armed poisons the lock; the next
+            // test still gets a clean plan below.
+            let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
             let mut state = plan();
             state.armed = self.armed;
             state.fired.clear();
-            FaultGuard { _private: () }
+            FaultGuard { _serial: serial }
         }
     }
 
     /// Keeps a [`FaultPlan`] armed; dropping it disarms all sites.
     #[derive(Debug)]
     pub struct FaultGuard {
-        _private: (),
+        _serial: MutexGuard<'static, ()>,
     }
 
     impl FaultGuard {

@@ -208,8 +208,8 @@ impl IntegratedSynthesizer {
     /// Run Algorithm 1 with an explicit mode and a caller-owned
     /// [`DeltaEvaluator`], whose cache statistics can be inspected
     /// afterwards. The evaluator must not have been used with a
-    /// different graph, bit width or library (its cache is keyed on
-    /// (schedule, binding) only).
+    /// different graph or library (its cache is keyed on (schedule,
+    /// binding, bit width) only).
     ///
     /// # Errors
     ///
@@ -233,7 +233,7 @@ impl IntegratedSynthesizer {
     /// parameter point through them, so structurally identical trial
     /// states met by different points resolve from the shared caches.
     /// Sharing never changes a result — both caches are keyed on
-    /// content (structure / schedule+binding), and the engine's anchor
+    /// content (structure / schedule+binding+width), and the engine's anchor
     /// only steers *how* misses are computed — so concurrent runs on
     /// forks of one base are bit-identical to isolated runs.
     ///

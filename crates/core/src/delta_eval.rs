@@ -7,10 +7,11 @@
 //! functions of the **(schedule, binding)** pair: ETPN lowering reads
 //! only the graph's data edges (fixed for the whole run — merges add
 //! precedence arcs, which only constrain *scheduling*), the step
-//! assignment and the binding partition. [`DeltaEvaluator`] therefore
-//! memoizes (E, H) keyed by
+//! assignment and the binding partition — plus the bit width, which
+//! scales `H`. [`DeltaEvaluator`] therefore memoizes (E, H) keyed by
 //! [`Schedule::content_hash`](hlts_sched::Schedule::content_hash) ⊕
-//! [`Allocation::content_hash`](hlts_alloc::Allocation::content_hash),
+//! [`Allocation::content_hash`](hlts_alloc::Allocation::content_hash)
+//! ⊕ bit width, so one evaluator can serve every width of a sweep,
 //! and routes critical-path extraction through a shared
 //! [`CriticalPathEngine`] so that even distinct states with
 //! structurally identical control nets share work.
@@ -52,11 +53,11 @@ pub struct EvalStats {
 
 /// Memoizing, thread-safe evaluator of a design state's (E, H).
 ///
-/// Create one per synthesis run (the cache assumes a fixed underlying
-/// data-flow graph, bit width and module library, which is exactly the
-/// scope of one [`IntegratedSynthesizer::run`] call).
-///
-/// [`IntegratedSynthesizer::run`]: crate::IntegratedSynthesizer::run
+/// One evaluator may serve many runs over the same behaviour — a
+/// sweep shares one across all of a behaviour's points — as long as
+/// the underlying data-flow graph and module library stay fixed. The
+/// bit width is part of the cache key, so points of different widths
+/// never share an (E, H) entry.
 #[derive(Debug, Default)]
 pub struct DeltaEvaluator {
     engine: CriticalPathEngine,
@@ -72,18 +73,18 @@ impl DeltaEvaluator {
         DeltaEvaluator::default()
     }
 
-    /// The cache key of a state: its schedule and binding fingerprints
-    /// combined. The graph's data content is deliberately excluded — it
-    /// is fixed for the lifetime of the evaluator (see module docs).
+    /// The width-independent fingerprint of a state: its schedule and
+    /// binding fingerprints combined. The graph's data content is
+    /// deliberately excluded — it is fixed for the lifetime of the
+    /// evaluator (see module docs). Warm-start traces record it as
+    /// their replay guard; the (E, H) cache key additionally folds in
+    /// the bit width.
     #[must_use]
     pub fn fingerprint(state: &DesignState) -> u64 {
-        let s = state.schedule.content_hash();
-        let a = state.allocation.content_hash();
-        // 64-bit mix of the two halves (splitmix-style finalizer).
-        let mut z = s ^ a.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(
+            state.schedule.content_hash(),
+            state.allocation.content_hash(),
+        )
     }
 
     /// (execution time, hardware cost) of `state`, memoized.
@@ -104,7 +105,7 @@ impl DeltaEvaluator {
         bits: u32,
         library: &ModuleLibrary,
     ) -> Result<(usize, f64), CoreError> {
-        let key = Self::fingerprint(state);
+        let key = mix(Self::fingerprint(state), u64::from(bits));
         if let Some(&hit) = self
             .cache
             .lock()
@@ -140,6 +141,14 @@ impl DeltaEvaluator {
             critical_path: self.engine.stats(),
         }
     }
+}
+
+/// 64-bit mix of two halves (splitmix-style finalizer).
+fn mix(s: u64, a: u64) -> u64 {
+    let mut z = s ^ a.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -179,6 +188,19 @@ mod tests {
         }
         let st = ev.stats();
         assert_eq!((st.state_hits, st.state_misses), (4, 1));
+    }
+
+    #[test]
+    fn widths_do_not_share_cache_entries() {
+        let s = state();
+        let ev = DeltaEvaluator::new();
+        let lib = ModuleLibrary::new();
+        let (_, h4) = ev.eval(&s, 4, &lib).unwrap();
+        let (_, h8) = ev.eval(&s, 8, &lib).unwrap();
+        assert!(h8 > h4, "8-bit hardware {h8} must exceed 4-bit {h4}");
+        assert_eq!(ev.eval(&s, 4, &lib).unwrap().1, h4);
+        let st = ev.stats();
+        assert_eq!((st.state_hits, st.state_misses), (1, 2));
     }
 
     #[test]

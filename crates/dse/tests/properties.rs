@@ -4,7 +4,8 @@
 use std::path::PathBuf;
 
 use hlts_dse::{
-    explore, load_journal, select_seed, ExploreConfig, Flow, PointParams, SweepSpec, TcovSweep,
+    explore, load_journal, select_seed, ExploreConfig, Flow, PointParams, PointResult, SweepSpec,
+    TcovSweep,
 };
 use proptest::prelude::*;
 
@@ -126,6 +127,40 @@ fn ewf_front_matches_across_worker_counts() {
     let par = explore(&spec, &jobs(4)).expect("parallel");
     assert_eq!(seq.front_signature(), par.front_signature());
     assert_eq!(seq.results, par.results);
+}
+
+/// A multi-width sweep shares one (E, H) evaluator per behaviour
+/// across its widths, so every point must price its hardware at its
+/// own width: each point of a `--bits 4,8` sweep equals the same point
+/// of the one-width sweep, at one and at two workers.
+#[test]
+fn multi_width_points_match_single_width_sweeps() {
+    let mut spec = spec_over(&["ex", "paulin", "diffeq", "dct"]);
+    spec.ks = vec![1, 3];
+    spec.weights = vec![(2.0, 1.0), (1.0, 10.0)];
+    let mut single = Vec::new();
+    for bits in [4, 8] {
+        spec.bits = vec![bits];
+        single.extend(explore(&spec, &jobs(1)).expect("one-width sweep").results);
+    }
+    spec.bits = vec![4, 8];
+    for n in [1, 2] {
+        let multi = explore(&spec, &jobs(n)).expect("multi-width sweep");
+        assert_eq!(multi.results.len(), single.len());
+        for point in &multi.results {
+            let alone = single
+                .iter()
+                .find(|r| r.params == point.params)
+                .expect("every point has a one-width twin");
+            // Point IDs differ between the sweeps; everything else
+            // that equality compares must match.
+            let relabelled = PointResult {
+                id: alone.id,
+                ..point.clone()
+            };
+            assert_eq!(&relabelled, alone, "{} at {n} workers", point.params.key());
+        }
+    }
 }
 
 /// Baseline flows run through the same pool and land on the same

@@ -59,8 +59,10 @@ impl TargetOutcome {
     }
 }
 
-/// Build the phase-shifted control presets, exactly as the serial
-/// `TestGenerator` does.
+/// Build the phase-shifted control presets: preset `p` (for
+/// `p < min(3, walk length)`) drives control input `ctrl_idx[j]` high
+/// in frame `f` exactly when `(f + p) % walk length == j`, and leaves
+/// every data input free for PODEM. Targets try the presets in order.
 fn control_presets(nl: &Netlist, ctrl_idx: &[usize], frames: usize) -> Vec<Preset> {
     let walk_len = ctrl_idx.len().max(1);
     let preset_with_phase = |phase: usize| -> Preset {
@@ -444,4 +446,100 @@ pub(crate) fn build_netlist(
     let etpn = Etpn::from_parts(dfg, schedule, allocation)
         .map_err(|e| TcovError::Build(e.to_string()))?;
     elaborate(dfg, schedule, allocation, &etpn, bits).map_err(|e| TcovError::Build(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AtpgConfig;
+    use hlts_netlist::GateKind;
+
+    fn small_sequential() -> Netlist {
+        // accumulator: r.next = r + a (2 bits), observed
+        let mut nl = Netlist::new();
+        let a0 = nl.input("a[0]");
+        let a1 = nl.input("a[1]");
+        let q0 = nl.dff("r[0]");
+        let q1 = nl.dff("r[1]");
+        let s0 = nl.gate(GateKind::Xor, &[q0, a0]);
+        let c0 = nl.gate(GateKind::And, &[q0, a0]);
+        let t1 = nl.gate(GateKind::Xor, &[q1, a1]);
+        let s1 = nl.gate(GateKind::Xor, &[t1, c0]);
+        nl.connect_dff(q0, s0);
+        nl.connect_dff(q1, s1);
+        nl.output("r[0]", q0);
+        nl.output("r[1]", q1);
+        nl
+    }
+
+    fn run(atpg: AtpgConfig) -> CoverageReport {
+        grade(
+            &small_sequential(),
+            &TcovConfig { atpg, jobs: 1 },
+            &RunCtl::none(),
+        )
+        .expect("grades")
+    }
+
+    #[test]
+    fn two_phase_run_reports_consistent_numbers() {
+        let r = run(AtpgConfig {
+            random_sequences: 8,
+            sequence_cycles: 6,
+            ..AtpgConfig::default()
+        });
+        assert!(r.faults_graded > 0);
+        assert!(r.coverage() > 50.0, "coverage {:.1}", r.coverage());
+        assert!(r.coverage() <= 100.0);
+        assert!(r.efficiency() >= r.coverage());
+        assert!(
+            r.detected_random + r.detected_deterministic + r.untestable + r.aborted
+                <= r.faults_graded + r.aborted
+        );
+        assert!(r.test_cycles > 0);
+        // Golden values: the first 6-cycle sequence detects all 34.
+        assert_eq!(
+            (r.faults_graded, r.detected_random, r.test_cycles),
+            (34, 34, 6)
+        );
+        assert_eq!(r.random_patterns, 8 * 6 * 64);
+    }
+
+    #[test]
+    fn deterministic_phase_adds_coverage() {
+        // starve the random phase so PODEM has work
+        let r = run(AtpgConfig {
+            random_sequences: 0,
+            ..AtpgConfig::default()
+        });
+        assert_eq!(r.detected_random, 0);
+        assert_eq!(r.detected_deterministic, 34, "PODEM covers all: {r:?}");
+        assert_eq!((r.aborted, r.backtracks, r.test_cycles), (0, 0, 18));
+    }
+
+    #[test]
+    fn runs_are_deterministic_for_a_seed() {
+        let cfg = AtpgConfig {
+            random_sequences: 4,
+            sequence_cycles: 4,
+            ..AtpgConfig::default()
+        };
+        let a = run(cfg.clone());
+        let b = run(cfg);
+        assert_eq!(a.signature(), b.signature());
+        assert_eq!((a.detected_random, a.test_cycles), (34, 4));
+    }
+
+    #[test]
+    fn sampling_caps_fault_count() {
+        let r = run(AtpgConfig {
+            fault_sample: Some(5),
+            random_sequences: 2,
+            sequence_cycles: 4,
+            ..AtpgConfig::default()
+        });
+        assert_eq!(r.faults_graded, 5);
+        assert_eq!(r.total_collapsed, 34);
+        assert_eq!((r.detected_random, r.test_cycles), (5, 4));
+    }
 }

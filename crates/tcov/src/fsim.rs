@@ -1,23 +1,24 @@
 //! Fault-partitioned random-phase fault simulation.
 //!
 //! The random phase's sequencing is split from its per-fault grading:
-//! [`random_sequences`] draws every input sequence up front (consuming
-//! the RNG in exactly the serial `TestGenerator` order), then each
-//! sequence's good-machine trace is recorded once and the pending
-//! fault list is sharded over scoped workers that share the immutable
-//! simulator ([`detect_partition`]). The detected *set* per sequence is
-//! independent of the sharding, and the pending set before sequence
-//! `s` depends only on sequences `< s` — so the phase's coverage
-//! bitmap, per-fault first-detecting sequence and test-cycle count are
-//! bit-identical to the serial-fault path at any worker count.
+//! [`random_sequences`] draws every input sequence up front (the RNG
+//! is consumed nowhere else), then each sequence's good-machine trace
+//! is recorded once and the pending fault list is sharded over scoped
+//! workers that share the immutable simulator ([`detect_partition`]).
+//! The detected *set* per sequence is independent of the sharding, and
+//! the pending set before sequence `s` depends only on sequences
+//! `< s` — so the phase's coverage bitmap, per-fault first-detecting
+//! sequence and test-cycle count are bit-identical to the serial-fault
+//! path (`FaultSimulator::run`, one sequence at a time) at any worker
+//! count.
 
-use hlts_atpg::{AtpgConfig, Fault, FaultSimulator, GoodTrace, PiAssign};
+use hlts_atpg::{Fault, FaultSimulator, GoodTrace, PiAssign};
 use hlts_core::CancelToken;
 use hlts_netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::TcovError;
+use crate::{AtpgConfig, TcovError};
 
 /// Faults graded per work-unit claim (amortizes the claim atomics
 /// without starving load balance).
@@ -26,7 +27,9 @@ const CHUNK: usize = 32;
 /// Indices (into the netlist's primary-input list) of the control
 /// inputs, protocol-ordered: the setup state (`ctrl_final`) first,
 /// then the step states in elaboration order — one controller walk per
-/// one-hot rotation. Mirrors the serial `TestGenerator` exactly.
+/// one-hot rotation. This order defines the protocol walk of both
+/// phases: the random phase's one-hot rotation and the deterministic
+/// phase's control presets.
 #[must_use]
 pub fn control_inputs(nl: &Netlist) -> Vec<usize> {
     let mut ctrl_idx: Vec<usize> = nl
@@ -46,12 +49,14 @@ pub fn control_inputs(nl: &Netlist) -> Vec<usize> {
     ctrl_idx
 }
 
-/// Draw every random-phase input sequence up front, consuming the
-/// seeded RNG in the exact element order the serial `TestGenerator`
-/// uses (per cycle, per input). Because the serial path touches the
-/// RNG *only* while building sequences, pre-drawing them here keeps
-/// the streams identical — which is what lets the per-fault grading
-/// underneath parallelize freely.
+/// Draw every random-phase input sequence up front from one RNG seeded
+/// with `cfg.seed`. The draw order is part of the definition of a
+/// grading run: sequence by sequence, cycle by cycle, input by input
+/// in netlist order, one `u64` per input except for control inputs of
+/// a protocol sequence (the first `protocol_fraction` of the
+/// sequences), which take the rotating one-hot and draw nothing.
+/// Grading touches the RNG *only* here, which is what lets the
+/// per-fault grading underneath parallelize freely.
 #[must_use]
 pub fn random_sequences(nl: &Netlist, cfg: &AtpgConfig, ctrl_idx: &[usize]) -> Vec<Vec<PiAssign>> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -240,8 +245,8 @@ pub struct RandomPhase {
 
 /// Run the random phase: simulate every sequence's good machine once,
 /// shard the pending fault list per sequence, and keep a sequence's
-/// cycles only when it detected something — the serial `TestGenerator`
-/// accounting, bit-identically, at any `jobs` count.
+/// cycles only when it detected something — bit-identically at any
+/// `jobs` count.
 ///
 /// # Errors
 ///

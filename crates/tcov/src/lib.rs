@@ -10,6 +10,16 @@
 //! grade(netlist, &TcovConfig, &RunCtl) -> CoverageReport
 //! ```
 //!
+//! This is the repository's only ATPG flow: the paper-table binaries,
+//! the CLI, the sweeps and the daemon all grade through it, on top of
+//! the `hlts-atpg` primitives (simulator, fault universe, fault
+//! simulator, PODEM). A run is defined by its netlist and
+//! [`AtpgConfig`]: the control-input order
+//! ([`fsim::control_inputs`]), the random-phase draw order
+//! ([`fsim::random_sequences`]) and the deterministic phase's control
+//! presets are part of that definition, so the tables' numbers are
+//! pinned by golden tests rather than by a second implementation.
+//!
 //! Inside, the expensive per-fault work is **fault-partitioned** across
 //! scoped worker threads:
 //!
@@ -19,7 +29,7 @@
 //! * the deterministic phase hands PODEM targets to workers that
 //!   broadcast their validated detections through a shared atomic hint
 //!   bitmap, so no thread wastes backtracks on an already-covered
-//!   fault ([`engine`]).
+//!   fault (the private `engine` module).
 //!
 //! **Determinism rule:** everything that reaches the [`CoverageReport`]
 //! is decided by a serial merge pass in fault-index order, using
@@ -37,14 +47,54 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hlts_atpg::AtpgConfig;
-
 mod engine;
 pub mod fsim;
 mod memo;
 
 pub use engine::{grade, grade_design, grade_with_universe};
 pub use memo::{netlist_fingerprint, TcovPool, TcovStats};
+
+/// The two-phase ATPG parameters of one grading run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AtpgConfig {
+    /// RNG seed (runs are deterministic for a given seed).
+    pub seed: u64,
+    /// Number of 64-pattern random sequences to simulate.
+    pub random_sequences: usize,
+    /// Clock cycles per random sequence.
+    pub sequence_cycles: usize,
+    /// Fraction of random sequences that drive the control inputs as a
+    /// rotating one-hot (the schedule protocol); the rest drive fully
+    /// random control — both mixes matter for data paths whose muxes
+    /// and enables are schedule-driven.
+    pub protocol_fraction: f64,
+    /// Time frames for the deterministic (PODEM) phase.
+    pub frames: usize,
+    /// Backtrack limit per deterministic target.
+    pub backtrack_limit: usize,
+    /// Cap on deterministic targets (remaining faults stay undetected).
+    pub max_deterministic_targets: usize,
+    /// Optional fault-sampling cap (standard practice for large fault
+    /// lists; coverage is then a sample estimate).
+    pub fault_sample: Option<usize>,
+}
+
+impl Default for AtpgConfig {
+    fn default() -> Self {
+        AtpgConfig {
+            seed: 0x1998_0223,
+            random_sequences: 24,
+            sequence_cycles: 12,
+            // the controller steps through its states even under a test
+            // plan, so random vectors default to the one-hot protocol
+            protocol_fraction: 1.0,
+            frames: 6,
+            backtrack_limit: 100,
+            max_deterministic_targets: 200,
+            fault_sample: None,
+        }
+    }
+}
 
 /// Configuration of one grading run: the ATPG knobs plus the worker
 /// count for the fault-partitioned phases.

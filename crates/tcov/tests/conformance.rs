@@ -5,11 +5,11 @@
 //! runs as the `#[ignore]`d release tier in the workspace root's
 //! `tests/tcov_conformance.rs`.
 
-use hlts_atpg::{AtpgConfig, FaultSimulator, FaultUniverse, TestGenerator};
+use hlts_atpg::{FaultSimulator, FaultUniverse};
 use hlts_core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
 use hlts_netlist::{elaborate, Netlist};
-use hlts_tcov::{fsim, grade, netlist_fingerprint, TcovConfig, TcovError, TcovPool};
+use hlts_tcov::{fsim, grade, netlist_fingerprint, AtpgConfig, TcovConfig, TcovError, TcovPool};
 
 /// Synthesize a benchmark and elaborate the bound design to gates.
 fn elaborated(bench: &str, bits: u32) -> Netlist {
@@ -127,29 +127,23 @@ fn grade_is_bit_identical_across_worker_counts() {
     assert!(serial.total_uncollapsed > serial.total_collapsed);
 }
 
-/// With the deterministic phase disabled, tcov's report must agree
-/// with the serial `TestGenerator` on the random-phase accounting —
-/// the oracle tie-in at the report level.
+/// With the deterministic phase disabled, the report's random-phase
+/// accounting must match golden values recorded from an independent
+/// serial implementation of the two-phase flow on the same netlist and
+/// configuration.
 #[test]
-fn random_only_grade_matches_testgenerator() {
+fn random_only_grade_matches_pinned_values() {
     let nl = elaborated("paulin", 4);
     let atpg = AtpgConfig {
         max_deterministic_targets: 0,
         ..small_cfg(8, 300)
     };
-    let report = grade(
-        &nl,
-        &TcovConfig {
-            atpg: atpg.clone(),
-            jobs: 4,
-        },
-        &RunCtl::none(),
-    )
-    .expect("grades");
-    let oracle = TestGenerator::new(atpg).run(&nl);
-    assert_eq!(report.detected_random, oracle.detected_random);
-    assert_eq!(report.test_cycles, oracle.test_cycles);
-    assert_eq!(report.faults_graded, oracle.total_faults);
+    let report = grade(&nl, &TcovConfig { atpg, jobs: 4 }, &RunCtl::none()).expect("grades");
+    assert_eq!(report.gates, 307);
+    assert_eq!(report.faults_graded, 300);
+    assert_eq!(report.detected_random, 281);
+    assert_eq!(report.test_cycles, 18);
+    assert_eq!(report.random_patterns, 6 * 18 * 64);
     assert_eq!(report.detected_deterministic, 0);
     assert_eq!(report.backtracks, 0);
 }

@@ -5,12 +5,11 @@
 
 #![cfg(feature = "test-faults")]
 
-use hlts_atpg::AtpgConfig;
 use hlts_check::faults::{sites, FaultPlan};
 use hlts_core::{IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
 use hlts_netlist::{elaborate, Netlist};
-use hlts_tcov::{grade, TcovConfig};
+use hlts_tcov::{grade, AtpgConfig, TcovConfig};
 
 fn elaborated(bench: &str, bits: u32) -> Netlist {
     let dfg = hlts_benchmarks::by_name(bench).expect("known benchmark");

@@ -4,10 +4,8 @@
 //!
 //! Run with `cargo run --release --example custom_behavior`.
 
-use hlts::atpg::{AtpgConfig, TestGenerator};
-use hlts::core::{IntegratedSynthesizer, SynthesisParams};
-use hlts::etpn::Etpn;
-use hlts::netlist::elaborate;
+use hlts::core::{IntegratedSynthesizer, RunCtl, SynthesisParams};
+use hlts::tcov::{grade_design, AtpgConfig, TcovConfig};
 
 const BEHAVIOR: &str = "
 dfg fir4 {
@@ -32,15 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = IntegratedSynthesizer::new(params).run(&dfg)?;
     println!("synthesized FIR step:\n{}", result.render());
 
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)?;
-    let nl = elaborate(&result.dfg, &result.schedule, &result.allocation, &etpn, 8)?;
-    println!(
-        "gate netlist: {} gates, {} flip-flops",
-        nl.num_gates(),
-        nl.dffs().len()
-    );
-
-    let cfg = AtpgConfig {
+    let atpg = AtpgConfig {
         sequence_cycles: (result.schedule.num_steps() + 1) * 2,
         random_sequences: 10,
         frames: result.schedule.num_steps() + 3,
@@ -48,14 +38,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_deterministic_targets: 40,
         ..AtpgConfig::default()
     };
-    let report = TestGenerator::new(cfg).run(&nl);
+    let report = grade_design(
+        &result.dfg,
+        &result.schedule,
+        &result.allocation,
+        8,
+        &TcovConfig { atpg, jobs: 1 },
+        &RunCtl::none(),
+    )?;
+    println!("gate netlist: {} gates", report.gates);
     println!(
         "fault coverage {:.2}% ({} random + {} deterministic of {} faults), \
          {} test cycles, effort {:.0}",
         report.coverage(),
         report.detected_random,
         report.detected_deterministic,
-        report.total_faults,
+        report.faults_graded,
         report.test_cycles,
         report.effort(),
     );

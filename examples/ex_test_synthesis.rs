@@ -5,10 +5,8 @@
 //! Run with `cargo run --release --example ex_test_synthesis`
 //! (release strongly recommended — fault simulation is hot).
 
-use hlts::atpg::{AtpgConfig, TestGenerator};
-use hlts::core::{baselines, IntegratedSynthesizer, SynthesisParams};
-use hlts::etpn::Etpn;
-use hlts::netlist::elaborate;
+use hlts::core::{baselines, IntegratedSynthesizer, RunCtl, SynthesisParams};
+use hlts::tcov::{grade_design, AtpgConfig, TcovConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bits = 8;
@@ -32,9 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "flow", "E", "mod", "reg", "mux", "gates", "coverage", "effort", "cycles"
     );
     for (name, r) in flows {
-        let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation)?;
-        let nl = elaborate(&r.dfg, &r.schedule, &r.allocation, &etpn, bits)?;
-        let cfg = AtpgConfig {
+        let atpg = AtpgConfig {
             sequence_cycles: (r.schedule.num_steps() + 1) * 2,
             random_sequences: 12,
             frames: r.schedule.num_steps() + 3,
@@ -42,7 +38,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_deterministic_targets: 50,
             ..AtpgConfig::default()
         };
-        let rep = TestGenerator::new(cfg).run(&nl);
+        let rep = grade_design(
+            &r.dfg,
+            &r.schedule,
+            &r.allocation,
+            bits,
+            &TcovConfig { atpg, jobs: 1 },
+            &RunCtl::none(),
+        )?;
         println!(
             "{:<11} {:>3} {:>4} {:>4} {:>5} {:>7} {:>8.2}% {:>9.0} {:>7}",
             name,
@@ -50,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.metrics.num_modules,
             r.metrics.num_registers,
             r.metrics.mux_count,
-            nl.num_gates(),
+            rep.gates,
             rep.coverage(),
             rep.effort(),
             rep.test_cycles,

@@ -7,12 +7,12 @@
 //! Ignored by default (minutes of release-mode work); CI runs it as
 //! `cargo test --release -- --ignored tcov_matrix`.
 
-use hlts::atpg::{AtpgConfig, FaultSimulator, FaultUniverse};
+use hlts::atpg::{FaultSimulator, FaultUniverse};
 use hlts::core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts::dfg::Dfg;
 use hlts::etpn::Etpn;
 use hlts::netlist::{elaborate, Netlist};
-use hlts::tcov::{fsim, grade, TcovConfig};
+use hlts::tcov::{fsim, grade, AtpgConfig, TcovConfig};
 
 const BITS: u32 = 4;
 
