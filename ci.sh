@@ -57,21 +57,25 @@ cargo bench -q --bench dse --offline
 echo "==> bench smoke: warm-start replay gate (bit-identity + nonzero replay + speedup)"
 cargo bench -q --bench warmstart --offline
 
-echo "==> serve smoke: 3 jobs (one cancelled) over stdin, clean shutdown"
+echo "==> serve smoke: 3 jobs (one cancelled) over stdin, bad bytes, clean shutdown"
 # One worker: job 1 (a multi-second ewf sweep) is claimed first, so
 # jobs 2 and 3 are deterministically still queued when the cancel for
-# job 2 arrives (-> dequeued). After a one-second pause — enough for
-# the worker to be mid-sweep, far from done — shutdown lets the
-# running sweep finish and cancels the still-queued job 3: the
-# graceful-drain contract, asserted line by line below.
+# job 2 arrives (-> dequeued). A line that is not UTF-8 and a line
+# over the daemon's 8 MiB line cap each get an error answer and count
+# as malformed, and the daemon keeps serving. After a one-second
+# pause — enough for the worker to be mid-sweep, far from done —
+# shutdown lets the running sweep finish and cancels the still-queued
+# job 3: the graceful-drain contract, asserted line by line below.
 SERVE_OUT=$(
   {
     printf '%s\n' \
       '{"op":"submit","id":"s1","job":{"kind":"explore","sources":["bench:ewf"],"ks":[1,2,3,4,5,6],"weights":[[2,1],[10,1],[1,10]]}}' \
       '{"op":"submit","id":"s2","job":{"kind":"run","source":"bench:ex"}}' \
       '{"op":"submit","id":"s3","job":{"kind":"gen","seed":7}}' \
-      '{"op":"cancel","job":2}' \
-      '{"op":"status","id":"health"}'
+      '{"op":"cancel","job":2}'
+    printf '\xff\xfe\n'
+    head -c $((8 * 1024 * 1024 + 1)) /dev/zero | tr '\0' x
+    printf '\n%s\n' '{"op":"status","id":"health"}'
     sleep 1
     printf '%s\n' '{"op":"shutdown","id":"bye"}'
   } | ./target/release/hlts serve --workers 1 --queue 8
@@ -85,6 +89,7 @@ for want in \
   '"event": "done", "job": 1' \
   '"event": "cancelled", "job": 2' \
   '"event": "cancelled", "job": 3' \
+  '"malformed_requests": 2' \
   '"shutdown": true'
 do
   if ! grep -qF "$want" <<<"$SERVE_OUT"; then
@@ -93,6 +98,11 @@ do
     exit 1
   fi
 done
+if [ "$(grep -cF '"ok": false' <<<"$SERVE_OUT")" != 2 ]; then
+  echo "serve smoke: expected exactly 2 error answers (bad bytes, over-cap line):" >&2
+  echo "$SERVE_OUT" >&2
+  exit 1
+fi
 
 echo "==> bench smoke: serve warm-vs-cold request gate"
 cargo bench -q --bench serve --offline

@@ -29,16 +29,16 @@ use hlts_core::{
     IntegratedSynthesizer, ProgressEvent, ProgressSink, RunCtl, SynthesisParams, SynthesisResult,
 };
 use hlts_dfg::Dfg;
-use hlts_dse::{explore_ctl, DseError, ExploreConfig, ExploreOutcome, Flow, SweepSpec};
+use hlts_dse::{explore_ctl, DseError, ExploreConfig, ExploreOutcome, Flow, SweepSpec, TcovSweep};
 use hlts_gen::GenConfig;
 use hlts_tcov::{CoverageReport, TcovConfig, TcovError, TcovPool, TcovStats};
 
 /// Engine-assigned job identifier (dense, starting at 1).
 pub type JobId = u64;
 
-/// One unit of work. The three variants mirror the three CLI
-/// subcommands; the one-shot commands build a spec and call
-/// [`execute`] directly, the daemon queues specs on a [`JobEngine`].
+/// One unit of work, built from a [`crate::proto::JobRequest`] by its
+/// `resolve`. The one-shot commands call [`execute`] on it directly,
+/// the daemon queues it on a [`JobEngine`].
 #[derive(Debug, Clone)]
 pub enum JobSpec {
     /// Synthesize one behavior with one flow and parameter set.
@@ -58,8 +58,9 @@ pub enum JobSpec {
         /// Warm-context key: jobs submitting the same key (and bits)
         /// share one [`WarmCtx`] — base state, testability engine and
         /// (E, H) cache — via the engine's [`WarmPool`]. The key must
-        /// uniquely identify the *graph and module library* (the serve
-        /// layer hashes the canonical emitted text); `None` builds a
+        /// uniquely identify the *graph and module library*
+        /// (`JobRequest::resolve` hashes the canonical emitted text;
+        /// [`WarmPool::new(0)`](WarmPool::new) ignores it); `None` builds a
         /// fresh context. Sharing never changes results.
         warm: Option<u64>,
         /// When set, grade the synthesized design's fault coverage
@@ -109,10 +110,41 @@ pub struct AtpgRequest {
 }
 
 impl Default for AtpgRequest {
+    /// 2000 collapsed faults on one grading thread: enough for a stable
+    /// coverage estimate on every built-in benchmark while keeping
+    /// one-shot runs interactive.
     fn default() -> AtpgRequest {
         AtpgRequest {
             fault_sample: Some(2000),
             jobs: 1,
+        }
+    }
+}
+
+impl AtpgRequest {
+    /// The default request with the given knobs overridden:
+    /// `fault_sample` (`0` = the exhaustive collapsed universe) and the
+    /// grading worker count `jobs`.
+    #[must_use]
+    pub fn with_overrides(fault_sample: Option<usize>, jobs: Option<usize>) -> AtpgRequest {
+        let mut req = AtpgRequest::default();
+        if let Some(n) = fault_sample {
+            req.fault_sample = (n > 0).then_some(n);
+        }
+        if let Some(j) = jobs {
+            req.jobs = j;
+        }
+        req
+    }
+}
+
+/// A sweep grades each point at `jobs = 1` (sweep workers are the
+/// parallelism), so only the sample carries over; a graded report is
+/// jobs-invariant either way.
+impl From<AtpgRequest> for TcovSweep {
+    fn from(req: AtpgRequest) -> TcovSweep {
+        TcovSweep {
+            fault_sample: req.fault_sample.unwrap_or(0),
         }
     }
 }

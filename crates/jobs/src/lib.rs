@@ -12,6 +12,10 @@
 //!   and a [`WarmPool`] of shared per-behavior synthesis contexts
 //!   (base state + testability engine + (E, H) cache) that makes
 //!   repeat requests warm;
+//! * [`proto`] — the daemon protocol and [`proto::JobRequest`], the
+//!   one description of a job: the CLI fills one from its flags, the
+//!   daemon parses one per submit line, and both build the [`JobSpec`]
+//!   through [`proto::JobRequest::resolve`];
 //! * [`serve`] — the line-delimited JSON daemon (stdin or TCP) and
 //!   the `hlts submit` client, speaking the [`proto`] protocol;
 //! * [`json`] — the from-scratch JSON reader the protocol needs (the

@@ -1,11 +1,17 @@
-//! The line-delimited JSON protocol of `hlts serve`.
+//! The line-delimited JSON protocol of `hlts serve`, and the one place
+//! a job description becomes executable work.
 //!
 //! One request per line in, one response per line out, plus streamed
-//! per-job event lines. This module is pure data: it parses request
-//! lines into [`Request`] values and renders responses/events as
-//! single-line JSON strings (hand-rolled, like every other JSON
-//! emitter in the workspace — see [`hlts_dse::json_string`]). The I/O
-//! and engine wiring live in [`crate::serve`].
+//! per-job event lines. This module parses request lines into
+//! [`Request`] values and renders responses, events and the `hlts
+//! submit` request line ([`render_submit`]) as single-line JSON strings
+//! (hand-rolled, like every other JSON emitter in the workspace — see
+//! [`hlts_dse::json_string`]). A [`JobRequest`] is the only way a job is
+//! described: the daemon parses one from each submit line, `hlts run`
+//! and `hlts explore` fill one from their flags, and both turn it into
+//! a [`JobSpec`] through [`JobRequest::resolve`], which loads the
+//! sources and applies the run parameter policy. The I/O and engine
+//! wiring live in [`crate::serve`].
 //!
 //! # Requests
 //!
@@ -41,20 +47,24 @@
 //! {"event":"failed","job":3,"error":"..."}
 //! ```
 
-use hlts_core::{DesignMetrics, ProgressEvent, SynthesisResult};
-use hlts_dfg::SymStats;
-use hlts_dse::{json_string, ExploreOutcome, Flow, TcovSweep};
+use std::fmt::Write as _;
+
+use hlts_core::{DesignMetrics, EvalMode, ProgressEvent, SynthesisParams, SynthesisResult};
+use hlts_dfg::{Dfg, SymStats};
+use hlts_dse::{json_string, ExploreConfig, ExploreOutcome, Flow, SweepSpec, TcovSweep};
 use hlts_tcov::CoverageReport;
 
-use crate::engine::{AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, RunOutput};
+use crate::engine::{
+    AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, JobSpec, RunOutput,
+};
 use crate::json::{self, Json};
 
-/// A reference to a behavior source, resolved by the daemon.
+/// A reference to a behavior source, loaded by [`JobRequest::resolve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceRef {
     /// A built-in benchmark (`bench:NAME`).
     Bench(String),
-    /// A file path on the daemon's filesystem.
+    /// A file path, read where the request is resolved.
     Path(String),
     /// Inline textual DFG, shipped in the request (what `hlts submit`
     /// sends so the daemon's working directory never matters).
@@ -80,50 +90,93 @@ impl SourceRef {
     }
 }
 
-/// A parsed job description (declarative; the serve layer resolves
-/// sources and builds the executable [`crate::JobSpec`]).
+/// One synthesis run: the `run` job kind, and what `hlts run` and
+/// `hlts submit` parse their flags into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunRequest {
+    /// The behavior.
+    pub source: SourceRef,
+    /// The flow (default `ours`).
+    pub flow: Flow,
+    /// Bit width (default 8).
+    pub bits: u32,
+    /// Shortlist size override.
+    pub k: Option<usize>,
+    /// α override.
+    pub alpha: Option<f64>,
+    /// β override.
+    pub beta: Option<f64>,
+    /// Post-synthesis coverage grading (`"atpg": true` or
+    /// `{"fault_sample": N, "jobs": M}`; absent = no grading).
+    pub atpg: Option<AtpgRequest>,
+}
+
+impl RunRequest {
+    /// A run of `source` with every knob at its default.
+    #[must_use]
+    pub fn new(source: SourceRef) -> RunRequest {
+        RunRequest {
+            source,
+            flow: Flow::Ours,
+            bits: 8,
+            k: None,
+            alpha: None,
+            beta: None,
+            atpg: None,
+        }
+    }
+}
+
+/// A parameter sweep: the `explore` job kind, and what `hlts explore`
+/// parses its flags into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExploreRequest {
+    /// The behaviors.
+    pub sources: Vec<SourceRef>,
+    /// Flows of the grid (default `[ours]`).
+    pub flows: Vec<Flow>,
+    /// Shortlist sizes (default `[3]`).
+    pub ks: Vec<usize>,
+    /// (α, β) pairs (default the paper's three).
+    pub weights: Vec<(f64, f64)>,
+    /// Bit widths (default `[8]`).
+    pub bits: Vec<u32>,
+    /// Sweep-internal worker threads (default 1).
+    pub jobs: usize,
+    /// Coverage grading per point (`"atpg": true` or
+    /// `{"fault_sample": N}`; absent = plain objectives).
+    pub tcov: Option<TcovSweep>,
+    /// Warm-start trace replay across sweep neighbours
+    /// (`"warm_start": true`; default off — off is bit-identical
+    /// to the pre-warm-start protocol).
+    pub warm_start: bool,
+}
+
+impl ExploreRequest {
+    /// A sweep of `sources` over the default grid.
+    #[must_use]
+    pub fn new(sources: Vec<SourceRef>) -> ExploreRequest {
+        ExploreRequest {
+            sources,
+            flows: vec![Flow::Ours],
+            ks: vec![3],
+            weights: vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)],
+            bits: vec![8],
+            jobs: 1,
+            tcov: None,
+            warm_start: false,
+        }
+    }
+}
+
+/// A job description (declarative; [`JobRequest::resolve`] loads the
+/// sources and builds the executable [`JobSpec`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobRequest {
     /// One synthesis run.
-    Run {
-        /// The behavior.
-        source: SourceRef,
-        /// The flow (default `ours`).
-        flow: Flow,
-        /// Bit width (default 8).
-        bits: u32,
-        /// Shortlist size override.
-        k: Option<usize>,
-        /// α override.
-        alpha: Option<f64>,
-        /// β override.
-        beta: Option<f64>,
-        /// Post-synthesis coverage grading (`"atpg": true` or
-        /// `{"fault_sample": N, "jobs": M}`; absent = no grading).
-        atpg: Option<AtpgRequest>,
-    },
+    Run(RunRequest),
     /// A parameter sweep.
-    Explore {
-        /// The behaviors.
-        sources: Vec<SourceRef>,
-        /// Flows of the grid (default `[ours]`).
-        flows: Vec<Flow>,
-        /// Shortlist sizes (default `[3]`).
-        ks: Vec<usize>,
-        /// (α, β) pairs (default the paper's three).
-        weights: Vec<(f64, f64)>,
-        /// Bit widths (default `[8]`).
-        bits: Vec<u32>,
-        /// Sweep-internal worker threads (default 1).
-        jobs: usize,
-        /// Coverage grading per point (`"atpg": true` or
-        /// `{"fault_sample": N}`; absent = plain objectives).
-        tcov: Option<TcovSweep>,
-        /// Warm-start trace replay across sweep neighbours
-        /// (`"warm_start": true`; default off — off is bit-identical
-        /// to the pre-warm-start protocol).
-        warm_start: bool,
-    },
+    Explore(ExploreRequest),
     /// Workload generation.
     Gen {
         /// The reproducibility seed (default 0).
@@ -131,6 +184,123 @@ pub enum JobRequest {
         /// Preset name (default `balanced`).
         preset: String,
     },
+}
+
+/// FNV-1a over the canonical source text: the warm-context key for
+/// run jobs (same text + same bits ⇒ same shared context; every job
+/// synthesizes with the default module library, which the key
+/// therefore need not encode).
+fn warm_key(text: &str) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in text.as_bytes() {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Resolve a source reference into a named graph plus its canonical
+/// text. A file that fails to parse is reported by its path, an inline
+/// source by its name.
+fn resolve_source(source: &SourceRef) -> Result<(String, Dfg, String), String> {
+    let (text, label) = match source {
+        SourceRef::Bench(name) => {
+            let dfg = hlts_benchmarks::by_name(name).ok_or_else(|| {
+                format!(
+                    "unknown benchmark `{name}` (have: {})",
+                    hlts_benchmarks::NAMES.join(", ")
+                )
+            })?;
+            let text = hlts_dfg::emit(&dfg).map_err(|e| e.to_string())?;
+            return Ok((source.name(), dfg, text));
+        }
+        SourceRef::Path(path) => (
+            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
+            path,
+        ),
+        SourceRef::Inline { name, text } => (text.clone(), name),
+    };
+    let dfg = hlts_dfg::parse(&text).map_err(|e| format!("{label}: {e}"))?;
+    Ok((source.name(), dfg, text))
+}
+
+impl JobRequest {
+    /// Build the executable spec: load the sources and apply the run
+    /// parameter policy — the paper's parameters for the bit width
+    /// ([`SynthesisParams::paper_defaults`]), the CAMAD flow's
+    /// area-optimised (0.1, 10) weights, then the request's `k`/α/β
+    /// overrides. The daemon and the one-shot CLI both resolve through
+    /// here, so a served submission and `hlts run` of the same request
+    /// are bit-identical. `mode` is a run job's candidate-evaluation
+    /// mode: the daemon passes [`EvalMode::Sequential`] (its worker
+    /// pool is the parallelism), the CLI [`EvalMode::default`]; results
+    /// are identical across modes.
+    ///
+    /// # Errors
+    ///
+    /// An unknown benchmark or preset, an unreadable file, or a source
+    /// that fails to parse.
+    pub fn resolve(&self, mode: EvalMode) -> Result<JobSpec, String> {
+        match self {
+            JobRequest::Run(run) => {
+                let (name, dfg, text) = resolve_source(&run.source)?;
+                let mut params = SynthesisParams::paper_defaults(run.bits);
+                if run.flow == Flow::Camad {
+                    params.alpha = 0.1;
+                    params.beta = 10.0;
+                }
+                if let Some(k) = run.k {
+                    params.k = k;
+                }
+                if let Some(a) = run.alpha {
+                    params.alpha = a;
+                }
+                if let Some(b) = run.beta {
+                    params.beta = b;
+                }
+                Ok(JobSpec::Run {
+                    name,
+                    warm: Some(warm_key(&text)),
+                    dfg,
+                    flow: run.flow,
+                    params,
+                    mode,
+                    atpg: run.atpg,
+                })
+            }
+            JobRequest::Explore(req) => {
+                let mut benches = Vec::new();
+                for source in &req.sources {
+                    let (name, dfg, _) = resolve_source(source)?;
+                    benches.push((name, dfg));
+                }
+                let spec = SweepSpec {
+                    benches,
+                    flows: req.flows.clone(),
+                    ks: req.ks.clone(),
+                    weights: req.weights.clone(),
+                    bits: req.bits.clone(),
+                    extra: Vec::new(),
+                    tcov: req.tcov,
+                    warm_start: req.warm_start,
+                };
+                let cfg = ExploreConfig {
+                    jobs: req.jobs,
+                    ..ExploreConfig::default()
+                };
+                Ok(JobSpec::Explore { spec, cfg })
+            }
+            JobRequest::Gen { seed, preset } => {
+                let cfg = hlts_gen::preset(preset).ok_or_else(|| {
+                    format!(
+                        "unknown preset `{preset}` (have: {})",
+                        hlts_gen::PRESET_NAMES.join(", ")
+                    )
+                })?;
+                Ok(JobSpec::Gen { seed: *seed, cfg })
+            }
+        }
+    }
 }
 
 /// A parsed protocol request.
@@ -239,6 +409,45 @@ pub fn parse_request(line: &str) -> Result<Request, ReqError> {
     }
 }
 
+/// The submit line for one run job: the inverse of [`parse_request`]
+/// on run jobs (`hlts submit` sends it). Every knob is written out, so
+/// the line means the same to any daemon.
+#[must_use]
+pub fn render_submit(id: Option<&str>, run: &RunRequest) -> String {
+    let source = match &run.source {
+        SourceRef::Bench(name) => json_string(&format!("bench:{name}")),
+        SourceRef::Path(path) => json_string(path),
+        SourceRef::Inline { name, text } => format!(
+            "{{\"name\": {}, \"dfg\": {}}}",
+            json_string(name),
+            json_string(text)
+        ),
+    };
+    let mut job = format!(
+        "{{\"kind\": \"run\", \"source\": {source}, \"flow\": {}, \"bits\": {}",
+        json_string(run.flow.name()),
+        run.bits
+    );
+    if let Some(k) = run.k {
+        let _ = write!(job, ", \"k\": {k}");
+    }
+    if let Some(alpha) = run.alpha {
+        let _ = write!(job, ", \"alpha\": {alpha:?}");
+    }
+    if let Some(beta) = run.beta {
+        let _ = write!(job, ", \"beta\": {beta:?}");
+    }
+    if let Some(atpg) = run.atpg {
+        let _ = write!(
+            job,
+            ", \"atpg\": {{\"fault_sample\": {}, \"jobs\": {}}}",
+            atpg.fault_sample.unwrap_or(0),
+            atpg.jobs
+        );
+    }
+    format!("{{\"op\": \"submit\", {}\"job\": {job}}}}}", id_field(id))
+}
+
 fn parse_source(v: &Json) -> Result<SourceRef, String> {
     if let Some(text) = v.as_str() {
         return Ok(match text.strip_prefix("bench:") {
@@ -264,7 +473,12 @@ fn parse_source(v: &Json) -> Result<SourceRef, String> {
     Err("source must be a string (`bench:NAME` or a path) or an inline object".to_owned())
 }
 
-fn parse_flow(s: &str) -> Result<Flow, String> {
+/// A flow by name, with the error message every front end shares.
+///
+/// # Errors
+///
+/// An unknown flow name.
+pub fn parse_flow(s: &str) -> Result<Flow, String> {
     Flow::parse(s)
         .ok_or_else(|| format!("unknown flow `{s}` (expected ours, camad, approach1 or approach2)"))
 }
@@ -297,23 +511,22 @@ fn parse_atpg(job: &Json) -> Result<Option<AtpgRequest>, String> {
         Json::Bool(false) => Ok(None),
         Json::Bool(true) => Ok(Some(AtpgRequest::default())),
         Json::Obj(_) => {
-            let mut req = AtpgRequest::default();
-            if let Some(fs) = v.get("fault_sample") {
-                let n = fs
-                    .as_usize()
-                    .ok_or("`fault_sample` must be a non-negative integer")?;
-                req.fault_sample = (n > 0).then_some(n);
-            }
-            if let Some(j) = v.get("jobs") {
-                let j = j
-                    .as_usize()
-                    .ok_or("atpg `jobs` must be a non-negative integer")?;
-                if j == 0 {
-                    return Err("atpg `jobs` must be >= 1".to_owned());
-                }
-                req.jobs = j;
-            }
-            Ok(Some(req))
+            let fault_sample = v
+                .get("fault_sample")
+                .map(|n| {
+                    n.as_usize()
+                        .ok_or("`fault_sample` must be a non-negative integer")
+                })
+                .transpose()?;
+            let jobs = v
+                .get("jobs")
+                .map(|j| match j.as_usize() {
+                    None => Err("atpg `jobs` must be a non-negative integer"),
+                    Some(0) => Err("atpg `jobs` must be >= 1"),
+                    Some(j) => Ok(j),
+                })
+                .transpose()?;
+            Ok(Some(AtpgRequest::with_overrides(fault_sample, jobs)))
         }
         _ => Err("`atpg` must be a boolean or an object".to_owned()),
     }
@@ -340,33 +553,24 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                     return Err("run job takes `source` or `dfg`, not both".to_owned())
                 }
             };
-            let flow = match job.get("flow") {
-                None => Flow::Ours,
-                Some(f) => parse_flow(f.as_str().ok_or("`flow` must be a string")?)?,
-            };
-            let bits = match job.get("bits") {
-                None => 8,
-                Some(b) => b.as_u32().ok_or("`bits` must be a non-negative integer")?,
-            };
-            let k = job.get("k").map(parse_k).transpose()?;
-            let alpha = job
+            let mut run = RunRequest::new(source);
+            if let Some(f) = job.get("flow") {
+                run.flow = parse_flow(f.as_str().ok_or("`flow` must be a string")?)?;
+            }
+            if let Some(b) = job.get("bits") {
+                run.bits = b.as_u32().ok_or("`bits` must be a non-negative integer")?;
+            }
+            run.k = job.get("k").map(parse_k).transpose()?;
+            run.alpha = job
                 .get("alpha")
                 .map(|v| parse_weight(v, "alpha"))
                 .transpose()?;
-            let beta = job
+            run.beta = job
                 .get("beta")
                 .map(|v| parse_weight(v, "beta"))
                 .transpose()?;
-            let atpg = parse_atpg(job)?;
-            Ok(JobRequest::Run {
-                source,
-                flow,
-                bits,
-                k,
-                alpha,
-                beta,
-                atpg,
-            })
+            run.atpg = parse_atpg(job)?;
+            Ok(JobRequest::Run(run))
         }
         "explore" => {
             let sources = job
@@ -379,26 +583,23 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
             if sources.is_empty() {
                 return Err("`sources` must not be empty".to_owned());
             }
-            let flows = match job.get("flows").map(Json::as_arr) {
-                None => vec![Flow::Ours],
-                Some(None) => return Err("`flows` must be an array".to_owned()),
-                Some(Some(items)) => items
+            let mut req = ExploreRequest::new(sources);
+            let array = |key: &str| {
+                job.get(key)
+                    .map(|v| v.as_arr().ok_or(format!("`{key}` must be an array")))
+                    .transpose()
+            };
+            if let Some(items) = array("flows")? {
+                req.flows = items
                     .iter()
                     .map(|f| parse_flow(f.as_str().ok_or("`flows` entries must be strings")?))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let ks = match job.get("ks").map(Json::as_arr) {
-                None => vec![3],
-                Some(None) => return Err("`ks` must be an array".to_owned()),
-                Some(Some(items)) => items
-                    .iter()
-                    .map(parse_k)
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let weights = match job.get("weights").map(Json::as_arr) {
-                None => vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)],
-                Some(None) => return Err("`weights` must be an array".to_owned()),
-                Some(Some(items)) => items
+                    .collect::<Result<Vec<_>, _>>()?;
+            }
+            if let Some(items) = array("ks")? {
+                req.ks = items.iter().map(parse_k).collect::<Result<Vec<_>, _>>()?;
+            }
+            if let Some(items) = array("weights")? {
+                req.weights = items
                     .iter()
                     .map(|pair| {
                         let pair = pair
@@ -410,50 +611,34 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                             parse_weight(&pair[1], "beta")?,
                         ))
                     })
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            let bits = match job.get("bits").map(Json::as_arr) {
-                None => vec![8],
-                Some(None) => return Err("`bits` must be an array".to_owned()),
-                Some(Some(items)) => items
+                    .collect::<Result<Vec<_>, _>>()?;
+            }
+            if let Some(items) = array("bits")? {
+                req.bits = items
                     .iter()
                     .map(|b| b.as_u32().ok_or("`bits` entries must be integers".to_owned()))
-                    .collect::<Result<Vec<_>, _>>()?,
-            };
-            if flows.is_empty() || ks.is_empty() || weights.is_empty() || bits.is_empty() {
+                    .collect::<Result<Vec<_>, _>>()?;
+            }
+            if req.flows.is_empty()
+                || req.ks.is_empty()
+                || req.weights.is_empty()
+                || req.bits.is_empty()
+            {
                 return Err("grid axes must not be empty".to_owned());
             }
-            let jobs = match job.get("jobs") {
-                None => 1,
-                Some(j) => {
-                    let j = j.as_usize().ok_or("`jobs` must be a non-negative integer")?;
-                    if j == 0 {
-                        return Err("`jobs` must be >= 1".to_owned());
-                    }
-                    j
+            if let Some(j) = job.get("jobs") {
+                req.jobs = j.as_usize().ok_or("`jobs` must be a non-negative integer")?;
+                if req.jobs == 0 {
+                    return Err("`jobs` must be >= 1".to_owned());
                 }
-            };
-            // The sweep grades per point at `jobs = 1` (sweep workers
-            // are the parallelism), so only `fault_sample` carries
-            // over; a graded report is jobs-invariant either way.
-            let tcov = parse_atpg(job)?.map(|req| TcovSweep {
-                fault_sample: req.fault_sample.unwrap_or(0),
-            });
-            let warm_start = match job.get("warm_start") {
+            }
+            req.tcov = parse_atpg(job)?.map(TcovSweep::from);
+            req.warm_start = match job.get("warm_start") {
                 None => false,
                 Some(Json::Bool(b)) => *b,
                 Some(_) => return Err("`warm_start` must be a boolean".to_owned()),
             };
-            Ok(JobRequest::Explore {
-                sources,
-                flows,
-                ks,
-                weights,
-                bits,
-                jobs,
-                tcov,
-                warm_start,
-            })
+            Ok(JobRequest::Explore(req))
         }
         "gen" => {
             let seed = match job.get("seed") {
@@ -726,7 +911,7 @@ mod tests {
         assert_eq!(id.as_deref(), Some("c1"));
         assert_eq!(
             job,
-            JobRequest::Run {
+            JobRequest::Run(RunRequest {
                 source: SourceRef::Bench("ewf".into()),
                 flow: Flow::Ours,
                 bits: 8,
@@ -734,7 +919,7 @@ mod tests {
                 alpha: None,
                 beta: None,
                 atpg: None,
-            }
+            })
         );
     }
 
@@ -747,13 +932,13 @@ mod tests {
             job
         };
         // `true` takes the defaults, `false` is the same as absent.
-        let JobRequest::Run { atpg, .. } =
+        let JobRequest::Run(RunRequest { atpg, .. }) =
             get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":true}}"#)
         else {
             panic!("wrong job kind");
         };
         assert_eq!(atpg, Some(AtpgRequest::default()));
-        let JobRequest::Run { atpg, .. } =
+        let JobRequest::Run(RunRequest { atpg, .. }) =
             get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":false}}"#)
         else {
             panic!("wrong job kind");
@@ -761,7 +946,7 @@ mod tests {
         assert_eq!(atpg, None);
         // An object validates both knobs; `fault_sample: 0` means the
         // exhaustive collapsed universe.
-        let JobRequest::Run { atpg, .. } = get(
+        let JobRequest::Run(RunRequest { atpg, .. }) = get(
             r#"{"op":"submit","job":{"kind":"run","source":"bench:ex",
                 "atpg":{"fault_sample":0,"jobs":4}}}"#,
         ) else {
@@ -775,7 +960,7 @@ mod tests {
             })
         );
         // Explore carries the sample into the sweep spec.
-        let JobRequest::Explore { tcov, .. } = get(
+        let JobRequest::Explore(ExploreRequest { tcov, .. }) = get(
             r#"{"op":"submit","job":{"kind":"explore","sources":["bench:ex"],
                 "atpg":{"fault_sample":500}}}"#,
         ) else {
@@ -804,16 +989,17 @@ mod tests {
         )
         .unwrap();
         let Request::Submit {
-            job: JobRequest::Explore {
-                sources,
-                flows,
-                ks,
-                weights,
-                bits,
-                jobs,
-                tcov,
-                warm_start,
-            },
+            job:
+                JobRequest::Explore(ExploreRequest {
+                    sources,
+                    flows,
+                    ks,
+                    weights,
+                    bits,
+                    jobs,
+                    tcov,
+                    warm_start,
+                }),
             ..
         } = req
         else {
@@ -834,7 +1020,7 @@ mod tests {
     fn parses_the_warm_start_knob() {
         let get = |line: &str| {
             let Request::Submit {
-                job: JobRequest::Explore { warm_start, .. },
+                job: JobRequest::Explore(ExploreRequest { warm_start, .. }),
                 ..
             } = parse_request(line).unwrap()
             else {
@@ -902,5 +1088,74 @@ mod tests {
         assert!(lines[4].contains("\"explore_replay\": {\"merges_replayed\": 0, \"merges_recomputed\": 0}"));
         assert!(lines[4].contains("\"tcov\": {\"ctx_hits\": 0"));
         assert!(lines[4].contains("\"interner\": {\"count\": 5, \"bytes\": 40}"));
+    }
+
+    #[test]
+    fn warm_key_distinguishes_texts() {
+        assert_eq!(warm_key("abc"), warm_key("abc"));
+        assert_ne!(warm_key("abc"), warm_key("abd"));
+        assert_ne!(warm_key(""), warm_key("a"));
+    }
+
+    #[test]
+    fn render_submit_round_trips_through_parse_request() {
+        let inline = SourceRef::Inline {
+            name: "t \"q\" ü".into(),
+            text: "dfg t {\n  input a; // \"quoted\" \\ back\\slash, ünïcödé ✓\n  output a;\n}\n"
+                .into(),
+        };
+        let mut cases = Vec::new();
+        for flow in Flow::ALL {
+            cases.push(RunRequest {
+                flow,
+                ..RunRequest::new(SourceRef::Bench("ex".into()))
+            });
+        }
+        cases.push(RunRequest {
+            bits: 4,
+            k: Some(2),
+            alpha: Some(0.1),
+            beta: Some(1e-7),
+            ..RunRequest::new(SourceRef::Path("some/dir/b.dfg".into()))
+        });
+        cases.push(RunRequest {
+            alpha: Some(10.0),
+            beta: Some(2.0 / 3.0),
+            atpg: Some(AtpgRequest::default()),
+            ..RunRequest::new(inline.clone())
+        });
+        cases.push(RunRequest {
+            flow: Flow::Camad,
+            atpg: Some(AtpgRequest::with_overrides(Some(0), Some(3))),
+            ..RunRequest::new(inline)
+        });
+        for id in [None, Some("cli"), Some("a \"b\"")] {
+            for run in &cases {
+                let line = render_submit(id, run);
+                assert!(!line.contains('\n'), "multi-line request: {line}");
+                assert_eq!(
+                    parse_request(&line),
+                    Ok(Request::Submit {
+                        id: id.map(str::to_owned),
+                        job: JobRequest::Run(run.clone()),
+                    }),
+                    "{line}"
+                );
+            }
+        }
+        // `"atpg": true` on the wire is the default request.
+        let Request::Submit { job, .. } = parse_request(
+            r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":true}}"#,
+        )
+        .unwrap() else {
+            panic!("wrong request kind");
+        };
+        let JobRequest::Run(run) = job else {
+            panic!("wrong job kind");
+        };
+        assert_eq!(parse_request(&render_submit(None, &run)), Ok(Request::Submit {
+            id: None,
+            job: JobRequest::Run(run),
+        }));
     }
 }

@@ -5,60 +5,38 @@
 //! and streams each job's events back to the connection that submitted
 //! it. One engine — one warm-context pool, one bounded queue — serves
 //! every connection, so repeat requests for the same behavior hit warm
-//! caches no matter which client sends them.
+//! caches no matter which client sends them. Submitted jobs become
+//! executable specs through
+//! [`JobRequest::resolve`](crate::proto::JobRequest::resolve), the same resolver
+//! `hlts run` and `hlts explore` use.
 //!
 //! Failure containment, from the inside out: a failing *point* degrades
 //! its job (typed errors / `PointFailure`), a failing *job* is reported
 //! on its own connection and the engine keeps serving, and a malformed
-//! *request line* is answered with a structured error and counted —
-//! none of these ever terminate a connection or the daemon.
+//! *request line* — bad JSON, bytes that are not UTF-8, or a line
+//! longer than [`MAX_LINE_BYTES`] — is answered with a structured error
+//! and counted. None of these ever terminate a connection or the
+//! daemon.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use hlts_core::EvalMode;
-use hlts_dse::{ExploreConfig, SweepSpec};
-use hlts_gen::GenConfig;
 
-use crate::engine::{
-    EngineConfig, JobEngine, JobEvent, JobId, JobSink, JobSpec, SubmitError,
-};
+use crate::engine::{EngineConfig, JobEngine, JobEvent, JobId, JobSink, SubmitError};
 use crate::json::{self, Json};
-use crate::proto::{self, JobRequest, Request, SourceRef};
+use crate::proto::{self, Request};
 
-/// Daemon sizing (forwarded into [`EngineConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfig {
-    /// Worker threads of the job pool.
-    pub workers: usize,
-    /// FIFO queue bound (backpressure beyond it).
-    pub queue_capacity: usize,
-    /// Warm-context cache bound.
-    pub warm_capacity: usize,
-}
+/// Daemon sizing: the engine's own configuration.
+pub type ServeConfig = EngineConfig;
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        let e = EngineConfig::default();
-        ServeConfig {
-            workers: e.workers,
-            queue_capacity: e.queue_capacity,
-            warm_capacity: e.warm_capacity,
-        }
-    }
-}
-
-impl From<ServeConfig> for EngineConfig {
-    fn from(cfg: ServeConfig) -> EngineConfig {
-        EngineConfig {
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            warm_capacity: cfg.warm_capacity,
-        }
-    }
-}
+/// The longest request line the daemon buffers, far above any inline
+/// DFG a client sends. A longer line is answered with an error and
+/// skipped up to its newline without being buffered, so a client that
+/// never sends a newline cannot grow the daemon's memory.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// A line-oriented event sink: serializes response and event lines
 /// onto one writer. Write failures are swallowed — a client that went
@@ -101,133 +79,10 @@ struct Daemon {
 impl Daemon {
     fn new(cfg: ServeConfig) -> Daemon {
         Daemon {
-            engine: JobEngine::start(cfg.into()),
+            engine: JobEngine::start(cfg),
             malformed: AtomicU64::new(0),
             stopping: std::sync::atomic::AtomicBool::new(false),
             local_addr: OnceLock::new(),
-        }
-    }
-}
-
-/// FNV-1a over the canonical source text: the warm-context key for
-/// run jobs (same text + same bits ⇒ same shared context; the daemon
-/// always synthesizes with the default module library, which the key
-/// therefore need not encode).
-fn warm_key(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Resolve a source reference into a named graph (daemon-side I/O).
-fn resolve_source(source: &SourceRef) -> Result<(String, hlts_dfg::Dfg, String), String> {
-    let text = match source {
-        SourceRef::Bench(name) => {
-            let dfg = hlts_benchmarks::by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown benchmark `{name}` (have: {})",
-                    hlts_benchmarks::NAMES.join(", ")
-                )
-            })?;
-            let text = hlts_dfg::emit(&dfg).map_err(|e| e.to_string())?;
-            return Ok((source.name(), dfg, text));
-        }
-        SourceRef::Path(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
-        }
-        SourceRef::Inline { text, .. } => text.clone(),
-    };
-    let dfg = hlts_dfg::parse(&text).map_err(|e| format!("{}: {e}", source.name()))?;
-    Ok((source.name(), dfg, text))
-}
-
-/// Build the executable spec for a parsed job request. Mirrors the
-/// one-shot CLI's parameter derivation (paper defaults per bit width,
-/// the camad flow's (0.1, 10) weight default) so a daemon submission
-/// and `hlts run` produce bit-identical results.
-fn resolve_job(job: &JobRequest) -> Result<JobSpec, String> {
-    use hlts_core::SynthesisParams;
-    use hlts_dse::Flow;
-    match job {
-        JobRequest::Run {
-            source,
-            flow,
-            bits,
-            k,
-            alpha,
-            beta,
-            atpg,
-        } => {
-            let (name, dfg, text) = resolve_source(source)?;
-            let mut params = SynthesisParams::paper_defaults(*bits);
-            if *flow == Flow::Camad {
-                params.alpha = 0.1;
-                params.beta = 10.0;
-            }
-            if let Some(k) = k {
-                params.k = *k;
-            }
-            if let Some(a) = alpha {
-                params.alpha = *a;
-            }
-            if let Some(b) = beta {
-                params.beta = *b;
-            }
-            Ok(JobSpec::Run {
-                name,
-                warm: Some(warm_key(&text)),
-                dfg,
-                flow: *flow,
-                params,
-                // Worker-pool parallelism comes from the engine; keep
-                // each job single-threaded inside (results are
-                // bit-identical across modes).
-                mode: EvalMode::Sequential,
-                atpg: *atpg,
-            })
-        }
-        JobRequest::Explore {
-            sources,
-            flows,
-            ks,
-            weights,
-            bits,
-            jobs,
-            tcov,
-            warm_start,
-        } => {
-            let mut benches = Vec::new();
-            for source in sources {
-                let (name, dfg, _) = resolve_source(source)?;
-                benches.push((name, dfg));
-            }
-            let spec = SweepSpec {
-                benches,
-                flows: flows.clone(),
-                ks: ks.clone(),
-                weights: weights.clone(),
-                bits: bits.clone(),
-                extra: Vec::new(),
-                tcov: *tcov,
-                warm_start: *warm_start,
-            };
-            let cfg = ExploreConfig {
-                jobs: *jobs,
-                ..ExploreConfig::default()
-            };
-            Ok(JobSpec::Explore { spec, cfg })
-        }
-        JobRequest::Gen { seed, preset } => {
-            let cfg: GenConfig = hlts_gen::preset(preset).ok_or_else(|| {
-                format!(
-                    "unknown preset `{preset}` (have: {})",
-                    hlts_gen::PRESET_NAMES.join(", ")
-                )
-            })?;
-            Ok(JobSpec::Gen { seed: *seed, cfg })
         }
     }
 }
@@ -254,7 +109,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
     };
     match request {
         Request::Submit { id, job } => {
-            match resolve_job(&job) {
+            match job.resolve(EvalMode::Sequential) {
                 Ok(spec) => {
                     // Hold the write lock across submit so the
                     // acknowledgement line lands before the job's
@@ -301,6 +156,99 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
     }
 }
 
+/// One request line read by [`read_line`].
+enum LineRead {
+    /// A complete line (newline stripped) is in the buffer.
+    Line,
+    /// The line grew past [`MAX_LINE_BYTES`]; the rest of it is still
+    /// unread.
+    TooLong,
+    /// End of input (or a read error: the peer is gone).
+    End,
+}
+
+/// Read one line of at most [`MAX_LINE_BYTES`] bytes into `buf`.
+fn read_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> LineRead {
+    buf.clear();
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return LineRead::End,
+        };
+        if chunk.is_empty() {
+            return if buf.is_empty() {
+                LineRead::End
+            } else {
+                LineRead::Line
+            };
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let len = newline.unwrap_or(chunk.len());
+        if buf.len() + len > MAX_LINE_BYTES {
+            return LineRead::TooLong;
+        }
+        buf.extend_from_slice(&chunk[..len]);
+        input.consume(len + usize::from(newline.is_some()));
+        if newline.is_some() {
+            return LineRead::Line;
+        }
+    }
+}
+
+/// Discard input up to and including the next newline.
+fn skip_line(input: &mut impl BufRead) {
+    loop {
+        let (used, done) = match input.fill_buf() {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Ok([]) | Err(_) => return,
+            Ok(chunk) => match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), false),
+            },
+        };
+        input.consume(used);
+        if done {
+            return;
+        }
+    }
+}
+
+/// Answer a request line that never reached the JSON parser.
+fn reject_line(daemon: &Daemon, sink: &LineSink, message: &str) {
+    daemon.malformed.fetch_add(1, Ordering::Relaxed);
+    sink.send(&proto::render_error(None, message));
+}
+
+/// Answer every request line of one input until a shutdown request or
+/// end of input.
+fn serve_input(daemon: &Daemon, mut input: impl BufRead, sink: &Arc<LineSink>) -> LineOutcome {
+    let mut buf = Vec::new();
+    loop {
+        match read_line(&mut input, &mut buf) {
+            LineRead::End => return LineOutcome::Continue,
+            LineRead::TooLong => {
+                reject_line(
+                    daemon,
+                    sink,
+                    &format!("request line exceeds the {MAX_LINE_BYTES}-byte limit"),
+                );
+                skip_line(&mut input);
+                // Do not keep a near-limit buffer alive per connection.
+                buf = Vec::new();
+            }
+            LineRead::Line => match std::str::from_utf8(&buf) {
+                Ok(line) => {
+                    if let LineOutcome::Shutdown = handle_line(daemon, line, sink) {
+                        return LineOutcome::Shutdown;
+                    }
+                }
+                Err(_) => reject_line(daemon, sink, "request line is not valid UTF-8"),
+            },
+        }
+    }
+}
+
 /// Serve requests from a reader/writer pair until a shutdown request
 /// or end of input, then drain the engine (running jobs finish,
 /// queued jobs are cancelled). This is `hlts serve`'s stdin mode —
@@ -308,12 +256,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
 pub fn serve_lines(input: impl BufRead, output: Box<dyn Write + Send>, cfg: ServeConfig) {
     let daemon = Daemon::new(cfg);
     let sink = Arc::new(LineSink::new(output));
-    for line in input.lines() {
-        let Ok(line) = line else { break };
-        if let LineOutcome::Shutdown = handle_line(&daemon, &line, &sink) {
-            break;
-        }
-    }
+    serve_input(&daemon, input, &sink);
     daemon.engine.shutdown();
 }
 
@@ -322,16 +265,11 @@ fn handle_conn(daemon: &Arc<Daemon>, stream: TcpStream) {
         return;
     };
     let sink = Arc::new(LineSink::new(Box::new(write_half)));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if let LineOutcome::Shutdown = handle_line(daemon, &line, &sink) {
-            // Unblock the accept loop so the daemon can exit: the
-            // stopping flag is set, one self-connection wakes it.
-            if let Some(addr) = daemon.local_addr.get() {
-                let _ = TcpStream::connect(addr);
-            }
-            break;
+    if let LineOutcome::Shutdown = serve_input(daemon, BufReader::new(stream), &sink) {
+        // Unblock the accept loop so the daemon can exit: the
+        // stopping flag is set, one self-connection wakes it.
+        if let Some(addr) = daemon.local_addr.get() {
+            let _ = TcpStream::connect(addr);
         }
     }
 }
@@ -429,20 +367,8 @@ pub fn submit_once(
 mod tests {
     use super::*;
 
-    #[test]
-    fn warm_key_distinguishes_texts() {
-        assert_eq!(warm_key("abc"), warm_key("abc"));
-        assert_ne!(warm_key("abc"), warm_key("abd"));
-        assert_ne!(warm_key(""), warm_key("a"));
-    }
-
-    #[test]
-    fn serve_lines_answers_and_shuts_down() {
-        let input = concat!(
-            "not json\n",
-            "{\"op\":\"status\",\"id\":\"s\"}\n",
-            "{\"op\":\"shutdown\"}\n",
-        );
+    /// Run a stdin-mode daemon over `input`; returns its output lines.
+    fn serve_bytes(input: &[u8]) -> Vec<String> {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
@@ -455,7 +381,7 @@ mod tests {
             }
         }
         serve_lines(
-            input.as_bytes(),
+            input,
             Box::new(Shared(Arc::clone(&buf))),
             ServeConfig {
                 workers: 1,
@@ -464,10 +390,55 @@ mod tests {
             },
         );
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "unexpected output: {text}");
+        text.lines().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn serve_lines_answers_and_shuts_down() {
+        let lines = serve_bytes(
+            concat!(
+                "not json\n",
+                "{\"op\":\"status\",\"id\":\"s\"}\n",
+                "{\"op\":\"shutdown\"}\n",
+            )
+            .as_bytes(),
+        );
+        assert_eq!(lines.len(), 3, "unexpected output: {lines:?}");
         assert!(lines[0].starts_with("{\"ok\": false"));
         assert!(lines[1].contains("\"malformed_requests\": 1"));
         assert!(lines[2].contains("\"shutdown\": true"));
+    }
+
+    #[test]
+    fn serve_lines_survives_bad_bytes_and_overlong_lines() {
+        let mut input = b"\xff\xfe\n".to_vec();
+        input.resize(input.len() + MAX_LINE_BYTES + 1, b'x');
+        input.extend_from_slice(b"\n{\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n");
+        let lines = serve_bytes(&input);
+        assert_eq!(lines.len(), 4, "unexpected output: {lines:?}");
+        assert!(lines[0].starts_with("{\"ok\": false") && lines[0].contains("UTF-8"));
+        assert!(lines[1].starts_with("{\"ok\": false"));
+        assert!(lines[1].contains(&MAX_LINE_BYTES.to_string()), "{lines:?}");
+        assert!(lines[2].contains("\"malformed_requests\": 2"), "{lines:?}");
+        assert!(lines[3].contains("\"shutdown\": true"));
+    }
+
+    #[test]
+    fn read_line_stops_at_the_cap_and_skip_line_resumes_after_it() {
+        let mut input = vec![b'a'; MAX_LINE_BYTES];
+        input.extend_from_slice(b"\nbb");
+        input.resize(input.len() + MAX_LINE_BYTES, b'c');
+        input.extend_from_slice(b"\nlast");
+        let mut input = &input[..];
+        let mut buf = Vec::new();
+        // Exactly at the cap is still a line.
+        assert!(matches!(read_line(&mut input, &mut buf), LineRead::Line));
+        assert_eq!(buf.len(), MAX_LINE_BYTES);
+        assert!(matches!(read_line(&mut input, &mut buf), LineRead::TooLong));
+        skip_line(&mut input);
+        // An unterminated final line still counts; then end of input.
+        assert!(matches!(read_line(&mut input, &mut buf), LineRead::Line));
+        assert_eq!(buf, b"last");
+        assert!(matches!(read_line(&mut input, &mut buf), LineRead::End));
     }
 }

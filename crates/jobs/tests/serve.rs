@@ -8,6 +8,7 @@ use std::net::{TcpListener, TcpStream};
 use hlts_core::{EvalMode, NullSink, RunCtl, SynthesisParams};
 use hlts_dse::Flow;
 use hlts_jobs::json::{self, Json};
+use hlts_jobs::serve::MAX_LINE_BYTES;
 use hlts_jobs::{execute, proto, JobOutput, JobSpec, ServeConfig, WarmPool};
 
 /// Spawn a daemon on an ephemeral port; returns (addr, join handle).
@@ -36,7 +37,11 @@ impl Client {
     }
 
     fn send(&mut self, line: &str) {
-        writeln!(self.write, "{line}").unwrap();
+        self.send_raw(format!("{line}\n").as_bytes());
+    }
+
+    fn send_raw(&mut self, bytes: &[u8]) {
+        self.write.write_all(bytes).unwrap();
         self.write.flush().unwrap();
     }
 
@@ -160,6 +165,18 @@ fn malformed_lines_answer_structured_errors_and_never_kill_the_connection() {
     let e = c.recv_response();
     assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
     assert_eq!(e.get("id"), None);
+    // Bytes that are not UTF-8.
+    c.send_raw(b"\xff\xfe\n");
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    // A line over the cap: answered, then skipped without buffering.
+    let mut long = vec![b'x'; MAX_LINE_BYTES + 1];
+    long.push(b'\n');
+    c.send_raw(&long);
+    let e = c.recv_response();
+    assert_eq!(e.get("ok"), Some(&Json::Bool(false)));
+    let message = e.get("error").and_then(Json::as_str).unwrap();
+    assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message}");
     // Valid JSON, broken request — the id must come back.
     c.send(r#"{"op":"submit","id":"m1","job":{"kind":"run"}}"#);
     let e = c.recv_response();
@@ -175,7 +192,7 @@ fn malformed_lines_answer_structured_errors_and_never_kill_the_connection() {
         .unwrap()
         .contains("unknown benchmark"));
     // The connection still works and the health counter saw exactly
-    // the two *protocol-level* malformed lines (resolve failures are
+    // the four *protocol-level* malformed lines (resolve failures are
     // well-formed requests).
     c.send(r#"{"op":"status","id":"s1"}"#);
     let s = c.recv_response();
@@ -183,7 +200,7 @@ fn malformed_lines_answer_structured_errors_and_never_kill_the_connection() {
     let status = s.get("status").unwrap();
     assert_eq!(
         status.get("malformed_requests").and_then(Json::as_u64),
-        Some(2)
+        Some(4)
     );
     let interner = status.get("interner").unwrap();
     assert!(interner.get("count").and_then(Json::as_u64).unwrap() > 0);

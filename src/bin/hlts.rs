@@ -14,6 +14,7 @@
 //! hlts serve [--tcp ADDR] [--workers N] [--queue N] [--warm N]
 //! hlts submit <file.dfg | bench:NAME | -> --connect ADDR
 //!      [--flow FLOW] [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]
+//!      [--fault-sample N] [--tcov-jobs N]
 //! ```
 //!
 //! `run` (the default subcommand) reads a behavioral description in the
@@ -47,28 +48,25 @@
 //! inconsistent. `serve` runs the job daemon (`hlts-jobs`): a bounded
 //! worker pool answering line-delimited JSON requests on stdin or over
 //! TCP, with warm per-behavior caches shared across submissions.
-//! `submit` is its one-shot client: `hlts gen --seed 7 | hlts submit -
-//! --connect HOST:PORT` ships the generated behavior to a daemon and
-//! streams the job's events back. `run` and `explore` honour Ctrl-C:
-//! an interrupt cancels at the next iteration/point boundary and an
-//! interrupted sweep still reports its partial front (flagged
-//! `degraded: cancelled`) with the journal intact.
+//! `submit` is its one-shot client: it takes `run`'s job flags, so
+//! `hlts gen --seed 7 | hlts submit - --connect HOST:PORT` ships the
+//! generated behavior to a daemon and streams the job's events back.
+//! `run`, `explore` and `submit` all parse their flags into the daemon
+//! protocol's job request and resolve it the way the daemon does, so a
+//! one-shot run and a served one are the same job. `run` and `explore`
+//! honour Ctrl-C: an interrupt cancels at the next iteration/point
+//! boundary and an interrupted sweep still reports its partial front
+//! (flagged `degraded: cancelled`) with the journal intact.
 
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisParams, SynthesisResult};
-use hlts::dse::{self, ExploreConfig, Flow, SweepSpec};
+use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisResult};
+use hlts::dse::{self, Flow};
+use hlts::jobs::proto::{self, ExploreRequest, JobRequest, RunRequest, SourceRef};
 use hlts::jobs::{
-    execute, proto, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, RunOutput,
-    ServeConfig, WarmPool,
+    execute, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, ServeConfig, WarmPool,
 };
 use hlts::tcov::CoverageReport;
-
-/// Collapsed faults graded when `--atpg` is given without an explicit
-/// `--fault-sample` (0 = exhaustive): enough for a stable coverage
-/// estimate on every built-in benchmark while keeping one-shot runs
-/// interactive.
-const DEFAULT_FAULT_SAMPLE: usize = 2000;
 
 /// Ctrl-C wiring: SIGINT fires the process-wide [`CancelToken`], so a
 /// one-shot `hlts run`/`hlts explore` stops at the next clean boundary
@@ -115,34 +113,23 @@ mod sigint {
     }
 }
 
+/// `hlts run` / `hlts submit` arguments: the run job plus the flags
+/// that only shape this command's output or transport.
 struct RunOptions {
+    job: RunRequest,
+    /// The source argument as given (`--json` echoes it).
     source: String,
-    flow: String,
-    bits: u32,
-    k: Option<usize>,
-    alpha: Option<f64>,
-    beta: Option<f64>,
-    atpg: bool,
-    /// `--fault-sample` (0 = exhaustive); `None` = flag absent, use
-    /// the default sample.
-    fault_sample: Option<usize>,
-    /// `--tcov-jobs`; `None` = flag absent, grade single-threaded.
-    tcov_jobs: Option<usize>,
     audit: bool,
     json: bool,
     quiet: bool,
+    /// The daemon address (`submit` only).
+    connect: String,
 }
 
+/// `hlts explore` arguments: the sweep job plus its checkpoint and
+/// output flags.
 struct ExploreOptions {
-    sources: Vec<String>,
-    flows: Vec<Flow>,
-    ks: Vec<usize>,
-    weights: Vec<(f64, f64)>,
-    bits: Vec<u32>,
-    jobs: usize,
-    warm_start: bool,
-    atpg: bool,
-    fault_sample: Option<usize>,
+    job: ExploreRequest,
     journal: Option<String>,
     resume: Option<String>,
     json: bool,
@@ -163,6 +150,7 @@ fn usage() -> &'static str {
      \x20      hlts serve [--tcp ADDR] [--workers N] [--queue N] [--warm N]\n\
      \x20      hlts submit <file.dfg | bench:NAME | -> --connect ADDR\n\
      \x20            [--flow FLOW] [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]\n\
+     \x20            [--fault-sample N] [--tcov-jobs N]\n\
      built-in benchmarks: ex, dct, diffeq, ewf, paulin, tseng"
 }
 
@@ -171,7 +159,8 @@ const RUN_FLAGS: &str = "--flow, --bits, --k, --alpha, --beta, --atpg, --fault-s
 const EXPLORE_FLAGS: &str = "--flow, --bits, --k, --weights, --jobs, --warm-start, --atpg, \
     --fault-sample, --journal, --resume, --json, --quiet";
 const SERVE_FLAGS: &str = "--tcp, --workers, --queue, --warm";
-const SUBMIT_FLAGS: &str = "--connect, --flow, --bits, --k, --alpha, --beta, --atpg";
+const SUBMIT_FLAGS: &str = "--connect, --flow, --bits, --k, --alpha, --beta, --atpg, \
+    --fault-sample, --tcov-jobs";
 const GEN_FLAGS: &str = "--seed, --preset, --list-presets, --out, --ops, --inputs, \
     --const-ratio, --mul, --addsub, --logic, --cmp, --shift, --depth-bias, --fanout-skew, \
     --loops, --name";
@@ -253,234 +242,179 @@ fn parse_list<T, F: Fn(&str) -> Result<T, String>>(
     Ok(out)
 }
 
-fn parse_run_args(mut args: impl Iterator<Item = String>) -> Result<RunOptions, String> {
-    let mut opts = RunOptions {
-        source: String::new(),
-        flow: "ours".into(),
-        bits: 8,
-        k: None,
-        alpha: None,
-        beta: None,
-        atpg: false,
-        fault_sample: None,
-        tcov_jobs: None,
-        audit: false,
-        json: false,
-        quiet: false,
-    };
+/// The request form of a source argument: `bench:NAME` is a built-in
+/// benchmark, `-` reads the behavior from stdin (so generated workloads
+/// pipe straight through: `hlts gen --seed 7 | hlts run -`), anything
+/// else is a file path.
+fn source_ref(arg: &str) -> Result<SourceRef, String> {
+    if let Some(name) = arg.strip_prefix("bench:") {
+        return Ok(SourceRef::Bench(name.to_owned()));
+    }
+    if arg != "-" {
+        return Ok(SourceRef::Path(arg.to_owned()));
+    }
+    use std::io::Read as _;
+    let mut text = String::new();
+    std::io::stdin()
+        .read_to_string(&mut text)
+        .map_err(|e| format!("error: stdin: {e}"))?;
+    Ok(SourceRef::Inline {
+        name: "stdin".to_owned(),
+        text,
+    })
+}
+
+/// The run-job flags, shared by `run` and `submit`; `--audit`,
+/// `--json` and `--quiet` are `run`'s, `--connect` is `submit`'s.
+fn parse_run_args(
+    mut args: impl Iterator<Item = String>,
+    submit: bool,
+) -> Result<RunOptions, String> {
+    let valid = if submit { SUBMIT_FLAGS } else { RUN_FLAGS };
+    // The source is mapped once every flag is known (`-` blocks on
+    // stdin), so the placeholder never survives parsing.
+    let mut job = RunRequest::new(SourceRef::Path(String::new()));
+    let mut source = None;
+    let (mut atpg, mut fault_sample, mut tcov_jobs) = (false, None, None);
+    let (mut audit, mut json, mut quiet, mut connect) = (false, false, false, String::new());
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--flow" => opts.flow = take(&mut args, "--flow")?,
+            "--flow" => job.flow = proto::parse_flow(&take(&mut args, "--flow")?)?,
             "--bits" => {
-                opts.bits = take(&mut args, "--bits")?
+                job.bits = take(&mut args, "--bits")?
                     .parse()
                     .map_err(|e| format!("--bits: {e}"))?;
             }
-            "--k" => opts.k = Some(parse_k(&take(&mut args, "--k")?)?),
-            "--alpha" => opts.alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
-            "--beta" => opts.beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
-            "--atpg" => opts.atpg = true,
+            "--k" => job.k = Some(parse_k(&take(&mut args, "--k")?)?),
+            "--alpha" => job.alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
+            "--beta" => job.beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
+            "--atpg" => atpg = true,
             "--fault-sample" => {
-                opts.fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
+                fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
             }
             "--tcov-jobs" => {
-                opts.tcov_jobs =
+                tcov_jobs =
                     Some(parse_positive_count("--tcov-jobs", &take(&mut args, "--tcov-jobs")?)?);
             }
-            "--audit" => opts.audit = true,
-            "--json" => opts.json = true,
-            "--quiet" => opts.quiet = true,
+            "--audit" if !submit => audit = true,
+            "--json" if !submit => json = true,
+            "--quiet" if !submit => quiet = true,
+            "--connect" if submit => connect = take(&mut args, "--connect")?,
             "--help" | "-h" => return Err(usage().to_owned()),
             // A bare `-` is the stdin source, not a flag.
             other if other.starts_with('-') && other != "-" => {
-                return Err(unknown_flag(other, RUN_FLAGS))
+                return Err(unknown_flag(other, valid))
             }
-            other if opts.source.is_empty() => opts.source = other.to_owned(),
-            other => return Err(unknown_flag(other, RUN_FLAGS)),
+            other if source.is_none() => source = Some(other.to_owned()),
+            other => return Err(unknown_flag(other, valid)),
         }
     }
-    if opts.source.is_empty() {
+    let Some(source) = source else {
         return Err(usage().to_owned());
-    }
-    if !opts.atpg && (opts.fault_sample.is_some() || opts.tcov_jobs.is_some()) {
+    };
+    if !atpg && (fault_sample.is_some() || tcov_jobs.is_some()) {
         return Err("--fault-sample/--tcov-jobs configure coverage grading; add --atpg".into());
     }
-    Ok(opts)
+    if submit && connect.is_empty() {
+        return Err("submit needs --connect ADDR (a running `hlts serve --tcp` daemon)".into());
+    }
+    job.atpg = atpg.then(|| AtpgRequest::with_overrides(fault_sample, tcov_jobs));
+    job.source = source_ref(&source)?;
+    Ok(RunOptions {
+        job,
+        source,
+        audit,
+        json,
+        quiet,
+        connect,
+    })
 }
 
 fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreOptions, String> {
-    let mut opts = ExploreOptions {
-        sources: Vec::new(),
-        flows: vec![Flow::Ours],
-        ks: vec![3],
-        weights: vec![(2.0, 1.0), (10.0, 1.0), (1.0, 10.0)],
-        bits: vec![8],
-        jobs: 1,
-        warm_start: false,
-        atpg: false,
-        fault_sample: None,
-        journal: None,
-        resume: None,
-        json: false,
-        quiet: false,
-    };
+    let mut job = ExploreRequest::new(Vec::new());
+    let mut sources = Vec::new();
+    let (mut atpg, mut fault_sample) = (false, None);
+    let (mut journal, mut resume, mut json, mut quiet) = (None, None, false, false);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--flow" => {
-                opts.flows = parse_list(&take(&mut args, "--flow")?, "--flow", |s| {
-                    Flow::parse(s).ok_or(format!(
-                        "unknown flow `{s}` (expected ours, camad, approach1 or approach2)"
-                    ))
-                })?;
+                job.flows = parse_list(&take(&mut args, "--flow")?, "--flow", proto::parse_flow)?;
             }
             "--bits" => {
-                opts.bits = parse_list(&take(&mut args, "--bits")?, "--bits", |s| {
+                job.bits = parse_list(&take(&mut args, "--bits")?, "--bits", |s| {
                     s.parse().map_err(|e| format!("--bits: {e}"))
                 })?;
             }
-            "--k" => opts.ks = parse_list(&take(&mut args, "--k")?, "--k", parse_k)?,
+            "--k" => job.ks = parse_list(&take(&mut args, "--k")?, "--k", parse_k)?,
             "--weights" => {
-                opts.weights =
-                    parse_list(&take(&mut args, "--weights")?, "--weights", |s| {
-                        let (a, b) = s.split_once(':').ok_or(format!(
-                            "--weights: `{s}` is not an alpha:beta pair"
-                        ))?;
-                        Ok((parse_weight("--weights", a)?, parse_weight("--weights", b)?))
-                    })?;
+                job.weights = parse_list(&take(&mut args, "--weights")?, "--weights", |s| {
+                    let (a, b) = s
+                        .split_once(':')
+                        .ok_or(format!("--weights: `{s}` is not an alpha:beta pair"))?;
+                    Ok((parse_weight("--weights", a)?, parse_weight("--weights", b)?))
+                })?;
             }
-            "--jobs" => {
-                opts.jobs = parse_positive_count("--jobs", &take(&mut args, "--jobs")?)?;
-            }
+            "--jobs" => job.jobs = parse_positive_count("--jobs", &take(&mut args, "--jobs")?)?,
             "--warm-start" => {
-                opts.warm_start = parse_warm_start(&take(&mut args, "--warm-start")?)?;
+                job.warm_start = parse_warm_start(&take(&mut args, "--warm-start")?)?;
             }
-            "--atpg" => opts.atpg = true,
+            "--atpg" => atpg = true,
             "--fault-sample" => {
-                opts.fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
+                fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
             }
-            "--journal" => opts.journal = Some(take(&mut args, "--journal")?),
-            "--resume" => opts.resume = Some(take(&mut args, "--resume")?),
-            "--json" => opts.json = true,
-            "--quiet" => opts.quiet = true,
+            "--journal" => journal = Some(take(&mut args, "--journal")?),
+            "--resume" => resume = Some(take(&mut args, "--resume")?),
+            "--json" => json = true,
+            "--quiet" => quiet = true,
             "--help" | "-h" => return Err(usage().to_owned()),
             // A bare `-` is the stdin source, not a flag.
             other if other.starts_with('-') && other != "-" => {
                 return Err(unknown_flag(other, EXPLORE_FLAGS))
             }
-            other => opts.sources.push(other.to_owned()),
+            other => sources.push(other.to_owned()),
         }
     }
-    if opts.sources.is_empty() {
+    if sources.is_empty() {
         return Err(usage().to_owned());
     }
-    if opts.journal.is_some() && opts.resume.is_some() {
+    if journal.is_some() && resume.is_some() {
         return Err("use either --journal (start a checkpoint) or --resume (continue one)".into());
     }
-    if !opts.atpg && opts.fault_sample.is_some() {
+    if !atpg && fault_sample.is_some() {
         return Err("--fault-sample configures coverage grading; add --atpg".into());
     }
-    Ok(opts)
-}
-
-fn load(source: &str) -> Result<hlts::dfg::Dfg, String> {
-    if let Some(name) = source.strip_prefix("bench:") {
-        return hlts::benchmarks::by_name(name).ok_or(format!(
-            "unknown benchmark `{name}` (have: {})",
-            hlts::benchmarks::NAMES.join(", ")
-        ));
-    }
-    let text = if source == "-" {
-        // Read the behavior from stdin, so generated workloads pipe
-        // straight through: `hlts gen --seed 7 | hlts run -`.
-        use std::io::Read as _;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(source).map_err(|e| format!("{source}: {e}"))?
-    };
-    hlts::dfg::parse(&text).map_err(|e| format!("{source}: {e}"))
-}
-
-/// The sweep name of a source: the benchmark name, the graph name for
-/// stdin, or a file's stem.
-fn source_name(source: &str) -> String {
-    if let Some(name) = source.strip_prefix("bench:") {
-        return name.to_owned();
-    }
-    if source == "-" {
-        return "stdin".to_owned();
-    }
-    std::path::Path::new(source)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| source.to_owned())
-}
-
-/// One-shot synthesis through the same [`execute`] path the daemon's
-/// workers use (same parameter derivation, same cancellation
-/// boundaries), so `hlts run` and a served submission are
-/// bit-identical by construction.
-fn synthesize(
-    opts: &RunOptions,
-    dfg: &hlts::dfg::Dfg,
-    ctl: &RunCtl<'_>,
-) -> Result<RunOutput, String> {
-    let Some(flow) = Flow::parse(&opts.flow) else {
-        return Err(format!("unknown flow `{}`\n{}", opts.flow, usage()));
-    };
-    let mut params = SynthesisParams::paper_defaults(opts.bits);
-    if flow == Flow::Camad {
-        // The CAMAD baseline's historical default weights.
-        params.alpha = 0.1;
-        params.beta = 10.0;
-    }
-    if let Some(k) = opts.k {
-        params.k = k;
-    }
-    if let Some(a) = opts.alpha {
-        params.alpha = a;
-    }
-    if let Some(b) = opts.beta {
-        params.beta = b;
-    }
-    // Coverage grading is part of the job spec, so `hlts run --atpg`
-    // takes the same engine path (and the same cancellation token) as
-    // a daemon submission carrying an `atpg` request.
-    let atpg = opts.atpg.then(|| AtpgRequest {
-        fault_sample: {
-            let n = opts.fault_sample.unwrap_or(DEFAULT_FAULT_SAMPLE);
-            (n > 0).then_some(n)
-        },
-        jobs: opts.tcov_jobs.unwrap_or(1),
-    });
-    let spec = JobSpec::Run {
-        name: source_name(&opts.source),
-        dfg: dfg.clone(),
-        flow,
-        params,
-        mode: EvalMode::default(),
-        warm: None,
-        atpg,
-    };
-    match execute(&spec, ctl, &WarmPool::new(0)) {
-        Ok(JobOutput::Run(out)) => Ok(*out),
-        Ok(_) => Err("internal: run job produced a non-run output".into()),
-        Err(e) => Err(e.to_string()),
-    }
+    // `--atpg` grades every point: the front becomes Pareto over
+    // measured (coverage, test cycles) as well. The sample size joins
+    // the sweep fingerprint, so journals from plain and graded sweeps
+    // never mix.
+    job.tcov = atpg.then(|| AtpgRequest::with_overrides(fault_sample, None).into());
+    job.sources = sources
+        .iter()
+        .map(|s| source_ref(s))
+        .collect::<Result<_, _>>()?;
+    Ok(ExploreOptions {
+        job,
+        journal,
+        resume,
+        json,
+        quiet,
+    })
 }
 
 /// Hand-rolled machine-readable report of one synthesis run. The
 /// `metrics` object is rendered by the daemon protocol's
 /// [`proto::metrics_json`], so a served result and `hlts run --json`
 /// agree byte-for-byte on that fragment.
-fn run_json(opts: &RunOptions, result: &SynthesisResult, atpg: Option<&CoverageReport>) -> String {
+fn run_json(
+    source: &str,
+    flow: Flow,
+    result: &SynthesisResult,
+    atpg: Option<&CoverageReport>,
+) -> String {
     let mut out = format!(
         "{{\n  \"source\": {}, \"flow\": {},\n  \"metrics\": {},\n  \"merges\": [{}]",
-        dse::json_string(&opts.source),
-        dse::json_string(&opts.flow),
+        dse::json_string(source),
+        dse::json_string(flow.name()),
         proto::metrics_json(&result.metrics),
         result
             .merge_log
@@ -500,11 +434,22 @@ fn run_json(opts: &RunOptions, result: &SynthesisResult, atpg: Option<&CoverageR
     out
 }
 
+/// One-shot synthesis: the run job resolves exactly as a daemon
+/// submission does (same parameter policy) and runs through the same
+/// [`execute`] path as the daemon's workers (same cancellation
+/// boundaries; coverage grading rides the same token), so `hlts run`
+/// and a served submission are bit-identical by construction.
 fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_run_args(args)?;
-    let dfg = load(&opts.source).map_err(|e| format!("error: {e}"))?;
+    let opts = parse_run_args(args, false)?;
+    let spec = JobRequest::Run(opts.job.clone())
+        .resolve(EvalMode::default())
+        .map_err(|e| format!("error: {e}"))?;
     let ctl = RunCtl::cancel_only(sigint::install());
-    let out = synthesize(&opts, &dfg, &ctl).map_err(|e| format!("error: {e}"))?;
+    let out = match execute(&spec, &ctl, &WarmPool::new(0)) {
+        Ok(JobOutput::Run(out)) => *out,
+        Ok(_) => return Err("error: internal: run job produced a non-run output".into()),
+        Err(e) => return Err(format!("error: {e}")),
+    };
     let result = out.result;
     if opts.audit {
         let state = DesignState::from_parts(
@@ -521,7 +466,10 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     if opts.json {
-        println!("{}", run_json(&opts, &result, out.coverage.as_ref()));
+        println!(
+            "{}",
+            run_json(&opts.source, opts.job.flow, &result, out.coverage.as_ref())
+        );
         return Ok(());
     }
     if !opts.quiet {
@@ -569,38 +517,15 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
 
 fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = parse_explore_args(args)?;
-    let mut benches = Vec::new();
-    for source in &opts.sources {
-        benches.push((
-            source_name(source),
-            load(source).map_err(|e| format!("error: {e}"))?,
-        ));
-    }
-    let spec = SweepSpec {
-        benches,
-        flows: opts.flows.clone(),
-        ks: opts.ks.clone(),
-        weights: opts.weights.clone(),
-        bits: opts.bits.clone(),
-        extra: Vec::new(),
-        // `--atpg` grades every point: the front becomes Pareto over
-        // measured (coverage, test cycles) as well. The sample size
-        // joins the sweep fingerprint, so journals from plain and
-        // graded sweeps never mix.
-        tcov: opts.atpg.then(|| dse::TcovSweep {
-            fault_sample: opts.fault_sample.unwrap_or(DEFAULT_FAULT_SAMPLE),
-        }),
-        // Warm-start joins the fingerprint too: a trace-bearing
-        // journal cannot resume a legacy (cold) sweep or vice versa.
-        warm_start: opts.warm_start,
-    };
-    let mut cfg = ExploreConfig {
-        jobs: opts.jobs,
-        ..ExploreConfig::default()
+    let mut job = JobRequest::Explore(opts.job)
+        .resolve(EvalMode::default())
+        .map_err(|e| format!("error: {e}"))?;
+    let JobSpec::Explore { spec, cfg } = &mut job else {
+        return Err("error: internal: explore request resolved to a non-explore job".into());
     };
     if let Some(path) = &opts.resume {
         let path = std::path::PathBuf::from(path);
-        let scan = dse::load_journal(&path, &spec).map_err(|e| format!("error: {e}"))?;
+        let scan = dse::load_journal(&path, spec).map_err(|e| format!("error: {e}"))?;
         if scan.malformed > 0 {
             eprintln!(
                 "warning: {}: skipped {} malformed journal line(s); \
@@ -635,7 +560,6 @@ fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     // report below carries the partial front plus a
     // `degraded: cancelled` line instead of dying mid-write.
     let ctl = RunCtl::cancel_only(sigint::install());
-    let job = JobSpec::Explore { spec, cfg };
     let outcome = match execute(&job, &ctl, &WarmPool::new(0)) {
         Ok(JobOutput::Explore(outcome)) => *outcome,
         Ok(_) => return Err("internal: explore job produced a non-explore output".into()),
@@ -832,116 +756,26 @@ fn serve_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     }
 }
 
-struct SubmitOptions {
-    source: String,
-    connect: String,
-    flow: Option<String>,
-    bits: Option<u32>,
-    k: Option<usize>,
-    alpha: Option<f64>,
-    beta: Option<f64>,
-    atpg: bool,
-}
-
-fn parse_submit_args(mut args: impl Iterator<Item = String>) -> Result<SubmitOptions, String> {
-    let mut opts = SubmitOptions {
-        source: String::new(),
-        connect: String::new(),
-        flow: None,
-        bits: None,
-        k: None,
-        alpha: None,
-        beta: None,
-        atpg: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => opts.connect = take(&mut args, "--connect")?,
-            "--flow" => opts.flow = Some(take(&mut args, "--flow")?),
-            "--bits" => {
-                opts.bits = Some(
-                    take(&mut args, "--bits")?
-                        .parse()
-                        .map_err(|e| format!("--bits: {e}"))?,
-                );
-            }
-            "--k" => opts.k = Some(parse_k(&take(&mut args, "--k")?)?),
-            "--alpha" => opts.alpha = Some(parse_weight("--alpha", &take(&mut args, "--alpha")?)?),
-            "--beta" => opts.beta = Some(parse_weight("--beta", &take(&mut args, "--beta")?)?),
-            "--atpg" => opts.atpg = true,
-            "--help" | "-h" => return Err(usage().to_owned()),
-            // A bare `-` is the stdin source, not a flag.
-            other if other.starts_with('-') && other != "-" => {
-                return Err(unknown_flag(other, SUBMIT_FLAGS))
-            }
-            other if opts.source.is_empty() => opts.source = other.to_owned(),
-            other => return Err(unknown_flag(other, SUBMIT_FLAGS)),
-        }
-    }
-    if opts.source.is_empty() {
-        return Err(usage().to_owned());
-    }
-    if opts.connect.is_empty() {
-        return Err("submit needs --connect ADDR (a running `hlts serve --tcp` daemon)".into());
-    }
-    Ok(opts)
-}
-
-/// The submit request line for one run job. Benchmarks pass through as
-/// `bench:NAME` references; files and stdin are shipped inline so the
-/// daemon's filesystem never matters — `hlts gen | hlts submit -` works
-/// against a daemon on another machine.
-fn submit_request_line(opts: &SubmitOptions) -> Result<String, String> {
-    let source = if opts.source.starts_with("bench:") {
-        dse::json_string(&opts.source)
-    } else {
-        let text = if opts.source == "-" {
-            use std::io::Read as _;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("stdin: {e}"))?;
-            buf
-        } else {
-            std::fs::read_to_string(&opts.source).map_err(|e| format!("{}: {e}", opts.source))?
-        };
-        format!(
-            "{{\"name\": {}, \"dfg\": {}}}",
-            dse::json_string(&source_name(&opts.source)),
-            dse::json_string(&text)
-        )
-    };
-    let mut job = format!("{{\"kind\": \"run\", \"source\": {source}");
-    if let Some(flow) = &opts.flow {
-        job.push_str(&format!(", \"flow\": {}", dse::json_string(flow)));
-    }
-    if let Some(bits) = opts.bits {
-        job.push_str(&format!(", \"bits\": {bits}"));
-    }
-    if let Some(k) = opts.k {
-        job.push_str(&format!(", \"k\": {k}"));
-    }
-    if let Some(alpha) = opts.alpha {
-        job.push_str(&format!(", \"alpha\": {alpha}"));
-    }
-    if let Some(beta) = opts.beta {
-        job.push_str(&format!(", \"beta\": {beta}"));
-    }
-    if opts.atpg {
-        job.push_str(", \"atpg\": true");
-    }
-    job.push('}');
-    Ok(format!("{{\"op\": \"submit\", \"id\": \"cli\", \"job\": {job}}}"))
-}
-
 /// `hlts submit`: one-shot client for a TCP daemon. Streams the job's
 /// acknowledgement and event lines to stdout; the exit code reflects
 /// how the job ended.
 fn submit_main(args: impl Iterator<Item = String>) -> Result<(), String> {
-    let opts = parse_submit_args(args)?;
-    let line = submit_request_line(&opts)?;
+    let RunOptions {
+        mut job, connect, ..
+    } = parse_run_args(args, true)?;
+    // Files ship inline, like stdin, so the daemon's filesystem never
+    // matters: `hlts gen | hlts submit -` works against a daemon on
+    // another machine.
+    if let SourceRef::Path(path) = &job.source {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("error: {path}: {e}"))?;
+        job.source = SourceRef::Inline {
+            name: job.source.name(),
+            text,
+        };
+    }
+    let line = proto::render_submit(Some("cli"), &job);
     let mut stdout = std::io::stdout();
-    match submit_once(&opts.connect, &line, &mut stdout).map_err(|e| format!("error: {e}"))? {
+    match submit_once(&connect, &line, &mut stdout).map_err(|e| format!("error: {e}"))? {
         ClientEnd::Done => Ok(()),
         ClientEnd::Failed => Err("error: job failed (see the failed event above)".into()),
         ClientEnd::Cancelled => Err("error: job was cancelled".into()),

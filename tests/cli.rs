@@ -478,3 +478,84 @@ fn explore_rejects_journal_plus_resume() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("either --journal"), "{err}");
 }
+
+/// The `metrics` object of a `run --json` report or a `done` event
+/// (flat, so it ends at the first closing brace).
+fn metrics_of(text: &str) -> &str {
+    let start = text.find("\"metrics\": ").expect("metrics field");
+    let end = start + text[start..].find('}').expect("metrics object end");
+    &text[start..=end]
+}
+
+/// `hlts submit` against a live TCP daemon returns the same metrics as
+/// `hlts run --json` with the same flags, for a benchmark, a file and
+/// stdin: both parse into one job request and resolve it identically.
+#[test]
+fn submit_matches_run_for_the_same_arguments() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let mut daemon = hlts()
+        .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "1"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut banner = String::new();
+    BufReader::new(daemon.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner `{banner}`"))
+        .to_owned();
+
+    let dir = std::env::temp_dir().join("hlts-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("submit-{}.dfg", std::process::id()));
+    let text = "dfg mini { input a, b; N1: s = a + b; N2: p = s * b; N3: q = p - a; output q; }";
+    std::fs::write(&path, text).expect("write dfg");
+    let file = path.to_str().expect("utf8 path");
+
+    let run = |args: &[&str], stdin: Option<&str>| -> String {
+        let mut child = hlts()
+            .args(args)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut input = child.stdin.take().expect("piped stdin");
+        if let Some(text) = stdin {
+            input.write_all(text.as_bytes()).expect("feed stdin");
+        }
+        drop(input);
+        let out = child.wait_with_output().expect("binary runs");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let cases: [(&[&str], Option<&str>); 3] = [
+        (&["bench:ex", "--flow", "camad", "--k", "2"], None),
+        (&[file], None),
+        (&["-"], Some(text)),
+    ];
+    for (args, stdin) in cases {
+        let local = run(&[&["run"], args, &["--json"]].concat(), stdin);
+        let served = run(&[&["submit"], args, &["--connect", &addr]].concat(), stdin);
+        let done = served
+            .lines()
+            .find(|l| l.contains("\"event\": \"done\""))
+            .unwrap_or_else(|| panic!("{args:?}: no done event in {served}"));
+        assert_eq!(metrics_of(done), metrics_of(&local), "{args:?}");
+    }
+    let _ = std::fs::remove_file(&path);
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("send shutdown");
+    let mut ack = String::new();
+    BufReader::new(stream)
+        .read_line(&mut ack)
+        .expect("read ack");
+    assert!(ack.contains("\"shutdown\": true"), "{ack}");
+    let out = daemon.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "{out:?}");
+}
