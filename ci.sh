@@ -34,6 +34,9 @@ cargo test -q --release --offline --test conformance -- --ignored conformance_fu
 echo "==> tcov conformance matrix: 4 paper benchmarks + 32 generated graphs (release)"
 cargo test -q --release --offline --test tcov_conformance -- --ignored
 
+echo "==> PODEM reference matrix: 4 paper benchmarks + 32 generated graphs at 2-4 bits (release)"
+cargo test -q --release --offline --test podem_reference -- --ignored
+
 echo "==> table coverage pins: full-size paper-table rows (release)"
 cargo test -q --release --offline --test table_coverage -- --ignored
 

@@ -1,6 +1,6 @@
 //! Serial-fault, parallel-pattern fault simulation with fault dropping.
 
-use hlts_netlist::{GateKind, Netlist};
+use hlts_netlist::{GateId, GateKind, Netlist};
 
 use crate::{Fault, FaultSite, Simulator};
 
@@ -133,13 +133,27 @@ impl FaultSimulator {
             // combinational evaluation with injection
             for &g in self.sim.order() {
                 let gate = &nl.gates()[g.index()];
-                let mut ins: Vec<u64> = gate.inputs().iter().map(|&i| values[i.index()]).collect();
-                if let FaultSite::Input(fg, pin) = fault.site {
-                    if fg == g {
-                        ins[pin as usize] = stuck;
+                let pin = match fault.site {
+                    FaultSite::Input(fg, pin) if fg == g => usize::from(pin),
+                    _ => usize::MAX,
+                };
+                let read = |k: usize, i: GateId| if k == pin { stuck } else { values[i.index()] };
+                let n = gate.inputs().len();
+                let mut v = if n <= 8 {
+                    let mut ins = [0u64; 8];
+                    for (k, &i) in gate.inputs().iter().enumerate() {
+                        ins[k] = read(k, i);
                     }
-                }
-                let mut v = gate.kind().eval(&ins);
+                    gate.kind().eval(&ins[..n])
+                } else {
+                    let ins: Vec<u64> = gate
+                        .inputs()
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &i)| read(k, i))
+                        .collect();
+                    gate.kind().eval(&ins)
+                };
                 if fault.site == FaultSite::Output(g) {
                     v = stuck;
                 }

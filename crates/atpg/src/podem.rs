@@ -8,12 +8,42 @@
 //! fault activation, then propagation through the D-frontier — with
 //! 3-valued (0/1/X) simulation of the good and faulty machines as the
 //! implication engine, and a bounded number of backtracks.
+//!
+//! ## Incremental implication
+//!
+//! Implication runs after every decision and every backtrack, so it is
+//! the search's inner loop. [`Podem`] owns both machines' values for
+//! every frame in flat `frames × gates` buffers (allocated once, in
+//! [`Podem::new`]) and re-simulates only what changed since the last
+//! implication:
+//!
+//! * **Dirty frame.** A decision, a flip or a pop at frame `f` lowers
+//!   the earliest dirty frame to `f`. Frames before it are kept as they
+//!   are: a frame depends only on its own inputs and on the flip-flop
+//!   state that earlier frames latch.
+//! * **Selective trace.** In each frame from the dirty one on, every
+//!   source (input, flip-flop output, constant) is recomputed and
+//!   compared with its stored value. The levelized walk then
+//!   re-evaluates a gate only when a fan-in changed in this frame, and
+//!   marks the gate changed only when its good or faulty value moved. A
+//!   frame whose sources did not move is skipped whole.
+//!
+//! The first implication of each call is a full pass. After every
+//! implication the buffers hold exactly what a full re-simulation from
+//! frame 0 would produce, so objectives, backtraces, decisions and
+//! backtrack counts are those of the full re-simulation engine — the
+//! search itself is unchanged. Gates are evaluated straight from the
+//! value buffer, with a faulted pin overridden in place, so a warmed-up
+//! call that does not find a test allocates nothing.
 
 use hlts_netlist::{GateId, GateKind, Netlist};
 
 use crate::{Fault, FaultSite};
 
 type V = Option<bool>;
+
+/// `pi_of` entry of a gate that is not a primary input.
+const NOT_PI: usize = usize::MAX;
 
 /// Result of one PODEM run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +66,62 @@ pub struct Podem {
     frames: usize,
     backtrack_limit: usize,
     backtracks_used: usize,
+    /// Gate index → primary-input index (`NOT_PI` for other gates).
+    pi_of: Vec<usize>,
+    /// Primary-input assignments, frame-major (`frame * pis + pi`).
+    assign: Vec<V>,
+    /// Decision stack: (frame, pi, value, tried_both).
+    stack: Vec<(usize, usize, bool, bool)>,
+    /// Both machines across all frames.
+    vals: Machines,
+    /// Earliest frame whose assignment changed since the last
+    /// implication (`frames` when none did).
+    dirty: usize,
+    /// The next implication is a full pass (a new call started).
+    full: bool,
+}
+
+/// Good and faulty values of every net in every frame, frame-major
+/// (`frame * gates + gate`), plus the change marks of the frame being
+/// re-simulated.
+#[derive(Debug, Clone)]
+struct Machines {
+    good: Vec<V>,
+    faulty: Vec<V>,
+    /// Per frame: some primary output differs between the machines.
+    detected: Vec<bool>,
+    /// `stamp[g] == epoch`: net `g` changed in the frame being
+    /// re-simulated.
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl Machines {
+    /// Start a frame: no net has changed in it yet.
+    fn next_frame(&mut self) {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    fn changed(&self, g: GateId) -> bool {
+        self.stamp[g.index()] == self.epoch
+    }
+
+    /// Store net `g`'s values at `base` (its frame's offset); mark it
+    /// changed if either moved, or unconditionally when `force`.
+    fn store(&mut self, base: usize, g: usize, good: V, faulty: V, force: bool) -> bool {
+        let i = base + g;
+        if !force && self.good[i] == good && self.faulty[i] == faulty {
+            return false;
+        }
+        self.good[i] = good;
+        self.faulty[i] = faulty;
+        self.stamp[g] = self.epoch;
+        true
+    }
 }
 
 impl Podem {
@@ -44,12 +130,33 @@ impl Podem {
     #[must_use]
     pub fn new(mut nl: Netlist, frames: usize, backtrack_limit: usize) -> Self {
         let order = nl.topo_levels();
+        let frames = frames.max(1);
+        let n = nl.num_gates();
+        let mut pi_of = vec![NOT_PI; n];
+        for (pi, &g) in nl.inputs().iter().enumerate() {
+            pi_of[g.index()] = pi;
+        }
+        // Every decision assigns a distinct free input, so the stack
+        // never outgrows `frames × inputs`.
+        let slots = frames * nl.inputs().len();
         Podem {
             nl,
             order,
-            frames: frames.max(1),
+            frames,
             backtrack_limit,
             backtracks_used: 0,
+            pi_of,
+            assign: vec![None; slots],
+            stack: Vec::with_capacity(slots),
+            vals: Machines {
+                good: vec![None; frames * n],
+                faulty: vec![None; frames * n],
+                detected: vec![false; frames],
+                stamp: vec![0; n],
+                epoch: 0,
+            },
+            dirty: 0,
+            full: true,
         }
     }
 
@@ -72,49 +179,43 @@ impl Podem {
     /// walks the schedule.
     pub fn generate_seeded(&mut self, fault: Fault, preset: Option<&[Vec<V>]>) -> PodemOutcome {
         let num_pis = self.nl.inputs().len();
-        // PI assignments: frame-major.
-        let mut assign: Vec<Vec<V>> = vec![vec![None; num_pis]; self.frames];
+        self.assign.fill(None);
         if let Some(p) = preset {
             for (f, row) in p.iter().enumerate().take(self.frames) {
                 for (i, &v) in row.iter().enumerate().take(num_pis) {
-                    assign[f][i] = v;
+                    self.assign[f * num_pis + i] = v;
                 }
             }
         }
-        // decision stack: (frame, pi, value, tried_both)
-        let mut stack: Vec<(usize, usize, bool, bool)> = Vec::new();
+        self.stack.clear();
+        self.full = true;
+        self.dirty = 0;
         let mut backtracks = 0usize;
 
         loop {
-            let state = self.imply(&assign, fault);
-            if state.detected {
+            if self.imply(fault) {
                 self.backtracks_used += backtracks;
-                let test = assign
-                    .iter()
-                    .map(|frame| frame.iter().map(|v| v.unwrap_or(false)).collect())
+                let test = (0..self.frames)
+                    .map(|t| {
+                        self.assign[t * num_pis..(t + 1) * num_pis]
+                            .iter()
+                            .map(|v| v.unwrap_or(false))
+                            .collect()
+                    })
                     .collect();
                 return PodemOutcome::Test(test);
             }
-            let objective = self.objective(&state, fault);
-            let advanced = match objective {
-                Some((frame, signal, value)) => {
-                    match self.backtrace(&state, &assign, frame, signal, value) {
-                        Some((f, pi, v)) => {
-                            assign[f][pi] = Some(v);
-                            stack.push((f, pi, v, false));
-                            true
-                        }
-                        None => false,
-                    }
-                }
-                None => false,
-            };
-            if advanced {
+            let decision = self
+                .objective(fault)
+                .and_then(|(frame, signal, value)| self.backtrace(frame, signal, value));
+            if let Some((f, pi, v)) = decision {
+                self.set(f, pi, Some(v));
+                self.stack.push((f, pi, v, false));
                 continue;
             }
             // conflict: backtrack
             loop {
-                match stack.pop() {
+                match self.stack.pop() {
                     None => {
                         self.backtracks_used += backtracks;
                         return if backtracks >= self.backtrack_limit {
@@ -124,15 +225,15 @@ impl Podem {
                         };
                     }
                     Some((f, pi, v, tried_both)) => {
-                        assign[f][pi] = None;
+                        self.set(f, pi, None);
                         backtracks += 1;
                         if backtracks >= self.backtrack_limit {
                             self.backtracks_used += backtracks;
                             return PodemOutcome::Aborted;
                         }
                         if !tried_both {
-                            assign[f][pi] = Some(!v);
-                            stack.push((f, pi, !v, true));
+                            self.set(f, pi, Some(!v));
+                            self.stack.push((f, pi, !v, true));
                             break;
                         }
                     }
@@ -141,104 +242,126 @@ impl Podem {
         }
     }
 
-    /// 3-valued forward simulation of both machines across all frames.
-    fn imply(&self, assign: &[Vec<V>], fault: Fault) -> Frames {
-        let n = self.nl.num_gates();
-        let mut good: Vec<Vec<V>> = vec![vec![None; n]; self.frames];
-        let mut faulty: Vec<Vec<V>> = vec![vec![None; n]; self.frames];
-        let mut detected = false;
+    /// Assign primary input `pi` in `frame`; the frame becomes dirty.
+    fn set(&mut self, frame: usize, pi: usize, v: V) {
+        self.assign[frame * self.nl.inputs().len() + pi] = v;
+        self.dirty = self.dirty.min(frame);
+    }
 
-        // previous frame's D values per machine
-        let dffs = self.nl.dffs().to_vec();
-        let mut prev_good_d: Vec<V> = vec![Some(false); dffs.len()];
-        let mut prev_faulty_d: Vec<V> = vec![Some(false); dffs.len()];
-
-        for t in 0..self.frames {
-            // sources
-            for (i, g) in self.nl.gates().iter().enumerate() {
-                let v = match g.kind() {
-                    GateKind::Const0 => Some(false),
-                    GateKind::Const1 => Some(true),
-                    _ => continue,
-                };
-                good[t][i] = v;
-                faulty[t][i] = v;
-            }
-            for (pi_idx, &g) in self.nl.inputs().iter().enumerate() {
-                good[t][g.index()] = assign[t][pi_idx];
-                faulty[t][g.index()] = assign[t][pi_idx];
-            }
-            for (k, &q) in dffs.iter().enumerate() {
-                good[t][q.index()] = prev_good_d[k];
-                faulty[t][q.index()] = prev_faulty_d[k];
-            }
-            // output-site injection on source nets
-            if let FaultSite::Output(g) = fault.site {
-                let kind = self.nl.gates()[g.index()].kind();
+    /// Bring both machines up to date with the assignment (see the
+    /// module docs) and report whether any frame detects the fault.
+    fn imply(&mut self, fault: Fault) -> bool {
+        let nl = &self.nl;
+        let n = nl.num_gates();
+        let num_pis = nl.inputs().len();
+        let full = std::mem::take(&mut self.full);
+        let vals = &mut self.vals;
+        // output-site injection on source nets
+        let source_fault = match fault.site {
+            FaultSite::Output(g)
                 if matches!(
-                    kind,
+                    nl.gates()[g.index()].kind(),
                     GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-                ) {
-                    faulty[t][g.index()] = Some(fault.stuck);
+                ) =>
+            {
+                Some(g)
+            }
+            _ => None,
+        };
+        let stuck = Some(fault.stuck);
+        let inject = |g: GateId, v: V| if source_fault == Some(g) { stuck } else { v };
+
+        for t in self.dirty..self.frames {
+            let base = t * n;
+            vals.next_frame();
+            let mut moved = false;
+            // sources
+            if full {
+                for (i, g) in nl.gates().iter().enumerate() {
+                    let v = match g.kind() {
+                        GateKind::Const0 => Some(false),
+                        GateKind::Const1 => Some(true),
+                        _ => continue,
+                    };
+                    vals.store(base, i, v, inject(GateId::from_index(i), v), true);
                 }
             }
-            // combinational propagation
+            for (pi, &g) in nl.inputs().iter().enumerate() {
+                let v = self.assign[t * num_pis + pi];
+                moved |= vals.store(base, g.index(), v, inject(g, v), full);
+            }
+            // flip-flops: reset state, then the previous frame's D
+            // values (with D-pin injection)
+            for &q in nl.dffs() {
+                let (gv, fv) = if t == 0 {
+                    (Some(false), Some(false))
+                } else {
+                    let d = base - n + nl.gates()[q.index()].inputs()[0].index();
+                    let fd = if fault.site == FaultSite::Input(q, 0) {
+                        stuck
+                    } else {
+                        vals.faulty[d]
+                    };
+                    (vals.good[d], fd)
+                };
+                moved |= vals.store(base, q.index(), gv, inject(q, fv), full);
+            }
+            if !(full || moved) {
+                continue; // nothing this frame reads has changed
+            }
+            // combinational propagation (selective trace)
             for &g in &self.order {
-                let gate = &self.nl.gates()[g.index()];
-                let gv: Vec<V> = gate.inputs().iter().map(|&i| good[t][i.index()]).collect();
-                good[t][g.index()] = eval3(gate.kind(), &gv);
-                let mut fv: Vec<V> = gate
-                    .inputs()
-                    .iter()
-                    .map(|&i| faulty[t][i.index()])
-                    .collect();
-                if let FaultSite::Input(fg, pin) = fault.site {
-                    if fg == g {
-                        fv[pin as usize] = Some(fault.stuck);
-                    }
+                let gate = &nl.gates()[g.index()];
+                let ins = gate.inputs();
+                if !full && !ins.iter().any(|&i| vals.changed(i)) {
+                    continue;
                 }
-                let mut out = eval3(gate.kind(), &fv);
-                if fault.site == FaultSite::Output(g) {
-                    out = Some(fault.stuck);
-                }
-                faulty[t][g.index()] = out;
+                let good = &vals.good[base..base + n];
+                let gv = eval3(gate.kind(), ins.len(), |k| good[ins[k].index()]);
+                let fv = if fault.site == FaultSite::Output(g) {
+                    stuck
+                } else {
+                    let pin = match fault.site {
+                        FaultSite::Input(fg, pin) if fg == g => usize::from(pin),
+                        _ => usize::MAX,
+                    };
+                    let faulty = &vals.faulty[base..base + n];
+                    eval3(gate.kind(), ins.len(), |k| {
+                        if k == pin {
+                            stuck
+                        } else {
+                            faulty[ins[k].index()]
+                        }
+                    })
+                };
+                vals.store(base, g.index(), gv, fv, full);
             }
             // detection at primary outputs
-            for (_, g) in self.nl.outputs() {
-                if let (Some(a), Some(b)) = (good[t][g.index()], faulty[t][g.index()]) {
-                    if a != b {
-                        detected = true;
-                    }
-                }
-            }
-            // next-frame state with D-pin injection
-            for (k, &q) in dffs.iter().enumerate() {
-                let d = self.nl.gates()[q.index()].inputs()[0];
-                prev_good_d[k] = good[t][d.index()];
-                let mut fd = faulty[t][d.index()];
-                if let FaultSite::Input(fg, 0) = fault.site {
-                    if fg == q {
-                        fd = Some(fault.stuck);
-                    }
-                }
-                prev_faulty_d[k] = fd;
-            }
+            vals.detected[t] = nl.outputs().iter().any(|(_, g)| {
+                let i = base + g.index();
+                matches!((vals.good[i], vals.faulty[i]), (Some(a), Some(b)) if a != b)
+            });
         }
-        Frames {
-            good,
-            faulty,
-            detected,
-        }
+        self.dirty = self.frames;
+        vals.detected.iter().any(|&d| d)
+    }
+
+    fn good(&self, frame: usize, g: GateId) -> V {
+        self.vals.good[frame * self.nl.num_gates() + g.index()]
+    }
+
+    fn faulty(&self, frame: usize, g: GateId) -> V {
+        self.vals.faulty[frame * self.nl.num_gates() + g.index()]
     }
 
     /// Current objective: activate first, then propagate.
-    fn objective(&self, state: &Frames, fault: Fault) -> Option<(usize, GateId, bool)> {
+    fn objective(&self, fault: Fault) -> Option<(usize, GateId, bool)> {
         let site_net = |t: usize| -> (GateId, V) {
             match fault.site {
-                FaultSite::Output(g) => (g, state.good[t][g.index()]),
+                FaultSite::Output(g) => (g, self.good(t, g)),
                 FaultSite::Input(g, pin) => {
                     let src = self.nl.gates()[g.index()].inputs()[pin as usize];
-                    (src, state.good[t][src.index()])
+                    (src, self.good(t, src))
                 }
             }
         };
@@ -261,13 +384,13 @@ impl Podem {
         //    an X side input to the non-controlling value.
         for t in 0..self.frames {
             for &g in &self.order {
-                if state.good[t][g.index()].is_some() && state.faulty[t][g.index()].is_some() {
+                if self.good(t, g).is_some() && self.faulty(t, g).is_some() {
                     continue;
                 }
                 let gate = &self.nl.gates()[g.index()];
                 let has_d = gate.inputs().iter().enumerate().any(|(pin, &i)| {
-                    let gv = state.good[t][i.index()];
-                    let mut fv = state.faulty[t][i.index()];
+                    let gv = self.good(t, i);
+                    let mut fv = self.faulty(t, i);
                     // an input-pin fault introduces the difference inside
                     // this very gate
                     if let FaultSite::Input(fg, fp) = fault.site {
@@ -281,7 +404,7 @@ impl Podem {
                     continue;
                 }
                 for &i in gate.inputs() {
-                    if state.good[t][i.index()].is_none() {
+                    if self.good(t, i).is_none() {
                         let v = non_controlling(gate.kind());
                         return Some((t, i, v));
                     }
@@ -295,22 +418,13 @@ impl Podem {
     /// first search over X-valued inputs (trying every X fan-in, not
     /// just the first, so an assigned PI on one path does not abort the
     /// whole objective).
-    fn backtrace(
-        &self,
-        state: &Frames,
-        assign: &[Vec<V>],
-        frame: usize,
-        signal: GateId,
-        value: bool,
-    ) -> Option<(usize, usize, bool)> {
+    fn backtrace(&self, frame: usize, signal: GateId, value: bool) -> Option<(usize, usize, bool)> {
         let mut budget = self.nl.num_gates() * self.frames + 1;
-        self.backtrace_dfs(state, assign, frame, signal, value, &mut budget)
+        self.backtrace_dfs(frame, signal, value, &mut budget)
     }
 
     fn backtrace_dfs(
         &self,
-        state: &Frames,
-        assign: &[Vec<V>],
         frame: usize,
         signal: GateId,
         value: bool,
@@ -323,13 +437,8 @@ impl Podem {
         let gate = &self.nl.gates()[signal.index()];
         match gate.kind() {
             GateKind::Input => {
-                let pi = self
-                    .nl
-                    .inputs()
-                    .iter()
-                    .position(|&g| g == signal)
-                    .expect("input gate registered");
-                if assign[frame][pi].is_none() {
+                let pi = self.pi_of[signal.index()];
+                if self.assign[frame * self.nl.inputs().len() + pi].is_none() {
                     Some((frame, pi, value))
                 } else {
                     None
@@ -339,14 +448,14 @@ impl Podem {
                 if frame == 0 {
                     return None; // reset state is fixed
                 }
-                self.backtrace_dfs(state, assign, frame - 1, gate.inputs()[0], value, budget)
+                self.backtrace_dfs(frame - 1, gate.inputs()[0], value, budget)
             }
             GateKind::Const0 | GateKind::Const1 => None,
             kind => {
                 let v = backtrace_value(kind, value);
                 for &i in gate.inputs() {
-                    if state.good[frame][i.index()].is_none() {
-                        if let Some(hit) = self.backtrace_dfs(state, assign, frame, i, v, budget) {
+                    if self.good(frame, i).is_none() {
+                        if let Some(hit) = self.backtrace_dfs(frame, i, v, budget) {
                             return Some(hit);
                         }
                     }
@@ -357,57 +466,30 @@ impl Podem {
     }
 }
 
-struct Frames {
-    good: Vec<Vec<V>>,
-    faulty: Vec<Vec<V>>,
-    detected: bool,
-}
-
-/// 3-valued gate evaluation.
-fn eval3(kind: GateKind, ins: &[V]) -> V {
+/// 3-valued evaluation of a `kind` gate with `arity` inputs, input `k`
+/// read as `pin(k)` — straight from a value buffer, with no input
+/// vector built.
+#[inline]
+fn eval3(kind: GateKind, arity: usize, pin: impl Fn(usize) -> V) -> V {
     match kind {
-        GateKind::Buf => ins[0],
-        GateKind::Not => ins[0].map(|v| !v),
-        GateKind::And | GateKind::Nand => {
-            let v = if ins.contains(&Some(false)) {
-                Some(false)
-            } else if ins.iter().all(|i| i.is_some()) {
-                Some(true)
-            } else {
-                None
-            };
-            if matches!(kind, GateKind::Nand) {
-                v.map(|x| !x)
-            } else {
-                v
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let v = if ins.contains(&Some(true)) {
-                Some(true)
-            } else if ins.iter().all(|i| i.is_some()) {
-                Some(false)
-            } else {
-                None
-            };
-            if matches!(kind, GateKind::Nor) {
-                v.map(|x| !x)
-            } else {
-                v
-            }
-        }
-        GateKind::Xor => match (ins[0], ins[1]) {
+        GateKind::Buf => pin(0),
+        GateKind::Not => pin(0).map(|v| !v),
+        GateKind::And => controlled(arity, &pin, false),
+        GateKind::Nand => controlled(arity, &pin, false).map(|x| !x),
+        GateKind::Or => controlled(arity, &pin, true),
+        GateKind::Nor => controlled(arity, &pin, true).map(|x| !x),
+        GateKind::Xor => match (pin(0), pin(1)) {
             (Some(a), Some(b)) => Some(a ^ b),
             _ => None,
         },
-        GateKind::Xnor => match (ins[0], ins[1]) {
+        GateKind::Xnor => match (pin(0), pin(1)) {
             (Some(a), Some(b)) => Some(!(a ^ b)),
             _ => None,
         },
-        GateKind::Mux => match ins[0] {
-            Some(false) => ins[1],
-            Some(true) => ins[2],
-            None => match (ins[1], ins[2]) {
+        GateKind::Mux => match pin(0) {
+            Some(false) => pin(1),
+            Some(true) => pin(2),
+            None => match (pin(1), pin(2)) {
                 (Some(a), Some(b)) if a == b => Some(a),
                 _ => None,
             },
@@ -417,6 +499,25 @@ fn eval3(kind: GateKind, ins: &[V]) -> V {
         GateKind::Input | GateKind::Dff => None,
         // future kinds: unknown
         _ => None,
+    }
+}
+
+/// N-ary AND (`controlling` = 0) or OR (`controlling` = 1): any
+/// controlling input decides the output, else any X leaves it X.
+#[inline]
+fn controlled(arity: usize, pin: &impl Fn(usize) -> V, controlling: bool) -> V {
+    let mut unknown = false;
+    for k in 0..arity {
+        match pin(k) {
+            Some(b) if b == controlling => return Some(controlling),
+            Some(_) => {}
+            None => unknown = true,
+        }
+    }
+    if unknown {
+        None
+    } else {
+        Some(!controlling)
     }
 }
 
@@ -545,6 +646,7 @@ mod tests {
     #[test]
     fn eval3_semantics() {
         use GateKind::*;
+        let eval3 = |kind, ins: &[V]| super::eval3(kind, ins.len(), |k| ins[k]);
         assert_eq!(eval3(And, &[Some(false), None]), Some(false));
         assert_eq!(eval3(And, &[Some(true), None]), None);
         assert_eq!(eval3(Or, &[Some(true), None]), Some(true));

@@ -1,6 +1,8 @@
 //! Shared helpers for the integration tests: a behavioral interpreter
 //! for `Dfg`s and a protocol-driven netlist runner, used to check that
-//! synthesized designs still compute their behavior.
+//! synthesized designs still compute their behavior, plus the set-up of
+//! the PODEM tests (an elaborated paper-default design and the
+//! deterministic phase's first control preset).
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
 use std::collections::HashMap;
@@ -181,4 +183,39 @@ pub fn run_protocol(
         }
     }
     outs
+}
+
+/// Synthesize a behavior with the paper defaults and elaborate the
+/// bound design at `bits`; also return its schedule length.
+pub fn elaborated(dfg: &Dfg, bits: u32) -> (Netlist, usize) {
+    let result =
+        hlts::core::IntegratedSynthesizer::new(hlts::core::SynthesisParams::paper_defaults(bits))
+            .run(dfg)
+            .expect("synthesis succeeds");
+    let etpn = hlts::etpn::Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
+        .expect("etpn builds");
+    let nl = hlts::netlist::elaborate(
+        &result.dfg,
+        &result.schedule,
+        &result.allocation,
+        &etpn,
+        bits,
+    )
+    .expect("elaboration succeeds");
+    (nl, result.schedule.num_steps())
+}
+
+/// The deterministic phase's first control preset: control input
+/// `ctrl[j]` is high in frame `f` exactly when `f % ctrl.len() == j`;
+/// every data input is free.
+pub fn phase0_preset(nl: &Netlist, frames: usize) -> Vec<Vec<Option<bool>>> {
+    let ctrl = hlts::tcov::fsim::control_inputs(nl);
+    let walk = ctrl.len().max(1);
+    (0..frames)
+        .map(|f| {
+            (0..nl.inputs().len())
+                .map(|i| ctrl.iter().position(|&c| c == i).map(|pos| f % walk == pos))
+                .collect()
+        })
+        .collect()
 }

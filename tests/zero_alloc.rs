@@ -1,6 +1,11 @@
-//! Counting-allocator proof of the arena refactor's headline claim:
-//! once warmed up, a trial merge (apply → price → roll back) performs
-//! **zero heap allocations**.
+//! Counting-allocator proof of two steady-state claims:
+//!
+//! * the arena refactor's: once warmed up, a trial merge (apply →
+//!   price → roll back) performs **zero heap allocations**;
+//! * PODEM's: once one call on a target has sized its decision stack,
+//!   a repeat call on that target that ends without a test performs
+//!   **zero heap allocations** — implication runs in the generator's
+//!   own buffers.
 //!
 //! Compiled only under the `count-allocs` feature — the test binary
 //! swaps in a byte/call-counting `#[global_allocator]`, which would
@@ -22,7 +27,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+mod common;
+
+use hlts_atpg::{FaultUniverse, Podem, PodemOutcome};
 use hlts_core::{trial_merge, DesignState, MergeKind, OrderStrategy};
+use hlts_tcov::TcovConfig;
 
 /// Pass-through allocator that tallies every allocation of the calling
 /// thread. Per-thread counters keep the libtest harness threads (which
@@ -197,4 +206,33 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     );
     // Keep the trial results observable so the loop cannot be elided.
     assert!(state.validate().is_ok());
+}
+
+#[test]
+fn warmed_aborting_podem_call_allocates_zero_bytes() {
+    let bits = 4;
+    let dfg = hlts_benchmarks::by_name("ex").expect("bundled benchmark");
+    let (nl, steps) = common::elaborated(&dfg, bits);
+    let atpg = TcovConfig::for_schedule(steps, None, 1).atpg;
+    let preset = common::phase0_preset(&nl, atpg.frames);
+    let mut podem = Podem::new(nl.clone(), atpg.frames, atpg.backtrack_limit);
+    // Warm-up: the search stops at the first target that aborts, so
+    // the generator's last call was on that very target.
+    let target = FaultUniverse::collapsed(&nl)
+        .faults()
+        .iter()
+        .copied()
+        .find(|&f| podem.generate_seeded(f, Some(&preset)) == PodemOutcome::Aborted)
+        .expect("some ex target aborts");
+    let (bytes, calls, outcome) = measured(|| podem.generate_seeded(target, Some(&preset)));
+    println!(
+        "ex {bits}-bit {}: repeat PODEM call: {bytes} bytes in {calls} allocations",
+        target.describe()
+    );
+    assert_eq!(outcome, PodemOutcome::Aborted, "same target, same search");
+    assert_eq!(
+        (bytes, calls),
+        (0, 0),
+        "a warmed PODEM call without a test must not touch the heap"
+    );
 }
