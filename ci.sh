@@ -37,6 +37,12 @@ cargo test -q --release --offline --test tcov_conformance -- --ignored
 echo "==> PODEM reference matrix: 4 paper benchmarks + 32 generated graphs at 2-4 bits (release)"
 cargo test -q --release --offline --test podem_reference -- --ignored
 
+echo "==> floorplan reference matrix: 6 paper benchmarks + 32 generated graphs, every committed state (release)"
+cargo test -q --release --offline -p hlts-cost --test floorplan_reference -- --ignored
+
+echo "==> SR2 equivalence matrix: both order strategies and the full-merit oracle agree (release)"
+cargo test -q --release --offline -p hlts-core --test sr2_equivalence -- --ignored
+
 echo "==> table coverage pins: full-size paper-table rows (release)"
 cargo test -q --release --offline --test table_coverage -- --ignored
 
@@ -61,7 +67,9 @@ echo "==> bench smoke: warm-start replay gate (bit-identity + nonzero replay + s
 cargo bench -q --bench warmstart --offline
 
 echo "==> serve smoke: 3 jobs (one cancelled) over stdin, bad bytes, clean shutdown"
-# One worker: job 1 (a multi-second ewf sweep) is claimed first, so
+# One worker: job 1 (a multi-second ewf sweep: 144 points, ~5 s on a
+# 2-vCPU VM, sized to outlast the one-second pause below by a wide
+# margin) is claimed first, so
 # jobs 2 and 3 are deterministically still queued when the cancel for
 # job 2 arrives (-> dequeued). A line that is not UTF-8 and a line
 # over the daemon's 8 MiB line cap each get an error answer and count
@@ -72,7 +80,7 @@ echo "==> serve smoke: 3 jobs (one cancelled) over stdin, bad bytes, clean shutd
 SERVE_OUT=$(
   {
     printf '%s\n' \
-      '{"op":"submit","id":"s1","job":{"kind":"explore","sources":["bench:ewf"],"ks":[1,2,3,4,5,6],"weights":[[2,1],[10,1],[1,10]]}}' \
+      '{"op":"submit","id":"s1","job":{"kind":"explore","sources":["bench:ewf"],"ks":[1,2,3,4,5,6],"weights":[[2,1],[10,1],[1,10],[1,1],[5,1],[1,5]],"bits":[4,8,16,32]}}' \
       '{"op":"submit","id":"s2","job":{"kind":"run","source":"bench:ex"}}' \
       '{"op":"submit","id":"s3","job":{"kind":"gen","seed":7}}' \
       '{"op":"cancel","job":2}'

@@ -13,7 +13,10 @@
 //!   application of SR1 — implemented by tentatively evaluating both
 //!   orders of the first free pair and keeping the one with the smaller
 //!   controllable-to-observable depth, tie-broken by the smaller
-//!   critical-path increase.
+//!   critical-path increase. Both orders share one binding, so they
+//!   share one data path and one depth: the tie-break always decides,
+//!   and the probes price only `E`, from the control part (see
+//!   `sr2_choose`).
 //!
 //! All tentative work — the SR2 what-if probes, the per-pair lifetime
 //! feasibility checks, and the merger itself — runs **in place** inside
@@ -27,6 +30,7 @@ use std::mem;
 
 use hlts_alloc::{ModuleId, RegisterId};
 use hlts_dfg::{Dfg, OpId, ValueId};
+use hlts_etpn::Etpn;
 use hlts_testability::total_co_depth;
 
 use crate::candidates::MergeKind;
@@ -132,6 +136,12 @@ pub fn disjointness_arcs_into(
 }
 
 /// How free ordering decisions inside a merger are resolved.
+///
+/// The two strategies decide identically. The orders SR2 compares
+/// differ only in precedence arcs and schedule, never in binding, so
+/// their controllable→observable depths are equal by construction and
+/// `CoEnhancement` always falls through to its critical-path tie-break
+/// (see `sr2_choose`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderStrategy {
     /// The paper's SR2: minimize controllable→observable sequential
@@ -143,23 +153,33 @@ pub enum OrderStrategy {
     CriticalPath,
 }
 
-/// The (SR1 depth, execution time) figure of merit of a tentative state.
+/// The figure of merit of a tentative SR2 state: its execution time
+/// `E`, and — only when `with_depth` — the SR1 depth
+/// `total_co_depth` the paper's SR2 compares first.
 ///
-/// The analysis goes through the state's shared [`TestabilityEngine`]:
-/// the SR2 variants re-lowered here differ from the iteration baseline
-/// only in precedence arcs and schedule — which the data path's
-/// structural hash ignores — so with an unchanged allocation this is a
-/// cache hit, and after a tentative merge it resolves incrementally
-/// from the anchored baseline.
-///
-/// [`TestabilityEngine`]: hlts_testability::TestabilityEngine
-fn sr1_merit(state: &DesignState) -> Result<(f64, usize), CoreError> {
+/// `E` comes from the control part alone
+/// ([`Etpn::execution_time_of`]); [`Etpn::check_parts`] keeps the
+/// failure cases those of a full lowering. The depth needs the whole
+/// ETPN and a testability analysis, but a probe never changes the
+/// binding — it adds precedence arcs and reschedules — and the data
+/// path's structure depends only on the graph's data edges and the
+/// binding, so both probes of one decision always see the same depth.
+/// [`sr2_choose`] therefore computes it only to check exactly that, in
+/// debug builds, where it also checks `E` against the full lowering.
+fn sr2_merit(state: &DesignState, with_depth: bool) -> Result<(usize, Option<f64>), CoreError> {
+    Etpn::check_parts(&state.dfg, &state.schedule, &state.allocation)?;
+    let e = Etpn::execution_time_of(&state.dfg, &state.schedule);
+    if !with_depth {
+        return Ok((e, None));
+    }
     let etpn = state.lower()?;
-    let analysis = state.testability_engine().analyze(etpn.data_path());
-    Ok((
-        total_co_depth(etpn.data_path(), &analysis),
+    assert_eq!(
         etpn.execution_time(),
-    ))
+        e,
+        "control-part E differs from the full lowering's"
+    );
+    let analysis = state.testability_engine().analyze(etpn.data_path());
+    Ok((e, Some(total_co_depth(etpn.data_path(), &analysis))))
 }
 
 /// Apply `arcs` inside the open transaction and reschedule; `false`
@@ -201,16 +221,17 @@ fn arcs_feasible(txn: &mut StateTxn<'_>, arcs: &[PrecArc]) -> bool {
     ok
 }
 
-/// Probe `arcs` and measure the resulting state's SR1 merit, rolling
+/// Probe `arcs` and measure the resulting state's SR2 merit, rolling
 /// back afterwards. `None` when the arcs are infeasible; `Some(Err)`
-/// when they apply but the merit analysis fails.
+/// when they apply but the state does not lower.
 fn probe_merit(
     txn: &mut StateTxn<'_>,
     arcs: &[PrecArc],
-) -> Option<Result<(f64, usize), CoreError>> {
+    with_depth: bool,
+) -> Option<Result<(usize, Option<f64>), CoreError>> {
     let sp = txn.savepoint();
     let out = if probe_arcs(txn, arcs) {
-        Some(sr1_merit(txn.state()))
+        Some(sr2_merit(txn.state(), with_depth))
     } else {
         None
     };
@@ -274,31 +295,36 @@ fn reject_lifetime_order(dfg: &Dfg, a: ValueId, b: ValueId) -> CoreError {
 /// rolled back, so the state is unchanged on return — and because the
 /// merit is a pure function of the probed state, the choice is
 /// bit-identical to evaluating both sets on independent clones.
+///
+/// The depth term cannot discriminate: both probes share the binding,
+/// hence the data path and its depth (see [`sr2_merit`]). So
+/// [`OrderStrategy::CoEnhancement`] always falls through to its `E`
+/// tie-break, which is [`OrderStrategy::CriticalPath`]'s only
+/// criterion, and both strategies decide by `E` alone. Debug builds
+/// still measure the depth under `CoEnhancement` and assert the tie.
 fn sr2_choose(
     txn: &mut StateTxn<'_>,
     first: &[PrecArc],
     second: &[PrecArc],
     strategy: OrderStrategy,
 ) -> Option<bool> {
-    let m1 = probe_merit(txn, first);
-    let m2 = probe_merit(txn, second);
+    let with_depth = cfg!(debug_assertions) && strategy == OrderStrategy::CoEnhancement;
+    let m1 = probe_merit(txn, first, with_depth);
+    let m2 = probe_merit(txn, second, with_depth);
     match (m1, m2) {
         (None, None) => None,
         (Some(_), None) => Some(true),
         (None, Some(_)) => Some(false),
         (Some(ra), Some(rb)) => {
-            let ma = ra.ok()?;
-            let mb = rb.ok()?;
-            match strategy {
-                OrderStrategy::CoEnhancement => {
-                    if (ma.0 - mb.0).abs() > 1e-9 {
-                        Some(ma.0 < mb.0)
-                    } else {
-                        Some(ma.1 <= mb.1)
-                    }
-                }
-                OrderStrategy::CriticalPath => Some(ma.1 <= mb.1),
+            let (ea, da) = ra.ok()?;
+            let (eb, db) = rb.ok()?;
+            if let (Some(da), Some(db)) = (da, db) {
+                assert!(
+                    (da - db).abs() <= 1e-9,
+                    "SR2 probes differ in SR1 depth ({da} vs {db}) under one binding"
+                );
             }
+            Some(ea <= eb)
         }
     }
 }

@@ -3,7 +3,8 @@
 
 use hlts_etpn::{DataPath, DpNodeKind};
 
-use crate::{Floorplan, ModuleLibrary};
+use crate::floorplan::{wire_len, with_placement};
+use crate::ModuleLibrary;
 
 /// Itemized hardware cost of a data path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -31,6 +32,12 @@ impl CostBreakdown {
 /// condition outputs occupy no area (pads are not counted); their wires
 /// are.
 ///
+/// The placement is the one [`Floorplan::place`] computes, read straight
+/// from the calling thread's reusable placer, so once that placer has
+/// seen a data path this large the estimate allocates nothing.
+///
+/// [`Floorplan::place`]: crate::Floorplan::place
+///
 /// # Example
 ///
 /// ```
@@ -43,7 +50,6 @@ impl CostBreakdown {
 /// ```
 #[must_use]
 pub fn estimate_cost(dp: &DataPath, bits: u32, lib: &ModuleLibrary) -> CostBreakdown {
-    let fp = Floorplan::place(dp);
     let mut cost = CostBreakdown::default();
     for node in dp.nodes() {
         match node.kind() {
@@ -57,15 +63,17 @@ pub fn estimate_cost(dp: &DataPath, bits: u32, lib: &ModuleLibrary) -> CostBreak
         }
     }
     cost.muxes = lib.mux_area(dp.mux_count(), bits);
-    for arc in dp.arcs() {
-        // condition wires are single-bit
-        let w = if matches!(dp.node(arc.to()).kind(), DpNodeKind::ConditionOut(_)) {
-            1
-        } else {
-            bits
-        };
-        cost.wires += lib.wire_area(fp.wire_len(arc.from(), arc.to()), w);
-    }
+    with_placement(dp, |pos| {
+        for arc in dp.arcs() {
+            // condition wires are single-bit
+            let w = if matches!(dp.node(arc.to()).kind(), DpNodeKind::ConditionOut(_)) {
+                1
+            } else {
+                bits
+            };
+            cost.wires += lib.wire_area(wire_len(pos, arc.from(), arc.to()), w);
+        }
+    });
     cost
 }
 

@@ -64,9 +64,10 @@ impl ModuleLibrary {
     #[must_use]
     pub fn fu_area(&self, kinds: &BTreeSet<OpKind>, bits: u32) -> f64 {
         let b = f64::from(bits);
-        let classes: BTreeSet<FuClass> = kinds.iter().map(|k| k.fu_class()).collect();
+        // The maximum over the kinds' classes; a class repeated by
+        // several kinds cannot change it, so no class set is built.
         let mut area: f64 = 0.0;
-        for class in &classes {
+        for class in kinds.iter().map(|k| k.fu_class()) {
             area = area.max(match class {
                 FuClass::Multiplier => self.mul_per_bit2 * b * b,
                 FuClass::AddSub => self.addsub_per_bit * b,

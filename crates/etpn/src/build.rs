@@ -70,6 +70,22 @@ pub(crate) fn build(
     schedule: &Schedule,
     allocation: &Allocation,
 ) -> Result<Etpn, EtpnBuildError> {
+    check(dfg, schedule, allocation)?;
+    let control = control_part(dfg, schedule);
+    let dp = data_path(dfg, schedule, allocation, &control);
+    Ok(Etpn::new(dp, control.net))
+}
+
+/// Every error [`build`] can report, in the order it reports them,
+/// found without building anything: the schedule and allocation must
+/// match the graph, and every value a transfer reads or writes must
+/// have a source — a register, a constant, or (for a condition consumed
+/// as data) its producing module.
+pub(crate) fn check(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    allocation: &Allocation,
+) -> Result<(), EtpnBuildError> {
     if schedule.num_ops() != dfg.num_ops() {
         return Err(EtpnBuildError::ScheduleMismatch {
             expected: dfg.num_ops(),
@@ -79,9 +95,51 @@ pub(crate) fn build(
     if !allocation.covers(dfg) {
         return Err(EtpnBuildError::AllocationMismatch);
     }
+    let registered = |v: ValueId| {
+        allocation
+            .register_of(v)
+            .map(|_| ())
+            .ok_or_else(|| EtpnBuildError::MissingRegister(dfg.value(v).name().to_owned()))
+    };
+    for v in dfg.inputs() {
+        registered(v)?;
+    }
+    for op in dfg.ops() {
+        for &v in op.inputs() {
+            let val = dfg.value(v);
+            let sourced = val.kind().is_const() || (val.is_condition() && dfg.def_of(v).is_some());
+            if !sourced {
+                registered(v)?;
+            }
+        }
+        if let Some(out) = op.output() {
+            if !dfg.value(out).is_condition() {
+                registered(out)?;
+            }
+        }
+    }
+    for v in dfg.outputs() {
+        registered(v)?;
+    }
+    Ok(())
+}
 
-    let (mut control, steps) = ControlNet::linear(schedule.num_steps());
-    let final_place: PlaceId = *control
+/// The control part of a lowering: the step chain with its loop-back,
+/// plus the places the data path's guards name.
+pub(crate) struct ControlPart {
+    pub(crate) net: ControlNet,
+    /// One place per control step.
+    pub(crate) steps: Vec<PlaceId>,
+    /// The final place (also the setup state of the next run).
+    pub(crate) final_place: PlaceId,
+}
+
+/// Lower the control part alone. It reads only the schedule's length,
+/// whether the graph has loop-carried values, and its first condition
+/// value — never the binding or the data path.
+pub(crate) fn control_part(dfg: &Dfg, schedule: &Schedule) -> ControlPart {
+    let (mut net, steps) = ControlNet::linear(schedule.num_steps());
+    let final_place: PlaceId = *net
         .final_places()
         .iter()
         .next()
@@ -89,9 +147,26 @@ pub(crate) fn build(
     // Loop-back for looping behaviors with a condition flag.
     if !dfg.loop_carried().is_empty() && !steps.is_empty() {
         if let Some(cond) = dfg.values().iter().find(|v| v.is_condition()) {
-            control.add_loop_back(&steps, cond.id());
+            net.add_loop_back(&steps, cond.id());
         }
     }
+    ControlPart {
+        net,
+        steps,
+        final_place,
+    }
+}
+
+/// Lower the data path, its transfers guarded by `control`'s places.
+/// The parts must have passed [`check`].
+fn data_path(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    allocation: &Allocation,
+    control: &ControlPart,
+) -> DataPath {
+    const CHECKED: &str = "lowering inputs passed `check`";
+    let (steps, final_place) = (&control.steps, control.final_place);
     let last_guard = steps.last().copied().unwrap_or(final_place);
 
     let mut dp = DataPath::new();
@@ -120,28 +195,21 @@ pub(crate) fn build(
     }
 
     // Source node for a value feeding a module port.
-    let source_of = |dp: &mut DataPath,
-                     const_node: &mut HashMap<ValueId, DpNodeId>,
-                     v: ValueId|
-     -> Result<DpNodeId, EtpnBuildError> {
-        if let Some(r) = allocation.register_of(v) {
-            return Ok(reg_node[&r.index()]);
-        }
-        let val = dfg.value(v);
-        if val.kind().is_const() {
-            let id = *const_node
-                .entry(v)
-                .or_insert_with(|| dp.add_node(DpNodeKind::Const(v), format!("C({})", val.name())));
-            return Ok(id);
-        }
-        if val.is_condition() {
-            // a condition consumed as data: feed from its producing module
-            if let Some(op) = dfg.def_of(v) {
-                return Ok(mod_node[&allocation.module_of(op).index()]);
+    let source_of =
+        |dp: &mut DataPath, const_node: &mut HashMap<ValueId, DpNodeId>, v: ValueId| -> DpNodeId {
+            if let Some(r) = allocation.register_of(v) {
+                return reg_node[&r.index()];
             }
-        }
-        Err(EtpnBuildError::MissingRegister(val.name().to_owned()))
-    };
+            let val = dfg.value(v);
+            if val.kind().is_const() {
+                return *const_node.entry(v).or_insert_with(|| {
+                    dp.add_node(DpNodeKind::Const(v), format!("C({})", val.name()))
+                });
+            }
+            // a condition consumed as data: feed from its producing module
+            let op = dfg.def_of(v).expect(CHECKED);
+            mod_node[&allocation.module_of(op).index()]
+        };
 
     // Primary inputs are latched from their ports at the end of the step
     // *before* their first consumer reads them (on-demand loading; see
@@ -153,9 +221,7 @@ pub(crate) fn build(
             DpNodeKind::PrimaryInput(v),
             format!("in({})", dfg.value(v).name()),
         );
-        let r = allocation
-            .register_of(v)
-            .ok_or_else(|| EtpnBuildError::MissingRegister(dfg.value(v).name().to_owned()))?;
+        let r = allocation.register_of(v).expect(CHECKED);
         let load_guard = dfg
             .uses_of(v)
             .iter()
@@ -178,7 +244,7 @@ pub(crate) fn build(
         let guard = steps.get(step).copied().unwrap_or(final_place);
         let m = mod_node[&allocation.module_of(op.id()).index()];
         for (port, &v) in op.inputs().iter().enumerate() {
-            let src = source_of(&mut dp, &mut const_node, v)?;
+            let src = source_of(&mut dp, &mut const_node, v);
             dp.add_arc(src, m, port, [guard]);
         }
         if let Some(out) = op.output() {
@@ -191,9 +257,7 @@ pub(crate) fn build(
                 });
                 dp.add_arc(m, c, 0, [guard]);
             } else {
-                let r = allocation.register_of(out).ok_or_else(|| {
-                    EtpnBuildError::MissingRegister(dfg.value(out).name().to_owned())
-                })?;
+                let r = allocation.register_of(out).expect(CHECKED);
                 dp.add_arc(m, reg_node[&r.index()], 0, [guard]);
             }
         }
@@ -205,9 +269,7 @@ pub(crate) fn build(
             DpNodeKind::PrimaryOutput(v),
             format!("out({})", dfg.value(v).name()),
         );
-        let r = allocation
-            .register_of(v)
-            .ok_or_else(|| EtpnBuildError::MissingRegister(dfg.value(v).name().to_owned()))?;
+        let r = allocation.register_of(v).expect(CHECKED);
         dp.add_arc(reg_node[&r.index()], port, 0, [final_place]);
     }
 
@@ -228,7 +290,7 @@ pub(crate) fn build(
         }
     }
 
-    Ok(Etpn::new(dp, control))
+    dp
 }
 
 #[cfg(test)]
@@ -304,6 +366,38 @@ mod tests {
         let alloc = Allocation::one_to_one(&other);
         let e = Etpn::from_parts(&d, &s, &alloc);
         assert!(e.is_err());
+    }
+
+    /// `check_parts` fails exactly when `from_parts` does, with the same
+    /// error, and the control part alone gives the full lowering's E —
+    /// on a straight-line and a looping behaviour.
+    #[test]
+    fn check_and_control_part_agree_with_full_lowering() {
+        let (d, s, a) = small();
+        assert_eq!(Etpn::check_parts(&d, &s, &a), Ok(()));
+        let full = Etpn::from_parts(&d, &s, &a).unwrap();
+        assert_eq!(Etpn::execution_time_of(&d, &s), full.execution_time());
+
+        let mut b = DfgBuilder::new("other");
+        let x = b.input("x");
+        let z = b.input("z");
+        b.op("M1", OpKind::Add, &[x, z], "w").unwrap();
+        let other = Allocation::one_to_one(&b.finish().unwrap());
+        let want = Etpn::from_parts(&d, &s, &other).unwrap_err();
+        assert_eq!(Etpn::check_parts(&d, &s, &other), Err(want));
+
+        let mut b = DfgBuilder::new("loopy");
+        let x = b.input("x");
+        let dx = b.input("dx");
+        let lim = b.input("a");
+        let x1 = b.op("N1", OpKind::Add, &[x, dx], "x1").unwrap();
+        let _c = b.op("N2", OpKind::Lt, &[x1, lim], "c").unwrap();
+        b.mark_output(x1);
+        b.loop_carried(x1, x);
+        let d = b.finish().unwrap();
+        let s = list_schedule(&d, &[], ListPriority::CriticalPath).unwrap();
+        let full = Etpn::from_parts(&d, &s, &Allocation::one_to_one(&d)).unwrap();
+        assert_eq!(Etpn::execution_time_of(&d, &s), full.execution_time());
     }
 
     #[test]

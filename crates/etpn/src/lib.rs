@@ -63,6 +63,50 @@ impl Etpn {
         build::build(dfg, schedule, allocation)
     }
 
+    /// Whether [`from_parts`](Etpn::from_parts) would lower these parts,
+    /// found without building anything: `Ok` exactly when it succeeds,
+    /// otherwise the error it would return.
+    ///
+    /// # Errors
+    ///
+    /// As for [`from_parts`](Etpn::from_parts).
+    pub fn check_parts(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        allocation: &Allocation,
+    ) -> Result<(), EtpnBuildError> {
+        build::check(dfg, schedule, allocation)
+    }
+
+    /// Execution time `E` of the design `dfg` and `schedule` lower to,
+    /// under any binding: the control part is lowered alone and its
+    /// critical path taken (by the single-token shortcut
+    /// [`ControlNet::chain_critical_path`] where it applies, as
+    /// [`CriticalPathEngine`] does), so no data path is built. Equal to
+    /// [`execution_time`](Etpn::execution_time) of
+    /// [`from_parts`](Etpn::from_parts) whenever that lowering succeeds
+    /// (see [`check_parts`](Etpn::check_parts)).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hlts_alloc::Allocation;
+    /// use hlts_dfg::parse;
+    /// use hlts_etpn::Etpn;
+    /// use hlts_sched::{list_schedule, ListPriority};
+    ///
+    /// let dfg = parse("dfg t { input a, b; N1: s = a + b; N2: p = s * b; output p; }").unwrap();
+    /// let schedule = list_schedule(&dfg, &[], ListPriority::CriticalPath).unwrap();
+    /// let full = Etpn::from_parts(&dfg, &schedule, &Allocation::one_to_one(&dfg)).unwrap();
+    /// assert_eq!(Etpn::execution_time_of(&dfg, &schedule), full.execution_time());
+    /// ```
+    #[must_use]
+    pub fn execution_time_of(dfg: &Dfg, schedule: &Schedule) -> usize {
+        let net = build::control_part(dfg, schedule).net;
+        net.chain_critical_path()
+            .unwrap_or_else(|| net.critical_path())
+    }
+
     /// The structural data path.
     #[must_use]
     pub fn data_path(&self) -> &DataPath {

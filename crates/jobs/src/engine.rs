@@ -236,7 +236,8 @@ pub enum JobEvent<'a> {
     /// merger loop, completed sweep points).
     Progress(ProgressEvent),
     /// The job finished; the output stays retrievable via
-    /// [`JobEngine::take_output`].
+    /// [`JobEngine::take_output`] unless the job was submitted with
+    /// [`JobEngine::submit_streaming`].
     Done(&'a JobOutput),
     /// The job failed with this message.
     Failed(&'a str),
@@ -674,6 +675,9 @@ struct JobEntry {
     state: JobState,
     cancel: CancelToken,
     sink: SharedSink,
+    /// Whether the terminal output is kept for
+    /// [`JobEngine::take_output`] (see [`JobEngine::submit_streaming`]).
+    keep_output: bool,
     output: Option<JobOutput>,
     error: Option<String>,
 }
@@ -803,6 +807,29 @@ impl JobEngine {
         spec: JobSpec,
         sink: Option<SharedSink>,
     ) -> Result<JobId, SubmitError> {
+        self.enqueue(spec, sink.unwrap_or_else(|| Arc::new(NullJobSink)), true)
+    }
+
+    /// [`submit`](Self::submit) for a caller that takes the output from
+    /// `sink`'s terminal event alone, as the serve daemon does: the
+    /// engine keeps the job's state but drops its output once that event
+    /// is out ([`take_output`](Self::take_output) returns `None`), so a
+    /// long-running daemon's memory does not grow with every result it
+    /// has already sent.
+    ///
+    /// # Errors
+    ///
+    /// As for [`submit`](Self::submit).
+    pub fn submit_streaming(&self, spec: JobSpec, sink: SharedSink) -> Result<JobId, SubmitError> {
+        self.enqueue(spec, sink, false)
+    }
+
+    fn enqueue(
+        &self,
+        spec: JobSpec,
+        sink: SharedSink,
+        keep_output: bool,
+    ) -> Result<JobId, SubmitError> {
         let mut st = self.inner.lock();
         if !st.accepting {
             return Err(SubmitError::ShuttingDown);
@@ -820,7 +847,8 @@ impl JobEngine {
                 spec: Some(spec),
                 state: JobState::Queued,
                 cancel: CancelToken::new(),
-                sink: sink.unwrap_or_else(|| Arc::new(NullJobSink)),
+                sink,
+                keep_output,
                 output: None,
                 error: None,
             },
@@ -1123,7 +1151,7 @@ fn finish(
         let mut st = inner.lock();
         if let Some(entry) = st.jobs.get_mut(&id) {
             entry.state = state;
-            entry.output = output;
+            entry.output = output.filter(|_| entry.keep_output);
             entry.error = error;
         }
     }

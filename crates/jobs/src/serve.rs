@@ -118,7 +118,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
                         sink.out.lock().unwrap_or_else(PoisonError::into_inner);
                     let response = match daemon
                         .engine
-                        .submit(spec, Some(Arc::clone(sink) as Arc<dyn JobSink>))
+                        .submit_streaming(spec, Arc::clone(sink) as Arc<dyn JobSink>)
                     {
                         Ok(job) => proto::render_submit_ok(id.as_deref(), job),
                         Err(e @ (SubmitError::QueueFull { .. } | SubmitError::ShuttingDown)) => {

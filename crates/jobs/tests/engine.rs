@@ -222,6 +222,27 @@ impl JobSink for Probe {
     }
 }
 
+/// A streaming job hands its output to the sink's terminal event and
+/// the engine keeps only its state: a daemon does not accumulate every
+/// result it has already sent.
+#[test]
+fn streaming_jobs_deliver_through_the_sink_and_keep_no_output() {
+    let engine = JobEngine::start(EngineConfig::default());
+    let probe = Arc::new(Probe::default());
+    let id = engine
+        .submit_streaming(run_spec("ex", None), Arc::clone(&probe) as _)
+        .unwrap();
+    let status = engine.wait(id).unwrap();
+    assert_eq!(status.state, JobState::Done);
+    assert!(
+        probe.terminal.load(Ordering::SeqCst),
+        "done event delivered"
+    );
+    assert!(engine.take_output(id).is_none(), "output not retained");
+    assert_eq!(engine.counts().done, 1);
+    engine.shutdown();
+}
+
 #[test]
 fn cancelling_a_running_sweep_keeps_the_partial_front() {
     let engine = JobEngine::start(EngineConfig {

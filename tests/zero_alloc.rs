@@ -1,7 +1,10 @@
-//! Counting-allocator proof of two steady-state claims:
+//! Counting-allocator proof of three steady-state claims:
 //!
 //! * the arena refactor's: once warmed up, a trial merge (apply →
 //!   price → roll back) performs **zero heap allocations**;
+//! * the floorplan's: once the thread's placer has seen a data path
+//!   this large, `estimate_cost` (placement and area sum, the ΔH of
+//!   every priced candidate) performs **zero heap allocations**;
 //! * PODEM's: once one call on a target has sized its decision stack,
 //!   a repeat call on that target that ends without a test performs
 //!   **zero heap allocations** — implication runs in the generator's
@@ -15,11 +18,12 @@
 //! cargo test --release --features count-allocs --test zero_alloc
 //! ```
 //!
-//! The measured loop uses **order-forced** candidates (the precedence
-//! relation fixes every merge-sort decision), because a free ordering
-//! decision triggers the SR2 merit probe, which legitimately lowers the
-//! state to ETPN — a cold, allocating analysis outside the steady-state
-//! trial path. The strict zero assertion runs in release only: debug
+//! The measured trial loop uses **order-forced** candidates (the
+//! precedence relation fixes every merge-sort decision), because a free
+//! ordering decision triggers the SR2 merit probe, which lowers the
+//! probed state's control part to a fresh Petri net to read its
+//! execution time — allocating, outside the steady-state trial path.
+//! The strict zero assertion on trials runs in release only: debug
 //! builds re-audit the whole design after every rollback, and the
 //! auditor allocates by design.
 #![cfg(feature = "count-allocs")]
@@ -31,6 +35,7 @@ mod common;
 
 use hlts_atpg::{FaultUniverse, Podem, PodemOutcome};
 use hlts_core::{trial_merge, DesignState, MergeKind, OrderStrategy};
+use hlts_cost::{estimate_cost, ModuleLibrary};
 use hlts_tcov::TcovConfig;
 
 /// Pass-through allocator that tallies every allocation of the calling
@@ -187,7 +192,10 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
         }
     });
     for &(it, ci, b, c) in per_trial.iter().filter(|t| t.3 > 0) {
-        println!("iter {it} cand {ci} ({:?}): {b} bytes / {c} allocs", cands[ci]);
+        println!(
+            "iter {it} cand {ci} ({:?}): {b} bytes / {c} allocs",
+            cands[ci]
+        );
     }
     let trials = iters * cands.len();
     println!(
@@ -206,6 +214,29 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     );
     // Keep the trial results observable so the loop cannot be elided.
     assert!(state.validate().is_ok());
+}
+
+#[test]
+fn warmed_estimate_cost_allocates_zero_bytes() {
+    let dfg = hlts_benchmarks::by_name("ewf").expect("bundled benchmark");
+    let state = DesignState::initial(&dfg).expect("initial state");
+    let etpn = state.lower().expect("lowers");
+    let dp = etpn.data_path();
+    let lib = ModuleLibrary::new();
+    // Warm-up: the first placement sizes the thread's placer buffers.
+    let want = estimate_cost(dp, 8, &lib);
+    let (bytes, calls, cost) = measured(|| estimate_cost(dp, 8, &lib));
+    println!(
+        "ewf 8-bit ({} nodes, {} arcs): repeat estimate_cost: {bytes} bytes in {calls} allocations",
+        dp.num_nodes(),
+        dp.num_arcs()
+    );
+    assert_eq!(cost, want, "same data path, same estimate");
+    assert_eq!(
+        (bytes, calls),
+        (0, 0),
+        "a warmed estimate_cost must not touch the heap"
+    );
 }
 
 #[test]
