@@ -21,7 +21,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use hlts_core::EvalMode;
 
@@ -42,24 +42,75 @@ pub const MAX_LINE_BYTES: usize = 8 << 20;
 /// onto one writer. Write failures are swallowed — a client that went
 /// away must not take its jobs (or the daemon) with it.
 struct LineSink {
-    out: Mutex<Box<dyn Write + Send>>,
+    out: Mutex<LineOut>,
+}
+
+/// The write side of one connection.
+///
+/// Lines are collected and leave in one write per flush. Most lines
+/// flush at once; two wait for the connection's next line: a job's
+/// `started` line, and the acknowledgement of a job submitted while
+/// another job of this connection is still unfinished (that client is
+/// reading the other job's lines anyway). Every job ends in a terminal
+/// line, which always flushes, so nothing waits longer than its own
+/// job. The daemon leaves Nagle's algorithm on, so how a connection's
+/// lines are cut into writes decides how often the stream waits for the
+/// client's delayed ACK; with two jobs in flight on one connection,
+/// flushing every line on its own made that vary from run to run.
+struct LineOut {
+    w: Box<dyn Write + Send>,
+    /// Lines written since the last flush.
+    pending: Vec<u8>,
+    /// Jobs acknowledged on this connection whose terminal line is not
+    /// written yet.
+    unfinished: usize,
+}
+
+impl LineOut {
+    fn line(&mut self, line: &str, flush: bool) {
+        self.pending.extend_from_slice(line.as_bytes());
+        self.pending.push(b'\n');
+        if flush {
+            let _ = self.w.write_all(&self.pending);
+            let _ = self.w.flush();
+            self.pending.clear();
+        }
+    }
 }
 
 impl LineSink {
-    fn new(out: Box<dyn Write + Send>) -> LineSink {
-        LineSink { out: Mutex::new(out) }
+    fn new(w: Box<dyn Write + Send>) -> LineSink {
+        LineSink {
+            out: Mutex::new(LineOut {
+                w,
+                pending: Vec::new(),
+                unfinished: 0,
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LineOut> {
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn send(&self, line: &str) {
-        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
+        self.lock().line(line, true);
     }
 }
 
 impl JobSink for LineSink {
     fn event(&self, job: JobId, event: &JobEvent<'_>) {
-        self.send(&proto::render_event(job, event));
+        let line = proto::render_event(job, event);
+        let mut out = self.lock();
+        let flush = match event {
+            JobEvent::Started => false,
+            JobEvent::Progress(_) => true,
+            JobEvent::Done(_) | JobEvent::Failed(_) | JobEvent::Cancelled(_) => {
+                out.unfinished = out.unfinished.saturating_sub(1);
+                true
+            }
+        };
+        out.line(&line, flush);
     }
 }
 
@@ -114,19 +165,23 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
                     // Hold the write lock across submit so the
                     // acknowledgement line lands before the job's
                     // first event (workers contend on the same lock).
-                    let mut out =
-                        sink.out.lock().unwrap_or_else(PoisonError::into_inner);
-                    let response = match daemon
+                    let mut out = sink.lock();
+                    let (response, flush) = match daemon
                         .engine
                         .submit_streaming(spec, Arc::clone(sink) as Arc<dyn JobSink>)
                     {
-                        Ok(job) => proto::render_submit_ok(id.as_deref(), job),
+                        Ok(job) => {
+                            out.unfinished += 1;
+                            (
+                                proto::render_submit_ok(id.as_deref(), job),
+                                out.unfinished == 1,
+                            )
+                        }
                         Err(e @ (SubmitError::QueueFull { .. } | SubmitError::ShuttingDown)) => {
-                            proto::render_error(id.as_deref(), &e.to_string())
+                            (proto::render_error(id.as_deref(), &e.to_string()), true)
                         }
                     };
-                    let _ = writeln!(out, "{response}");
-                    let _ = out.flush();
+                    out.line(&response, flush);
                 }
                 Err(message) => {
                     sink.send(&proto::render_error(id.as_deref(), &message));
@@ -367,13 +422,15 @@ pub fn submit_once(
 mod tests {
     use super::*;
 
-    /// Run a stdin-mode daemon over `input`; returns its output lines.
-    fn serve_bytes(input: &[u8]) -> Vec<String> {
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct Shared(Arc<Mutex<Vec<u8>>>);
+    /// Run a stdin-mode daemon over `input`; returns each write it made
+    /// to its output, in order.
+    fn serve_writes(input: &[u8]) -> Vec<String> {
+        let writes: Arc<Mutex<Vec<String>>> = Arc::default();
+        struct Shared(Arc<Mutex<Vec<String>>>);
         impl Write for Shared {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
+                let chunk = String::from_utf8(data.to_vec()).unwrap();
+                self.0.lock().unwrap().push(chunk);
                 Ok(data.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -382,15 +439,62 @@ mod tests {
         }
         serve_lines(
             input,
-            Box::new(Shared(Arc::clone(&buf))),
+            Box::new(Shared(Arc::clone(&writes))),
             ServeConfig {
                 workers: 1,
                 queue_capacity: 2,
                 warm_capacity: 2,
             },
         );
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        text.lines().map(str::to_owned).collect()
+        let writes = writes.lock().unwrap().clone();
+        writes
+    }
+
+    /// Run a stdin-mode daemon over `input`; returns its output lines.
+    fn serve_bytes(input: &[u8]) -> Vec<String> {
+        serve_writes(input)
+            .concat()
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn lines_leave_whole_and_started_lines_wait_for_the_next_line() {
+        let writes = serve_writes(
+            concat!(
+                "{\"op\":\"submit\",\"id\":\"a\",\"job\":{\"kind\":\"gen\",\"seed\":1}}\n",
+                "{\"op\":\"submit\",\"id\":\"b\",\"job\":{\"kind\":\"run\",\"source\":\"bench:ex\"}}\n",
+            )
+            .as_bytes(),
+        );
+        // The first acknowledgement finds the connection idle: it
+        // leaves on its own.
+        assert!(
+            writes[0].starts_with("{\"ok\": true, \"id\": \"a\""),
+            "{writes:?}"
+        );
+        assert_eq!(writes[0].lines().count(), 1, "{writes:?}");
+        for w in &writes {
+            assert!(w.ends_with('\n'), "a write split a line: {writes:?}");
+            let last = w.lines().last().unwrap();
+            assert!(
+                !last.starts_with("{\"event\": \"started\""),
+                "a started line left without the line after it: {writes:?}"
+            );
+        }
+        let lines: Vec<&str> = writes.iter().flat_map(|w| w.lines()).collect();
+        let acks = lines
+            .iter()
+            .filter(|l| l.starts_with("{\"ok\": true"))
+            .count();
+        let terminal = lines
+            .iter()
+            .filter(|l| {
+                l.starts_with("{\"event\": \"done\"") || l.starts_with("{\"event\": \"cancelled\"")
+            })
+            .count();
+        assert_eq!((acks, terminal), (2, 2), "{lines:?}");
     }
 
     #[test]
