@@ -16,6 +16,9 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc -D warnings (no broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> fault-injection suites (test-faults feature)"
 cargo test -q -p hlts-core --features test-faults --offline
 cargo test -q -p hlts-dse --features test-faults --offline
@@ -25,7 +28,7 @@ cargo test -q -p hlts-tcov --features test-faults --offline
 echo "==> conformance harness meta-test (broken engine must be caught)"
 cargo test -q -p hlts-gen --features test-faults --offline
 
-echo "==> conformance smoke: 32 generated graphs x 5 engine pairs (release)"
+echo "==> conformance smoke: 32 generated graphs x 4 engine pairs (release)"
 cargo test -q --release --offline --test conformance -- --ignored conformance_ci_smoke
 
 echo "==> conformance full sweep: 128 generated graphs (release)"
@@ -40,7 +43,7 @@ cargo test -q --release --offline --test podem_reference -- --ignored
 echo "==> floorplan reference matrix: 6 paper benchmarks + 32 generated graphs, every committed state (release)"
 cargo test -q --release --offline -p hlts-cost --test floorplan_reference -- --ignored
 
-echo "==> SR2 equivalence matrix: both order strategies and the full-merit oracle agree (release)"
+echo "==> SR2 equivalence matrix: the merge loop agrees with the full-merit oracle (release)"
 cargo test -q --release --offline -p hlts-core --test sr2_equivalence -- --ignored
 
 echo "==> table coverage pins: full-size paper-table rows (release)"

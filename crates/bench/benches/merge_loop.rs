@@ -21,11 +21,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hlts_core::{oracle, trial_merge, DesignState, MergeKind, OrderStrategy};
+use hlts_core::{oracle, trial_merge, DesignState, MergeKind};
 use hlts_dfg::Dfg;
-
-/// The strategy Algorithm 1 runs with.
-const STRATEGY: OrderStrategy = OrderStrategy::CoEnhancement;
 
 /// `merge_loop/txn/ewf` median on main immediately before the arena
 /// refactor (CSR adjacency, merge scratch, pooled journals/deltas),
@@ -100,7 +97,7 @@ fn shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
     'mods: for i in 0..mods.len() {
         for j in (i + 1)..mods.len() {
             let kind = MergeKind::Modules(mods[i], mods[j]);
-            if trial_merge(state, kind, STRATEGY, |_| Some(0.0)).is_some() {
+            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
                 out.push(kind);
                 if out.len() >= k {
                     break 'mods;
@@ -112,7 +109,7 @@ fn shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
     'regs: for i in 0..regs.len() {
         for j in (i + 1)..regs.len() {
             let kind = MergeKind::Registers(regs[i], regs[j]);
-            if trial_merge(state, kind, STRATEGY, |_| Some(0.0)).is_some() {
+            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
                 out.push(kind);
                 if out.len() >= 2 * k {
                     break 'regs;
@@ -125,9 +122,7 @@ fn shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
 
 /// One transactional trial: apply in place, price, roll back.
 fn txn_trial(state: &mut DesignState, kind: MergeKind) -> Option<f64> {
-    trial_merge(state, kind, STRATEGY, |t| {
-        Some(t.schedule.num_steps() as f64)
-    })
+    trial_merge(state, kind, |t| Some(t.schedule.num_steps() as f64))
 }
 
 /// One clone trial, the seed's cost profile: deep-copy the state, merge
@@ -135,10 +130,8 @@ fn txn_trial(state: &mut DesignState, kind: MergeKind) -> Option<f64> {
 fn clone_trial(state: &DesignState, kind: MergeKind) -> Option<f64> {
     let mut work = state.deep_trial_clone();
     let ok = match kind {
-        MergeKind::Modules(a, b) => oracle::merge_modules_cloned(&mut work, a, b, STRATEGY).is_ok(),
-        MergeKind::Registers(a, b) => {
-            oracle::merge_registers_cloned(&mut work, a, b, STRATEGY).is_ok()
-        }
+        MergeKind::Modules(a, b) => oracle::merge_modules_cloned(&mut work, a, b).is_ok(),
+        MergeKind::Registers(a, b) => oracle::merge_registers_cloned(&mut work, a, b).is_ok(),
     };
     ok.then(|| work.schedule.num_steps() as f64)
 }
@@ -295,7 +288,7 @@ fn forced_shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
                 continue;
             }
             let kind = MergeKind::Modules(ma, mb);
-            if trial_merge(state, kind, STRATEGY, |_| Some(0.0)).is_some() {
+            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
                 out.push(kind);
                 if out.len() >= k {
                     break 'mods;
@@ -320,7 +313,7 @@ fn forced_shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
                 continue;
             }
             let kind = MergeKind::Registers(ra, rb);
-            if trial_merge(state, kind, STRATEGY, |_| Some(0.0)).is_some() {
+            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
                 out.push(kind);
                 if out.len() >= module_cands + k {
                     break 'regs;

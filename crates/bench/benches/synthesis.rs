@@ -1,15 +1,7 @@
-//! Bench: runtime of the synthesis flows on the six benchmarks, plus
-//! the sequential-vs-parallel candidate evaluation comparison on the
-//! paper's EX/DCT/DIFFEQ tables.
-//!
-//! The run **asserts** that the parallel k-candidate evaluation
-//! produces a `SynthesisResult` bit-identical to the sequential path
-//! on EX, DCT and DIFFEQ (the PR's acceptance criterion) — same
-//! schedule, binding, metrics and merge log.
+//! Bench: runtime of the synthesis flows on the six benchmarks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlts_bench::Flow;
-use hlts_core::{EvalMode, IntegratedSynthesizer, SynthesisParams};
 
 fn flows(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesis");
@@ -26,35 +18,5 @@ fn flows(c: &mut Criterion) {
     group.finish();
 }
 
-fn seq_vs_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("candidate_eval");
-    group.sample_size(10);
-    for (name, dfg) in [
-        ("ex", hlts_benchmarks::ex()),
-        ("dct", hlts_benchmarks::dct()),
-        ("diffeq", hlts_benchmarks::diffeq()),
-    ] {
-        let synth = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(8));
-        let seq = synth
-            .run_mode(&dfg, EvalMode::Sequential)
-            .expect("sequential synthesis");
-        let par = synth
-            .run_mode(&dfg, EvalMode::Parallel)
-            .expect("parallel synthesis");
-        assert_eq!(
-            seq, par,
-            "{name}: parallel candidate evaluation diverged from sequential"
-        );
-        group.bench_with_input(BenchmarkId::new("sequential", name), &dfg, |b, dfg| {
-            b.iter(|| synth.run_mode(dfg, EvalMode::Sequential).expect("synthesis"))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", name), &dfg, |b, dfg| {
-            b.iter(|| synth.run_mode(dfg, EvalMode::Parallel).expect("synthesis"))
-        });
-    }
-    group.finish();
-    println!("\nacceptance: sequential == parallel SynthesisResult on ex/dct/diffeq — OK");
-}
-
-criterion_group!(benches, flows, seq_vs_parallel);
+criterion_group!(benches, flows);
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //! * `table1_ex`, `table2_dct`, `table3_diffeq` — Tables 1–3;
 //! * `figure2_ex_schedule`, `figure3_schedules` — Figures 2–3;
 //! * `param_sweep` — the paper's (k, α, β) insensitivity claim;
-//! * `extra_benchmarks`, `ablation_sr2` — the unprinted benchmarks and
-//!   the SR2/balance ablation, graded like the tables.
+//! * `extra_benchmarks`, `ablation_balance` — the unprinted benchmarks and
+//!   the balance-selection ablation, graded like the tables.
 //!
 //! Set `HLTS_QUICK=1` to shrink the fault sample and pattern budget for
 //! a fast smoke run.

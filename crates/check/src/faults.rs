@@ -4,7 +4,8 @@
 //! loops, journal appends, the trial-merge rollback path). Without the
 //! `test-faults` feature the call is a constant-`false` inline stub —
 //! no global state, no branches worth measuring. With the feature, a
-//! test arms a [`FaultPlan`] and holds the returned [`FaultGuard`]:
+//! test arms a `FaultPlan` and holds the returned `FaultGuard` (both
+//! exist only under the feature):
 //! each armed site then fires a bounded number of times, and dropping
 //! the guard disarms everything, so tests cannot leak faults into each
 //! other.

@@ -19,7 +19,7 @@
 //! * [`audit_txn_balance`] — the transaction-journal balance check:
 //!   the monotone counters can never show more closed transactions
 //!   than opened ones or more undo operations replayed than recorded;
-//! * [`faults`] — deliberately armed failure points ([`FaultPlan`])
+//! * [`faults`] — deliberately armed failure points (`FaultPlan`)
 //!   behind the `test-faults` feature, used by the fault-injection
 //!   suites to kill workers mid-sweep, corrupt journal lines and force
 //!   rollbacks, asserting graceful degradation.
@@ -28,8 +28,6 @@
 //! schedule and allocation layers, so the core's merge loop (and the
 //! DSE runner above it) can call the auditor after every rollback
 //! without a dependency cycle.
-//!
-//! [`FaultPlan`]: faults::FaultPlan
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,34 +5,25 @@ use hlts_dfg::Dfg;
 
 use crate::candidates::{enumerate_candidates, MergeCandidate, MergeKind};
 use crate::delta_eval::DeltaEvaluator;
-use crate::resched::{
-    apply_merge, merge_modules_with_resched_using, merge_registers_with_resched_using,
-    OrderStrategy,
-};
+use crate::resched::apply_merge;
 use crate::trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWinner};
 use crate::txn::{trial_merge, StateTxn};
 use crate::{CoreError, DesignState, ProgressEvent, RunCtl, SynthesisResult};
 
-/// How the *k* shortlisted candidates of each iteration are evaluated.
+/// The retired candidate-evaluation mode switch; it has one variant.
 ///
-/// Both modes produce **bit-identical** results: each candidate trial
-/// is applied and rolled back through the transaction journal (in
-/// sequential mode in place on the base state, in parallel mode on a
-/// per-thread [`DesignState::fork`]), every trial therefore prices the
-/// identical post-merge design, and the winner is reduced by
-/// (ΔC, shortlist index) — exactly the sequential first-strictly-smaller
-/// rule. The parallel mode merely computes the trials on scoped threads
-/// sharing one [`DeltaEvaluator`].
+/// Algorithm 1 evaluates each iteration's shortlist one candidate at a
+/// time on the calling thread. The type remains only because the
+/// end-to-end benchmark under `perf/` still names it:
+/// `EvalMode::default()`, `EvalMode::Sequential`, the `mode` field of
+/// `JobSpec::Run` and the `mode` argument of
+/// [`IntegratedSynthesizer::run_on_ctl`]. A change to that benchmark
+/// removes the type together with those uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// Evaluate candidates one at a time on the calling thread.
-    #[cfg_attr(not(feature = "parallel"), default)]
+    #[default]
     Sequential,
-    /// Evaluate each shortlist chunk's candidates on scoped threads.
-    /// Without the `parallel` cargo feature this mode still exists but
-    /// behaves exactly like [`EvalMode::Sequential`].
-    #[cfg_attr(feature = "parallel", default)]
-    Parallel,
 }
 
 /// The user parameters of the synthesis algorithm.
@@ -63,11 +54,6 @@ pub struct SynthesisParams {
     /// Hard cap on committed mergers (defensive; never reached by the
     /// benchmarks).
     pub max_merges: usize,
-    /// How free ordering decisions inside mergers are resolved. The
-    /// paper's strategy is [`OrderStrategy::CoEnhancement`] (SR2);
-    /// [`OrderStrategy::CriticalPath`] ablates the testability steering
-    /// while keeping the rest of Algorithm 1 intact.
-    pub order_strategy: OrderStrategy,
     /// How the per-iteration candidate shortlist is ranked. The paper's
     /// principle is [`SelectionPolicy::CoBalance`] (§3);
     /// [`SelectionPolicy::Arbitrary`] ablates it (stable id order), so
@@ -95,7 +81,6 @@ impl Default for SynthesisParams {
             library: ModuleLibrary::new(),
             accept_threshold: 1e-9,
             max_merges: 10_000,
-            order_strategy: OrderStrategy::CoEnhancement,
             selection_policy: SelectionPolicy::CoBalance,
         }
     }
@@ -192,71 +177,35 @@ impl IntegratedSynthesizer {
     /// Only construction-level failures (cyclic input graph, inconsistent
     /// state) are errors; rejected mergers are part of normal operation.
     pub fn run(&self, dfg: &Dfg) -> Result<SynthesisResult, CoreError> {
-        self.run_mode(dfg, EvalMode::default())
+        let base = DesignState::initial(dfg)?;
+        self.run_on_ctl(
+            &base,
+            EvalMode::Sequential,
+            &DeltaEvaluator::new(),
+            &RunCtl::none(),
+        )
     }
 
-    /// Run Algorithm 1 with an explicit candidate-evaluation mode (see
-    /// [`EvalMode`]; results are bit-identical across modes).
+    /// Run Algorithm 1 from a caller-owned base state under an external
+    /// [`RunCtl`]: the batch and job-engine entry point.
     ///
-    /// # Errors
-    ///
-    /// As [`run`](IntegratedSynthesizer::run).
-    pub fn run_mode(&self, dfg: &Dfg, mode: EvalMode) -> Result<SynthesisResult, CoreError> {
-        self.run_mode_with(dfg, mode, &DeltaEvaluator::new())
-    }
-
-    /// Run Algorithm 1 with an explicit mode and a caller-owned
-    /// [`DeltaEvaluator`], whose cache statistics can be inspected
-    /// afterwards. The evaluator must not have been used with a
-    /// different graph or library (its cache is keyed on (schedule,
-    /// binding, bit width) only).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](IntegratedSynthesizer::run).
-    pub fn run_mode_with(
-        &self,
-        dfg: &Dfg,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Result<SynthesisResult, CoreError> {
-        self.run_on(&DesignState::initial(dfg)?, mode, evaluator)
-    }
-
-    /// Run Algorithm 1 starting from a caller-owned base state, which is
-    /// forked (not mutated): the run shares the base's graph core,
+    /// The base is forked, not mutated: the run shares its graph core,
     /// [`TestabilityEngine`](hlts_testability::TestabilityEngine) and
     /// transaction counters, plus the given evaluator's (E, H) cache.
+    /// A design-space sweep builds one base state and one evaluator per
+    /// behavior and runs every parameter point through them. Sharing
+    /// never changes a result: both caches are keyed on content
+    /// (structure / schedule+binding+width), and the engine's anchor only
+    /// steers *how* misses are computed. The evaluator must not have been
+    /// used with a different graph or library.
     ///
-    /// This is the batch entry point: a design-space sweep builds one
-    /// base state and one evaluator per behavior and runs every
-    /// parameter point through them, so structurally identical trial
-    /// states met by different points resolve from the shared caches.
-    /// Sharing never changes a result — both caches are keyed on
-    /// content (structure / schedule+binding+width), and the engine's anchor
-    /// only steers *how* misses are computed — so concurrent runs on
-    /// forks of one base are bit-identical to isolated runs.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](IntegratedSynthesizer::run).
-    pub fn run_on(
-        &self,
-        base: &DesignState,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Result<SynthesisResult, CoreError> {
-        self.run_on_ctl(base, mode, evaluator, &RunCtl::none())
-    }
-
-    /// [`run_on`](Self::run_on) under an external [`RunCtl`]: the
-    /// job-engine entry point. The cancel token is checked once per
-    /// iteration — between transactions, never inside one — so a fired
-    /// token surfaces as [`CoreError::Cancelled`] with no partially
-    /// applied merge behind it, and a token that never fires leaves the
-    /// run **bit-identical** to [`run_on`](Self::run_on) (the check is
-    /// one relaxed atomic load; nothing else differs). One
-    /// [`ProgressEvent::Iteration`] streams to the sink per iteration.
+    /// The cancel token is checked once per iteration, between
+    /// transactions, so a fired token surfaces as
+    /// [`CoreError::Cancelled`] with no partially applied merge behind
+    /// it; one [`ProgressEvent::Iteration`] streams to the sink per
+    /// iteration. This is [`run_on_warm`](Self::run_on_warm) without a
+    /// seed, with the trace dropped. `_mode` has one value (see
+    /// [`EvalMode`]).
     ///
     /// # Errors
     ///
@@ -265,78 +214,16 @@ impl IntegratedSynthesizer {
     pub fn run_on_ctl(
         &self,
         base: &DesignState,
-        mode: EvalMode,
+        _mode: EvalMode,
         evaluator: &DeltaEvaluator,
         ctl: &RunCtl<'_>,
     ) -> Result<SynthesisResult, CoreError> {
-        self.params.validate()?;
-        let mut state = base.fork();
-        let mut merge_log: Vec<String> = Vec::new();
-
-        for iteration in 0..self.params.max_merges {
-            if ctl.cancel.is_cancelled() {
-                return Err(CoreError::Cancelled);
-            }
-            ctl.progress.event(ProgressEvent::Iteration {
-                iteration,
-                merges: merge_log.len(),
-            });
-            let etpn = state.lower()?;
-            // The baseline analysis goes through the shared engine (a
-            // hit after iteration 1: the committed trial of iteration i
-            // is re-lowered as the baseline of i+1) and becomes the
-            // anchor that candidate misses re-analyze incrementally
-            // from — each candidate differs from it by one merge cone.
-            let analysis = state.testability_engine().analyze(etpn.data_path());
-            state.testability_engine().set_anchor(etpn.data_path(), &analysis);
-            let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
-            if candidates.is_empty() {
-                break;
-            }
-            if self.params.selection_policy == SelectionPolicy::Arbitrary {
-                candidates.sort_by_key(|c| match c.kind {
-                    MergeKind::Modules(a, b) => (0u8, a.index(), b.index()),
-                    MergeKind::Registers(a, b) => (1u8, a.index(), b.index()),
-                });
-            }
-            // The baseline (E, H) goes through the evaluator too: after
-            // the first iteration this is a cache hit (the committed
-            // trial of iteration i is the baseline of iteration i+1).
-            let (e0_steps, h0) = evaluator.eval(&state, self.params.bits, &self.params.library)?;
-            let e0 = e0_steps as f64;
-
-            let mut committed = false;
-            for chunk in candidates.chunks(self.params.k.max(1)) {
-                if let Some((dc, kind)) = self.best_in_chunk(&mut state, chunk, e0, h0, mode, evaluator) {
-                    if dc <= self.params.accept_threshold {
-                        // Re-apply the winning trial and commit it. The
-                        // merge machinery is deterministic, so this
-                        // reproduces the priced trial bit for bit — and
-                        // cheaply: the reschedule and the testability /
-                        // ΔC analyses all resolve from caches warmed by
-                        // the trial itself.
-                        self.apply_winner(&mut state, kind)?;
-                        // Only now is the label worth building: trial
-                        // candidates that lose or miss the threshold
-                        // never reach the log.
-                        let desc = merge_description(&state, kind);
-                        merge_log.push(format!("{desc} (ΔC = {dc:+.4})"));
-                        committed = true;
-                        break;
-                    }
-                }
-            }
-            if !committed {
-                break;
-            }
-        }
-
-        debug_assert!(state.validate().is_ok());
-        SynthesisResult::from_state(state, self.params.bits, &self.params.library, merge_log)
+        Ok(self.run_on_warm(base, evaluator, ctl, None)?.result)
     }
 
-    /// [`run_on_ctl`](Self::run_on_ctl) with trace capture and optional
-    /// warm-start replay — the design-space-exploration entry point.
+    /// Algorithm 1 with trace capture and optional warm-start replay:
+    /// the one synthesis loop, and the design-space-exploration entry
+    /// point.
     ///
     /// The returned [`MergeTrace`] records every iteration's evaluated
     /// `(ΔE, ΔH)` price prefix and committed winner. When `seed` holds
@@ -352,8 +239,7 @@ impl IntegratedSynthesizer {
     /// bit-identical to the scratch trajectory at that iteration.
     ///
     /// Replay changes *work, never results*: with any seed (or none)
-    /// the [`SynthesisResult`] is bit-identical to
-    /// [`run_on_ctl`](Self::run_on_ctl); only the
+    /// the [`SynthesisResult`] is bit-identical; only the
     /// [`ReplayStats`] split between replayed and recomputed merges
     /// varies.
     ///
@@ -363,7 +249,6 @@ impl IntegratedSynthesizer {
     pub fn run_on_warm(
         &self,
         base: &DesignState,
-        mode: EvalMode,
         evaluator: &DeltaEvaluator,
         ctl: &RunCtl<'_>,
         seed: Option<&MergeTrace>,
@@ -379,8 +264,9 @@ impl IntegratedSynthesizer {
         // scratch loop owns every later iteration.
         let mut cursor = 0usize;
         let mut live = seed.is_some();
-        let mut converged = false;
 
+        // A run cut short by the iteration cap carries no terminal
+        // entry; replaying such a trace simply exhausts the seed.
         for iteration in 0..self.params.max_merges {
             if ctl.cancel.is_cancelled() {
                 return Err(CoreError::Cancelled);
@@ -406,17 +292,18 @@ impl IntegratedSynthesizer {
                     }
                     Some(ReplayStep::Done(entry)) => {
                         trace.entries.push(entry);
-                        converged = true;
                         break;
                     }
                     None => live = false, // diverged/exhausted: scratch from here
                 }
             }
 
-            // Scratch path: the exact `run_on_ctl` iteration, capturing
-            // the (ΔE, ΔH) parts it prices anyway. ΔC is computed from
-            // the identical float expression, so decisions — and
-            // therefore results — are bit-identical.
+            // Scratch path. The baseline analysis goes through the shared
+            // engine (a hit after iteration 1: the committed trial of
+            // iteration i is re-lowered as the baseline of i+1) and
+            // becomes the anchor that candidate misses re-analyze
+            // incrementally from — each candidate differs from it by one
+            // merge cone.
             let etpn = state.lower()?;
             let analysis = state.testability_engine().analyze(etpn.data_path());
             state.testability_engine().set_anchor(etpn.data_path(), &analysis);
@@ -427,7 +314,6 @@ impl IntegratedSynthesizer {
                     total: 0,
                     prices: Vec::new(),
                 });
-                converged = true;
                 break;
             }
             if self.params.selection_policy == SelectionPolicy::Arbitrary {
@@ -436,53 +322,63 @@ impl IntegratedSynthesizer {
                     MergeKind::Registers(a, b) => (1u8, a.index(), b.index()),
                 });
             }
+            // The baseline (E, H) goes through the evaluator too: after
+            // the first iteration this is a cache hit.
             let (e0_steps, h0) = evaluator.eval(&state, self.params.bits, &self.params.library)?;
             let e0 = e0_steps as f64;
 
-            let mut committed = false;
+            // Price the shortlist chunk by chunk; the first chunk whose
+            // best ΔC meets the threshold commits its winner.
             let mut prices: Vec<Option<(f64, f64)>> = Vec::new();
-            for (ci, chunk) in candidates.chunks(k).enumerate() {
-                let parts = self.eval_chunk_parts(&mut state, chunk, e0, h0, mode, evaluator);
-                let best = self.reduce_chunk(&parts);
-                prices.extend(parts);
-                if let Some((dc, local)) = best {
+            let mut winner = None;
+            for chunk in candidates.chunks(k) {
+                let start = prices.len();
+                for cand in chunk {
+                    prices.push(self.eval_candidate_parts(&mut state, cand, e0, h0, evaluator));
+                }
+                if let Some((dc, local)) = self.reduce_chunk(&prices[start..]) {
                     if dc <= self.params.accept_threshold {
-                        let kind = chunk[local].kind;
-                        let (sym_a, sym_b) = merge_symbols(&state, kind);
-                        self.apply_winner(&mut state, kind)?;
-                        let fingerprint = DeltaEvaluator::fingerprint(&state);
-                        let desc = merge_description(&state, kind);
-                        merge_log.push(format!("{desc} (ΔC = {dc:+.4})"));
-                        trace.entries.push(TraceEntry {
-                            winner: Some(TraceWinner {
-                                kind: trace_kind(kind),
-                                sym_a,
-                                sym_b,
-                                index: ci * k + local,
-                                fingerprint,
-                            }),
-                            total: candidates.len(),
-                            prices: std::mem::take(&mut prices),
-                        });
-                        replay.recomputed += 1;
-                        committed = true;
+                        winner = Some((dc, start + local));
                         break;
                     }
                 }
             }
-            if !committed {
+            let Some((dc, index)) = winner else {
                 trace.entries.push(TraceEntry {
                     winner: None,
                     total: candidates.len(),
                     prices,
                 });
-                converged = true;
                 break;
-            }
+            };
+            // Re-apply the winning trial and commit it. The merge
+            // machinery is deterministic, so this reproduces the priced
+            // trial bit for bit — and cheaply: the reschedule and the
+            // testability / ΔC analyses all resolve from caches warmed by
+            // the trial itself.
+            let kind = candidates[index].kind;
+            let (sym_a, sym_b) = merge_symbols(&state, kind);
+            let mut txn = StateTxn::begin(&mut state);
+            apply_merge(&mut txn, kind)?;
+            txn.commit();
+            let fingerprint = DeltaEvaluator::fingerprint(&state);
+            // Only now is the label worth building: trial candidates
+            // that lose or miss the threshold never reach the log.
+            let desc = merge_description(&state, kind);
+            merge_log.push(format!("{desc} (ΔC = {dc:+.4})"));
+            trace.entries.push(TraceEntry {
+                winner: Some(TraceWinner {
+                    kind: trace_kind(kind),
+                    sym_a,
+                    sym_b,
+                    index,
+                    fingerprint,
+                }),
+                total: candidates.len(),
+                prices,
+            });
+            replay.recomputed += 1;
         }
-        // A run cut short by the iteration cap carries no terminal
-        // entry; replaying such a trace simply exhausts the seed.
-        let _ = converged;
 
         debug_assert!(state.validate().is_ok());
         let result =
@@ -548,7 +444,7 @@ impl IntegratedSynthesizer {
         let kind = resolve_winner(state, winner)?;
         {
             let mut txn = StateTxn::begin(state);
-            if apply_merge(&mut txn, kind, self.params.order_strategy).is_err() {
+            if apply_merge(&mut txn, kind).is_err() {
                 return None; // txn drop rolls back
             }
             if DeltaEvaluator::fingerprint(txn.state()) != winner.fingerprint {
@@ -569,16 +465,19 @@ impl IntegratedSynthesizer {
         })
     }
 
-    /// The shared chunk reduction over `(ΔE, ΔH)` parts: weight each
-    /// feasible candidate into ΔC = α·ΔE + β·ΔH and keep the strictly
-    /// smallest (earliest index on ties) — the float-identical twin of
-    /// the `Option<f64>` fold in [`best_in_chunk`](Self::best_in_chunk).
-    /// Returns the winning ΔC and its index *within the chunk*.
+    /// The chunk reduction over `(ΔE, ΔH)` parts, shared by the scratch
+    /// loop and replay: weight each feasible candidate into
+    /// ΔC = α·ΔE + β·ΔH and keep the strictly smallest (earliest index
+    /// on ties). Returns the winning ΔC and its index *within the
+    /// chunk*.
     fn reduce_chunk(&self, parts: &[Option<(f64, f64)>]) -> Option<(f64, usize)> {
         let mut best: Option<(f64, usize)> = None;
         for (i, entry) in parts.iter().enumerate() {
             let Some((de, dh)) = entry else { continue };
             let dc = self.params.alpha * de + self.params.beta * dh;
+            // total_cmp: a NaN price (impossible with validated params,
+            // defensive against a degenerate library) sorts above every
+            // real ΔC instead of vacuously losing every comparison.
             if best
                 .as_ref()
                 .is_none_or(|(b, _)| dc.total_cmp(b) == std::cmp::Ordering::Less)
@@ -589,86 +488,16 @@ impl IntegratedSynthesizer {
         best
     }
 
-    /// Tentatively apply each candidate of `chunk` (apply → price →
-    /// rollback; `state` is bit-identical on return); return the
-    /// smallest-ΔC applicable merge (ties keep the earliest shortlist
-    /// position, in both modes).
-    fn best_in_chunk(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Option<(f64, MergeKind)> {
-        let evaluated: Vec<Option<f64>> = match mode {
-            EvalMode::Sequential => chunk
-                .iter()
-                .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-                .collect(),
-            EvalMode::Parallel => self.eval_chunk_parallel(state, chunk, e0, h0, evaluator),
-        };
-        // Deterministic reduction: strictly-smaller ΔC wins, so the
-        // earliest shortlist index is kept on ties — exactly the
-        // sequential fold regardless of evaluation order.
-        let mut best: Option<(f64, MergeKind)> = None;
-        for (entry, cand) in evaluated.into_iter().zip(chunk) {
-            let Some(dc) = entry else { continue };
-            // total_cmp: a NaN price (impossible with validated params,
-            // defensive against a degenerate library) sorts above every
-            // real ΔC instead of vacuously losing every comparison.
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| dc.total_cmp(b) == std::cmp::Ordering::Less)
-            {
-                best = Some((dc, cand.kind));
-            }
-        }
-        best
-    }
-
-    /// Commit the winning merge of an iteration onto `state`.
-    fn apply_winner(&self, state: &mut DesignState, kind: MergeKind) -> Result<(), CoreError> {
-        match kind {
-            MergeKind::Modules(a, b) => {
-                merge_modules_with_resched_using(state, a, b, self.params.order_strategy)
-            }
-            MergeKind::Registers(a, b) => {
-                merge_registers_with_resched_using(state, a, b, self.params.order_strategy)
-            }
-        }
-    }
-
-    /// Evaluate one candidate against the baseline (`e0`, `h0`):
+    /// Price one candidate against the baseline (`e0`, `h0`):
     /// tentatively apply it in place (merge + merge-sort rescheduling,
-    /// which re-runs the lifetime checks), price ΔC through the shared
-    /// evaluator, and roll the transaction back. `None` if the merger is
-    /// infeasible. The human-readable description is *not* built here —
-    /// only the committed winner ever needs one (see
-    /// [`merge_description`]).
-    fn eval_candidate(
-        &self,
-        state: &mut DesignState,
-        cand: &MergeCandidate,
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Option<f64> {
-        trial_merge(state, cand.kind, self.params.order_strategy, |trial| {
-            let (e1, h1) = evaluator
-                .eval(trial, self.params.bits, &self.params.library)
-                .ok()?;
-            Some(self.params.alpha * (e1 as f64 - e0) + self.params.beta * (h1 - h0))
-        })
-    }
-
-    /// [`eval_candidate`](Self::eval_candidate) returning the raw
-    /// weight-independent `(ΔE, ΔH)` parts instead of their weighted
-    /// sum — the capture path of warm-start traces. Weighting the parts
-    /// afterwards (`α·ΔE + β·ΔH` on the already-subtracted deltas)
-    /// performs the identical float operations in the identical order,
-    /// so the two paths price every candidate bit-identically.
+    /// which re-runs the lifetime checks), read (E, H) through the
+    /// shared evaluator, and roll the transaction back. Returns the raw
+    /// weight-independent `(ΔE, ΔH)` parts, which [`reduce_chunk`]
+    /// weights and a trace records; `None` if the merger is infeasible.
+    /// The human-readable description is *not* built here — only the
+    /// committed winner ever needs one (see [`merge_description`]).
+    ///
+    /// [`reduce_chunk`]: Self::reduce_chunk
     fn eval_candidate_parts(
         &self,
         state: &mut DesignState,
@@ -677,151 +506,12 @@ impl IntegratedSynthesizer {
         h0: f64,
         evaluator: &DeltaEvaluator,
     ) -> Option<(f64, f64)> {
-        trial_merge(state, cand.kind, self.params.order_strategy, |trial| {
+        trial_merge(state, cand.kind, |trial| {
             let (e1, h1) = evaluator
                 .eval(trial, self.params.bits, &self.params.library)
                 .ok()?;
             Some((e1 as f64 - e0, h1 - h0))
         })
-    }
-
-    /// Evaluate a shortlist chunk on scoped threads (one per candidate;
-    /// `k` is small). Each thread runs its transaction on a private
-    /// [`DesignState::fork`] of the base state — a cheap copy sharing
-    /// the graph core, testability engine and counters — so the in-place
-    /// trials never contend. Results come back in shortlist order, so
-    /// the reduction in [`best_in_chunk`](Self::best_in_chunk) is
-    /// unaffected by thread completion order.
-    #[cfg(feature = "parallel")]
-    fn eval_chunk_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<f64>> {
-        if chunk.len() < 2 {
-            return chunk
-                .iter()
-                .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-                .collect();
-        }
-        let base = &*state;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|cand| {
-                    scope.spawn(move || {
-                        let mut local = base.fork();
-                        self.eval_candidate(&mut local, cand, e0, h0, evaluator)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(dc) => dc,
-                    // Propagate the worker's panic payload on the
-                    // calling thread: identical observable behavior to
-                    // the sequential path, without asserting it can't
-                    // happen.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-
-    /// Sequential stand-in when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    fn eval_chunk_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<f64>> {
-        chunk
-            .iter()
-            .map(|cand| self.eval_candidate(state, cand, e0, h0, evaluator))
-            .collect()
-    }
-
-    /// Chunk evaluation for the capture path: the `(ΔE, ΔH)` twin of
-    /// the scalar chunk evaluators, honoring `mode` with the same
-    /// scoped-thread strategy (results in shortlist order either way).
-    fn eval_chunk_parts(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        mode: EvalMode,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<(f64, f64)>> {
-        match mode {
-            EvalMode::Sequential => chunk
-                .iter()
-                .map(|cand| self.eval_candidate_parts(state, cand, e0, h0, evaluator))
-                .collect(),
-            EvalMode::Parallel => self.eval_chunk_parts_parallel(state, chunk, e0, h0, evaluator),
-        }
-    }
-
-    /// Scoped-thread `(ΔE, ΔH)` chunk evaluation (see
-    /// [`eval_chunk_parallel`](Self::eval_chunk_parallel) for the
-    /// forking/ordering contract).
-    #[cfg(feature = "parallel")]
-    fn eval_chunk_parts_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<(f64, f64)>> {
-        if chunk.len() < 2 {
-            return chunk
-                .iter()
-                .map(|cand| self.eval_candidate_parts(state, cand, e0, h0, evaluator))
-                .collect();
-        }
-        let base = &*state;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|cand| {
-                    scope.spawn(move || {
-                        let mut local = base.fork();
-                        self.eval_candidate_parts(&mut local, cand, e0, h0, evaluator)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(parts) => parts,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    }
-
-    /// Sequential stand-in when the `parallel` feature is disabled.
-    #[cfg(not(feature = "parallel"))]
-    fn eval_chunk_parts_parallel(
-        &self,
-        state: &mut DesignState,
-        chunk: &[MergeCandidate],
-        e0: f64,
-        h0: f64,
-        evaluator: &DeltaEvaluator,
-    ) -> Vec<Option<(f64, f64)>> {
-        chunk
-            .iter()
-            .map(|cand| self.eval_candidate_parts(state, cand, e0, h0, evaluator))
-            .collect()
     }
 }
 
@@ -1035,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_capture_is_bit_identical_to_the_classic_loop() {
+    fn cold_run_records_every_commit_and_a_terminal_entry() {
         let d = small();
         let synth = IntegratedSynthesizer::new(SynthesisParams::default());
         let base = DesignState::initial(&d).unwrap();
@@ -1044,7 +734,7 @@ mod tests {
             .run_on_ctl(&base, EvalMode::Sequential, &ev, &RunCtl::none())
             .unwrap();
         let warm = synth
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         assert_eq!(warm.result.schedule, cold.schedule);
         assert_eq!(warm.result.allocation, cold.allocation);
@@ -1063,16 +753,10 @@ mod tests {
         let base = DesignState::initial(&d).unwrap();
         let ev = DeltaEvaluator::new();
         let first = synth
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         let again = synth
-            .run_on_warm(
-                &base,
-                EvalMode::Sequential,
-                &ev,
-                &RunCtl::none(),
-                Some(&first.trace),
-            )
+            .run_on_warm(&base, &ev, &RunCtl::none(), Some(&first.trace))
             .unwrap();
         assert_eq!(again.result.schedule, first.result.schedule);
         assert_eq!(again.result.allocation, first.result.allocation);
@@ -1088,7 +772,7 @@ mod tests {
         let base = DesignState::initial(&d).unwrap();
         let ev = DeltaEvaluator::new();
         let seed = IntegratedSynthesizer::new(SynthesisParams::default())
-            .run_on_warm(&base, EvalMode::Sequential, &ev, &RunCtl::none(), None)
+            .run_on_warm(&base, &ev, &RunCtl::none(), None)
             .unwrap();
         // A grid of neighbours, including weights that walk a different
         // trajectory: warm output must equal the cold loop on every one.
@@ -1110,13 +794,7 @@ mod tests {
                 .run_on_ctl(&base, EvalMode::Sequential, &ev, &RunCtl::none())
                 .unwrap();
             let warm = synth
-                .run_on_warm(
-                    &base,
-                    EvalMode::Sequential,
-                    &ev,
-                    &RunCtl::none(),
-                    Some(&seed.trace),
-                )
+                .run_on_warm(&base, &ev, &RunCtl::none(), Some(&seed.trace))
                 .unwrap();
             assert_eq!(
                 warm.result.schedule, cold.schedule,

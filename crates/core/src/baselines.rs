@@ -23,16 +23,15 @@ use hlts_dfg::{Dfg, FuClass};
 use hlts_sched::{fds_schedule, mobility_path_schedule, FuLimits, Lifetimes};
 
 use crate::candidates::MergeKind;
-use crate::resched::{
-    merge_modules_with_resched_using, merge_registers_with_resched_using, OrderStrategy,
-};
+use crate::resched::{merge_modules_with_resched, merge_registers_with_resched};
 use crate::txn::trial_merge;
 use crate::{CoreError, DesignState, RunCtl, SynthesisParams, SynthesisResult};
 
 /// CAMAD-style synthesis: iterative mergers ranked by connectivity gain
 /// (interconnect saved minus muxes added), priced by the same
 /// ΔC = α·ΔE + β·ΔH rule, with rescheduling decisions taken on the
-/// critical path alone.
+/// critical path alone. The mergers share the integrated loop's order
+/// rule: SR2's depth term ties under one binding, so it decides by `E`.
 ///
 /// Register mergers buy little interconnect and cost muxes under this
 /// objective, so CAMAD designs keep close to one register per variable —
@@ -132,7 +131,7 @@ pub fn camad_ctl(
             // the pricing differs (direct lower + estimate, no ΔC cache).
             let mut best: Option<(f64, MergeKind)> = None;
             for &(_, kind) in chunk {
-                let dc = trial_merge(&mut state, kind, OrderStrategy::CriticalPath, |trial| {
+                let dc = trial_merge(&mut state, kind, |trial| {
                     let etpn1 = trial.lower().ok()?;
                     let e1 = etpn1.execution_time() as f64;
                     let h1 = estimate_cost(etpn1.data_path(), params.bits, &params.library).total();
@@ -147,18 +146,10 @@ pub fn camad_ctl(
                 if dc <= params.accept_threshold {
                     // Re-apply the deterministic winner and commit it.
                     match kind {
-                        MergeKind::Modules(a, b) => merge_modules_with_resched_using(
-                            &mut state,
-                            a,
-                            b,
-                            OrderStrategy::CriticalPath,
-                        )?,
-                        MergeKind::Registers(a, b) => merge_registers_with_resched_using(
-                            &mut state,
-                            a,
-                            b,
-                            OrderStrategy::CriticalPath,
-                        )?,
+                        MergeKind::Modules(a, b) => merge_modules_with_resched(&mut state, a, b)?,
+                        MergeKind::Registers(a, b) => {
+                            merge_registers_with_resched(&mut state, a, b)?;
+                        }
                     }
                     merge_log.push(format!("camad {kind:?} (ΔC = {dc:+.4})"));
                     committed = true;

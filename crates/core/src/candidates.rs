@@ -561,10 +561,7 @@ mod tests {
                     .chain(got.iter())
                     .find(|c| {
                         let mut t = s.clone();
-                        crate::trial_merge(&mut t, c.kind, crate::OrderStrategy::default(), |_| {
-                            Some(())
-                        })
-                        .is_some()
+                        crate::trial_merge(&mut t, c.kind, |_| Some(())).is_some()
                     });
                 let Some(c) = pick else { break };
                 match c.kind {

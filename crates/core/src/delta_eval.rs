@@ -21,8 +21,8 @@
 //! again, and entries stay valid because the data-flow content they
 //! were computed from is immutable within a run.
 //!
-//! The evaluator is `Sync` — the `parallel` feature evaluates the *k*
-//! shortlisted candidates on scoped threads sharing one evaluator.
+//! The evaluator is `Sync`: a design-space sweep runs its points on
+//! several workers that share one evaluator per behavior.
 //!
 //! The testability side of candidate evaluation has a twin of this
 //! design: the [`TestabilityEngine`](hlts_testability::TestabilityEngine)

@@ -67,10 +67,7 @@ pub use candidates::{MergeCandidate, MergeKind};
 pub use delta_eval::{DeltaEvaluator, EvalStats};
 pub use error::CoreError;
 pub use report::{DesignMetrics, SynthesisResult};
-pub use resched::{
-    disjointness_arcs, merge_modules_with_resched, merge_modules_with_resched_using,
-    merge_registers_with_resched, merge_registers_with_resched_using, OrderStrategy,
-};
+pub use resched::{disjointness_arcs, merge_modules_with_resched, merge_registers_with_resched};
 pub use state::DesignState;
 pub use txn::{trial_merge, StateTxn, TxnSavepoint, TxnStats};
 

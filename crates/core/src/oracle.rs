@@ -25,11 +25,13 @@ use hlts_testability::total_co_depth;
 use crate::algorithm::merge_description;
 use crate::candidates::{enumerate_candidates, MergeCandidate, MergeKind};
 use crate::delta_eval::DeltaEvaluator;
-use crate::resched::{disjointness_arcs, OrderStrategy, PrecArc};
+use crate::resched::{disjointness_arcs, PrecArc};
 use crate::{CoreError, DesignState, SelectionPolicy, SynthesisParams, SynthesisResult};
 
-/// The (SR1 depth, execution time) figure of merit of a tentative
-/// state — identical to the transactional path's merit function.
+/// The full (SR1 depth, execution time) figure of merit of a tentative
+/// state, as the paper's SR2 states it. The transactional path compares
+/// `E` alone, since both probes of one decision share the SR1 depth;
+/// this reference still compares the depth first.
 fn sr1_merit(state: &DesignState) -> Result<(f64, usize), CoreError> {
     let etpn = state.lower()?;
     let analysis = state.testability_engine().analyze(etpn.data_path());
@@ -71,13 +73,9 @@ fn strict(pairs: &[(OpId, OpId)]) -> Vec<PrecArc> {
 }
 
 /// SR2 on clones: both tentative constraint sets are built as
-/// independent deep-copied states.
-fn sr2_choose(
-    state: &DesignState,
-    first: &[PrecArc],
-    second: &[PrecArc],
-    strategy: OrderStrategy,
-) -> Option<bool> {
+/// independent deep-copied states and compared by full merit (depth,
+/// then `E`).
+fn sr2_choose(state: &DesignState, first: &[PrecArc], second: &[PrecArc]) -> Option<bool> {
     let s1 = try_arcs(state, first);
     let s2 = try_arcs(state, second);
     match (s1, s2) {
@@ -87,31 +85,25 @@ fn sr2_choose(
         (Some(a), Some(b)) => {
             let ma = sr1_merit(&a).ok()?;
             let mb = sr1_merit(&b).ok()?;
-            match strategy {
-                OrderStrategy::CoEnhancement => {
-                    if (ma.0 - mb.0).abs() > 1e-9 {
-                        Some(ma.0 < mb.0)
-                    } else {
-                        Some(ma.1 <= mb.1)
-                    }
-                }
-                OrderStrategy::CriticalPath => Some(ma.1 <= mb.1),
+            if (ma.0 - mb.0).abs() > 1e-9 {
+                Some(ma.0 < mb.0)
+            } else {
+                Some(ma.1 <= mb.1)
             }
         }
     }
 }
 
 /// Clone-based module merge with merge-sort rescheduling — the seed's
-/// formulation of `merge_modules_with_resched_using`.
+/// formulation of [`merge_modules_with_resched`](crate::merge_modules_with_resched).
 ///
 /// # Errors
 ///
-/// As [`crate::merge_modules_with_resched_using`].
+/// As [`crate::merge_modules_with_resched`].
 pub fn merge_modules_cloned(
     state: &mut DesignState,
     a: ModuleId,
     b: ModuleId,
-    strategy: OrderStrategy,
 ) -> Result<(), CoreError> {
     let ops_of = |m: ModuleId| -> Vec<OpId> {
         let mut ops = state
@@ -140,15 +132,13 @@ pub fn merge_modules_cloned(
             false
         } else if first_free_decision {
             first_free_decision = false;
-            sr2_choose(&work, &strict(&[(ha, hb)]), &strict(&[(hb, ha)]), strategy).ok_or_else(
-                || {
-                    CoreError::MergeRejected(format!(
-                        "no feasible order for `{}` and `{}`",
-                        work.dfg.op(ha).name(),
-                        work.dfg.op(hb).name()
-                    ))
-                },
-            )?
+            sr2_choose(&work, &strict(&[(ha, hb)]), &strict(&[(hb, ha)])).ok_or_else(|| {
+                CoreError::MergeRejected(format!(
+                    "no feasible order for `{}` and `{}`",
+                    work.dfg.op(ha).name(),
+                    work.dfg.op(hb).name()
+                ))
+            })?
         } else {
             (work.schedule.step_of(ha), ha.index()) <= (work.schedule.step_of(hb), hb.index())
         };
@@ -191,16 +181,15 @@ pub fn merge_modules_cloned(
 }
 
 /// Clone-based register merge with merge-sort rescheduling — the seed's
-/// formulation of `merge_registers_with_resched_using`.
+/// formulation of [`merge_registers_with_resched`](crate::merge_registers_with_resched).
 ///
 /// # Errors
 ///
-/// As [`crate::merge_registers_with_resched_using`].
+/// As [`crate::merge_registers_with_resched`].
 pub fn merge_registers_cloned(
     state: &mut DesignState,
     a: RegisterId,
     b: RegisterId,
-    strategy: OrderStrategy,
 ) -> Result<(), CoreError> {
     let vals_of = |r: RegisterId| -> Vec<ValueId> {
         state
@@ -264,7 +253,7 @@ pub fn merge_registers_cloned(
             (true, true) => {
                 if first_free_decision {
                     first_free_decision = false;
-                    sr2_choose(&work, &ab, &ba, strategy).unwrap_or(true)
+                    sr2_choose(&work, &ab, &ba).unwrap_or(true)
                 } else {
                     (birth(ha), ha.index()) <= (birth(hb), hb.index())
                 }
@@ -322,10 +311,10 @@ fn eval_candidate_cloned(
     let mut trial = state.deep_trial_clone();
     match cand.kind {
         MergeKind::Modules(a, b) => {
-            merge_modules_cloned(&mut trial, a, b, params.order_strategy).ok()?;
+            merge_modules_cloned(&mut trial, a, b).ok()?;
         }
         MergeKind::Registers(a, b) => {
-            merge_registers_cloned(&mut trial, a, b, params.order_strategy).ok()?;
+            merge_registers_cloned(&mut trial, a, b).ok()?;
         }
     }
     let (e1, h1) = evaluator.eval(&trial, params.bits, &params.library).ok()?;

@@ -82,8 +82,8 @@ pub struct SynthesisResult {
     /// Human-readable record of each committed merger.
     pub merge_log: Vec<String>,
     /// How the run's shared testability engine resolved its queries.
-    /// Diagnostics only: under parallel evaluation two threads can race
-    /// to the same cache miss, so these counters (unlike every synthesis
+    /// Diagnostics only: sweep workers sharing one engine can race to
+    /// the same cache miss, so these counters (unlike every synthesis
     /// outcome) are not deterministic — which is why they are excluded
     /// from equality.
     pub testability_stats: TestabilityCacheStats,

@@ -135,24 +135,6 @@ pub fn disjointness_arcs_into(
     true
 }
 
-/// How free ordering decisions inside a merger are resolved.
-///
-/// The two strategies decide identically. The orders SR2 compares
-/// differ only in precedence arcs and schedule, never in binding, so
-/// their controllable→observable depths are equal by construction and
-/// `CoEnhancement` always falls through to its critical-path tie-break
-/// (see `sr2_choose`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderStrategy {
-    /// The paper's SR2: minimize controllable→observable sequential
-    /// depth, tie-broken by the critical path.
-    #[default]
-    CoEnhancement,
-    /// Critical path only — the strategy of testability-unaware flows
-    /// (the CAMAD baseline).
-    CriticalPath,
-}
-
 /// The figure of merit of a tentative SR2 state: its execution time
 /// `E`, and — only when `with_depth` — the SR1 depth
 /// `total_co_depth` the paper's SR2 compares first.
@@ -297,18 +279,11 @@ fn reject_lifetime_order(dfg: &Dfg, a: ValueId, b: ValueId) -> CoreError {
 /// bit-identical to evaluating both sets on independent clones.
 ///
 /// The depth term cannot discriminate: both probes share the binding,
-/// hence the data path and its depth (see [`sr2_merit`]). So
-/// [`OrderStrategy::CoEnhancement`] always falls through to its `E`
-/// tie-break, which is [`OrderStrategy::CriticalPath`]'s only
-/// criterion, and both strategies decide by `E` alone. Debug builds
-/// still measure the depth under `CoEnhancement` and assert the tie.
-fn sr2_choose(
-    txn: &mut StateTxn<'_>,
-    first: &[PrecArc],
-    second: &[PrecArc],
-    strategy: OrderStrategy,
-) -> Option<bool> {
-    let with_depth = cfg!(debug_assertions) && strategy == OrderStrategy::CoEnhancement;
+/// hence the data path and its depth (see [`sr2_merit`]). So SR2 always
+/// falls through to its `E` tie-break and decides by `E` alone. Debug
+/// builds still measure the depth of every probe and assert the tie.
+fn sr2_choose(txn: &mut StateTxn<'_>, first: &[PrecArc], second: &[PrecArc]) -> Option<bool> {
+    let with_depth = cfg!(debug_assertions);
     let m1 = probe_merit(txn, first, with_depth);
     let m2 = probe_merit(txn, second, with_depth);
     match (m1, m2) {
@@ -342,22 +317,8 @@ pub fn merge_modules_with_resched(
     a: ModuleId,
     b: ModuleId,
 ) -> Result<(), CoreError> {
-    merge_modules_with_resched_using(state, a, b, OrderStrategy::CoEnhancement)
-}
-
-/// [`merge_modules_with_resched`] with an explicit [`OrderStrategy`].
-///
-/// # Errors
-///
-/// As for [`merge_modules_with_resched`].
-pub fn merge_modules_with_resched_using(
-    state: &mut DesignState,
-    a: ModuleId,
-    b: ModuleId,
-    strategy: OrderStrategy,
-) -> Result<(), CoreError> {
     let mut txn = StateTxn::begin(state);
-    apply_module_merge(&mut txn, a, b, strategy)?; // on error: drop rolls back
+    apply_module_merge(&mut txn, a, b)?; // on error: drop rolls back
     txn.commit();
     Ok(())
 }
@@ -369,15 +330,11 @@ pub fn merge_modules_with_resched_using(
 ///
 /// As for [`merge_modules_with_resched`] /
 /// [`merge_registers_with_resched`].
-pub(crate) fn apply_merge(
-    txn: &mut StateTxn<'_>,
-    kind: MergeKind,
-    strategy: OrderStrategy,
-) -> Result<(), CoreError> {
+pub(crate) fn apply_merge(txn: &mut StateTxn<'_>, kind: MergeKind) -> Result<(), CoreError> {
     let sp = txn.savepoint();
     let applied = match kind {
-        MergeKind::Modules(a, b) => apply_module_merge(txn, a, b, strategy),
-        MergeKind::Registers(a, b) => apply_register_merge(txn, a, b, strategy),
+        MergeKind::Modules(a, b) => apply_module_merge(txn, a, b),
+        MergeKind::Registers(a, b) => apply_register_merge(txn, a, b),
     };
     if applied.is_err() {
         txn.rollback_to(sp);
@@ -390,14 +347,9 @@ pub(crate) fn apply_merge(
 /// chain the order as precedence arcs, merge the binding, reschedule.
 /// On error the journal holds a prefix of the edits — the caller rolls
 /// back.
-fn apply_module_merge(
-    txn: &mut StateTxn<'_>,
-    a: ModuleId,
-    b: ModuleId,
-    strategy: OrderStrategy,
-) -> Result<(), CoreError> {
+fn apply_module_merge(txn: &mut StateTxn<'_>, a: ModuleId, b: ModuleId) -> Result<(), CoreError> {
     let mut s = scratch_take();
-    let out = module_merge_body(txn, a, b, strategy, &mut s);
+    let out = module_merge_body(txn, a, b, &mut s);
     scratch_put(s);
     out
 }
@@ -406,7 +358,6 @@ fn module_merge_body(
     txn: &mut StateTxn<'_>,
     a: ModuleId,
     b: ModuleId,
-    strategy: OrderStrategy,
     s: &mut MergeScratch,
 ) -> Result<(), CoreError> {
     let MergeScratch {
@@ -446,15 +397,13 @@ fn module_merge_body(
             false
         } else if first_free_decision {
             first_free_decision = false;
-            sr2_choose(txn, &strict(&[(ha, hb)]), &strict(&[(hb, ha)]), strategy).ok_or_else(
-                || {
-                    CoreError::MergeRejected(format!(
-                        "no feasible order for `{}` and `{}`",
-                        txn.state().dfg.op(ha).name(),
-                        txn.state().dfg.op(hb).name()
-                    ))
-                },
-            )?
+            sr2_choose(txn, &strict(&[(ha, hb)]), &strict(&[(hb, ha)])).ok_or_else(|| {
+                CoreError::MergeRejected(format!(
+                    "no feasible order for `{}` and `{}`",
+                    txn.state().dfg.op(ha).name(),
+                    txn.state().dfg.op(hb).name()
+                ))
+            })?
         } else {
             // "then we decide the rest using a merge-sort heuristic":
             // keep the current schedule's relative order.
@@ -519,22 +468,8 @@ pub fn merge_registers_with_resched(
     a: RegisterId,
     b: RegisterId,
 ) -> Result<(), CoreError> {
-    merge_registers_with_resched_using(state, a, b, OrderStrategy::CoEnhancement)
-}
-
-/// [`merge_registers_with_resched`] with an explicit [`OrderStrategy`].
-///
-/// # Errors
-///
-/// As for [`merge_registers_with_resched`].
-pub fn merge_registers_with_resched_using(
-    state: &mut DesignState,
-    a: RegisterId,
-    b: RegisterId,
-    strategy: OrderStrategy,
-) -> Result<(), CoreError> {
     let mut txn = StateTxn::begin(state);
-    apply_register_merge(&mut txn, a, b, strategy)?; // on error: drop rolls back
+    apply_register_merge(&mut txn, a, b)?; // on error: drop rolls back
     txn.commit();
     Ok(())
 }
@@ -545,10 +480,9 @@ fn apply_register_merge(
     txn: &mut StateTxn<'_>,
     a: RegisterId,
     b: RegisterId,
-    strategy: OrderStrategy,
 ) -> Result<(), CoreError> {
     let mut s = scratch_take();
-    let out = register_merge_body(txn, a, b, strategy, &mut s);
+    let out = register_merge_body(txn, a, b, &mut s);
     scratch_put(s);
     out
 }
@@ -557,7 +491,6 @@ fn register_merge_body(
     txn: &mut StateTxn<'_>,
     a: RegisterId,
     b: RegisterId,
-    strategy: OrderStrategy,
     s: &mut MergeScratch,
 ) -> Result<(), CoreError> {
     let MergeScratch {
@@ -630,7 +563,7 @@ fn register_merge_body(
             (true, true) => {
                 if first_free_decision {
                     first_free_decision = false;
-                    sr2_choose(txn, ab, ba, strategy).unwrap_or(true)
+                    sr2_choose(txn, ab, ba).unwrap_or(true)
                 } else {
                     (birth(ha), ha.index()) <= (birth(hb), hb.index())
                 }

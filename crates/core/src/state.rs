@@ -17,10 +17,10 @@ use crate::CoreError;
 ///
 /// Trial mergers edit the state **in place** through a [`StateTxn`]
 /// (see [`DesignState::begin`]) and roll back via its undo journal;
-/// nothing on the candidate hot path clones the state. The parallel
-/// shortlist threads each take a [`DesignState::fork`] — a cheap copy
+/// nothing on the candidate hot path clones the state. Each synthesis
+/// run starts from a [`DesignState::fork`] of its base — a cheap copy
 /// whose graph shares the immutable [`Dfg`] core via [`Arc`] and which
-/// shares the run's [`TestabilityEngine`] and transaction counters.
+/// shares the base's [`TestabilityEngine`] and transaction counters.
 #[derive(Debug, Clone)]
 pub struct DesignState {
     /// The behavioral graph, including accumulated scheduling-constraint
@@ -65,9 +65,9 @@ impl DesignState {
     }
 
     /// The shared testability-analysis engine. All forks of a state
-    /// (the trial candidates of a synthesis run) reference the same
-    /// engine, so memoized analyses are pooled across candidates and
-    /// threads.
+    /// (the runs a sweep starts from one base) reference the same
+    /// engine, so memoized analyses are pooled across candidates, runs
+    /// and sweep workers.
     #[must_use]
     pub fn testability_engine(&self) -> &TestabilityEngine {
         &self.testability
@@ -80,10 +80,10 @@ impl DesignState {
         StateTxn::begin(self)
     }
 
-    /// A cheap copy for a parallel evaluation worker: the schedule and
-    /// binding are copied (a worker's transactions must not touch the
-    /// base state), while the graph's immutable core, the testability
-    /// engine and the transaction counters are shared.
+    /// A cheap copy for one synthesis run: the schedule and binding are
+    /// copied (the run's transactions must not touch the base state),
+    /// while the graph's immutable core, the testability engine and the
+    /// transaction counters are shared with every other fork.
     #[must_use]
     pub fn fork(&self) -> DesignState {
         self.clone()

@@ -35,7 +35,7 @@ use hlts_dfg::{ArcSavepoint, OpId};
 use hlts_sched::{reschedule_in_place, ListPriority, ScheduleDelta};
 
 use crate::candidates::MergeKind;
-use crate::resched::{apply_merge, OrderStrategy};
+use crate::resched::apply_merge;
 use crate::{CoreError, DesignState};
 
 /// One reversible edit recorded in a transaction's journal.
@@ -264,33 +264,28 @@ impl Drop for StateTxn<'_> {
 }
 
 /// Evaluate one merge candidate as **apply → price → rollback**: the
-/// merger (with merge-sort rescheduling under `strategy`) is applied to
-/// `state` inside a transaction, `price` reads the post-merge state, and
-/// the transaction rolls back, leaving `state` bit-identical to before.
+/// merger (with merge-sort rescheduling, SR2 resolving its free order)
+/// is applied to `state` inside a transaction, `price` reads the
+/// post-merge state, and the transaction rolls back, leaving `state`
+/// bit-identical to before.
 ///
 /// Returns `None` when the merger is infeasible or `price` declines.
 /// This is the one trial path shared by Algorithm 1 and the CAMAD
-/// baseline — they differ only in the pricing closure. The price type
-/// is generic: the classic loop prices a scalar ΔC (`f64`), the
-/// warm-start capture path prices the `(ΔE, ΔH)` parts so a replayed
-/// trace can be re-weighted without re-trialing.
+/// baseline — they differ only in the pricing closure: Algorithm 1
+/// prices the `(ΔE, ΔH)` parts, so a recorded trace can be re-weighted
+/// without re-trialing; CAMAD prices a scalar ΔC.
 ///
 /// In debug builds the rolled-back state is re-audited after every
 /// trial (see [`DesignState::audit`]): a journal-replay bug corrupts
 /// the *base* state all later candidates price, so it must be caught
 /// at the rollback that introduced it, not at the end of the run.
-pub fn trial_merge<T, F>(
-    state: &mut DesignState,
-    kind: MergeKind,
-    strategy: OrderStrategy,
-    price: F,
-) -> Option<T>
+pub fn trial_merge<T, F>(state: &mut DesignState, kind: MergeKind, price: F) -> Option<T>
 where
     F: FnOnce(&DesignState) -> Option<T>,
 {
     let priced = {
         let mut txn = StateTxn::begin(state);
-        let feasible = apply_merge(&mut txn, kind, strategy).is_ok();
+        let feasible = apply_merge(&mut txn, kind).is_ok();
         // an injected CORE_FORCE_ROLLBACK discards the applied trial unpriced
         if feasible && !hlts_check::faults::fire(hlts_check::faults::sites::CORE_FORCE_ROLLBACK) {
             price(txn.state())
@@ -307,8 +302,7 @@ where
 }
 
 /// Cumulative transaction-layer counters of one synthesis run,
-/// aggregated across all forks and evaluation threads sharing the
-/// state's counter block.
+/// aggregated across all forks sharing the state's counter block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnStats {
     /// Transactions opened ([`StateTxn::begin`]).
@@ -324,8 +318,8 @@ pub struct TxnStats {
 }
 
 /// The shared atomic counter block behind [`TxnStats`]; every fork of a
-/// [`DesignState`] references the same block, so parallel candidate
-/// evaluation aggregates into one set of totals.
+/// [`DesignState`] references the same block, so the points a sweep
+/// runs concurrently from one base aggregate into one set of totals.
 #[derive(Debug, Default)]
 pub(crate) struct TxnCounters {
     begun: AtomicU64,
@@ -465,15 +459,10 @@ mod tests {
         let n1 = s.dfg.op_by_name("N1").unwrap();
         let n2 = s.dfg.op_by_name("N2").unwrap();
         let (m1, m2) = (s.allocation.module_of(n1), s.allocation.module_of(n2));
-        let dc = trial_merge(
-            &mut s,
-            MergeKind::Modules(m1, m2),
-            OrderStrategy::CoEnhancement,
-            |trial| {
-                assert_eq!(trial.allocation.num_modules(), 3);
-                Some(1.5)
-            },
-        );
+        let dc = trial_merge(&mut s, MergeKind::Modules(m1, m2), |trial| {
+            assert_eq!(trial.allocation.num_modules(), 3);
+            Some(1.5)
+        });
         assert_eq!(dc, Some(1.5));
         assert_restored(&s, &before);
     }
@@ -486,12 +475,7 @@ mod tests {
         let n1 = s.dfg.op_by_name("N1").unwrap();
         let n3 = s.dfg.op_by_name("N3").unwrap(); // mul: incompatible with add
         let (m1, m3) = (s.allocation.module_of(n1), s.allocation.module_of(n3));
-        let dc = trial_merge(
-            &mut s,
-            MergeKind::Modules(m1, m3),
-            OrderStrategy::CoEnhancement,
-            |_| Some(0.0),
-        );
+        let dc = trial_merge(&mut s, MergeKind::Modules(m1, m3), |_| Some(0.0));
         assert_eq!(dc, None);
         assert_restored(&s, &before);
     }

@@ -7,7 +7,6 @@
 
 use hlts_core::{
     merge_modules_with_resched, merge_registers_with_resched, trial_merge, DesignState, MergeKind,
-    OrderStrategy,
 };
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
@@ -70,7 +69,7 @@ proptest! {
                 // too, but release runs of this test rely on this check.
                 let before_sched = state.schedule.content_hash();
                 let before_alloc = state.allocation.content_hash();
-                let _ = trial_merge(&mut state, kind, OrderStrategy::CoEnhancement, |s| {
+                let _ = trial_merge(&mut state, kind, |s| {
                     Some(s.schedule.num_steps() as f64)
                 });
                 prop_assert_eq!(state.schedule.content_hash(), before_sched);

@@ -8,9 +8,7 @@
 #![cfg(feature = "test-faults")]
 
 use hlts_check::faults::{sites, FaultPlan};
-use hlts_core::{
-    trial_merge, DesignState, IntegratedSynthesizer, MergeKind, OrderStrategy, SynthesisParams,
-};
+use hlts_core::{trial_merge, DesignState, IntegratedSynthesizer, MergeKind, SynthesisParams};
 
 #[test]
 fn forced_rollbacks_degrade_to_the_initial_design() {
@@ -30,7 +28,6 @@ fn forced_rollbacks_degrade_to_the_initial_design() {
         let dc = trial_merge(
             &mut state,
             MergeKind::Modules(modules[0], modules[1]),
-            OrderStrategy::CoEnhancement,
             |_| {
                 priced = true;
                 Some(0.0)

@@ -3,8 +3,8 @@
 //! must stay valid and deterministic on random behaviors.
 
 use hlts_core::{
-    merge_modules_with_resched, merge_registers_with_resched, DesignState, EvalMode,
-    IntegratedSynthesizer, SynthesisParams,
+    merge_modules_with_resched, merge_registers_with_resched, DesignState, IntegratedSynthesizer,
+    SynthesisParams,
 };
 use hlts_dfg::{Dfg, DfgBuilder, OpKind};
 use hlts_testability::TestabilityAnalysis;
@@ -83,31 +83,6 @@ proptest! {
         r1.allocation
             .validate(&r1.dfg, &r1.schedule, &lt)
             .expect("legal registers");
-    }
-
-    /// Parallel k-candidate evaluation is observationally identical to
-    /// the sequential loop: on random behaviors both modes commit the
-    /// same merger at every iteration and end with bit-identical
-    /// results — same schedule, binding, metrics and merge log.
-    #[test]
-    fn parallel_picks_same_merges_as_sequential(spec in spec_strategy()) {
-        let d = build_dfg(&spec);
-        let synth = IntegratedSynthesizer::new(SynthesisParams::default());
-        let seq = synth.run_mode(&d, EvalMode::Sequential).expect("sequential");
-        let par = synth.run_mode(&d, EvalMode::Parallel).expect("parallel");
-        prop_assert_eq!(&seq.merge_log, &par.merge_log, "different merge decisions");
-        prop_assert_eq!(seq, par);
-    }
-
-    /// Two parallel runs on the same input are bit-identical: thread
-    /// scheduling never leaks into the result.
-    #[test]
-    fn parallel_evaluation_is_deterministic(spec in spec_strategy()) {
-        let d = build_dfg(&spec);
-        let synth = IntegratedSynthesizer::new(SynthesisParams::default());
-        let r1 = synth.run_mode(&d, EvalMode::Parallel).expect("parallel");
-        let r2 = synth.run_mode(&d, EvalMode::Parallel).expect("parallel");
-        prop_assert_eq!(r1, r2);
     }
 
     /// Incremental testability re-analysis tracks a random merger

@@ -1,17 +1,15 @@
-//! SR2 cannot discriminate by its depth term, so the paper's strategy
-//! and the critical-path-only ablation synthesize the same design.
+//! SR2 cannot discriminate by its depth term, so deciding its probes by
+//! execution time alone synthesizes the paper's design.
 //!
 //! An SR2 decision compares two orders of one free pair. Both probes
 //! add precedence arcs and reschedule, and neither touches the binding;
 //! the data path — and with it the testability analysis and the
 //! controllable→observable depth SR2 compares first — depends only on
-//! the graph's data edges and the binding. The depths tie, and
-//! [`OrderStrategy::CoEnhancement`] falls through to the execution-time
-//! tie-break that is [`OrderStrategy::CriticalPath`]'s only criterion.
-//! Debug builds of the merge code assert the tie on every probe; this
-//! suite checks the end-to-end consequence: identical
-//! [`SynthesisResult`]s (graph, schedule, binding, metrics, merge log)
-//! from both strategies, and from the clone oracle
+//! the graph's data edges and the binding. The depths tie, so the merge
+//! code decides every probe by its execution-time tie-break. Debug
+//! builds of the merge code assert the tie on every probe; this suite
+//! checks the end-to-end consequence: [`SynthesisResult`]s (graph,
+//! schedule, binding, metrics, merge log) identical to the clone oracle
 //! ([`hlts_core::oracle`]), whose SR2 still measures both depths and
 //! compares them first — so the check has teeth in release builds too,
 //! where the merge code no longer computes the depth at all.
@@ -26,28 +24,23 @@
 //!
 //! [`SynthesisResult`]: hlts_core::SynthesisResult
 
-use hlts_core::{oracle, IntegratedSynthesizer, OrderStrategy, SynthesisParams};
+use hlts_core::{oracle, IntegratedSynthesizer, SynthesisParams};
 use hlts_dfg::Dfg;
 use hlts_gen::{generate, preset, PRESET_NAMES};
 
 fn check(tag: &str, dfg: &Dfg, bits: u32) {
-    let params = |order_strategy| SynthesisParams {
-        order_strategy,
-        ..SynthesisParams::paper_defaults(bits)
-    };
-    let run = |order_strategy| {
-        IntegratedSynthesizer::new(params(order_strategy))
-            .run(dfg)
-            .unwrap_or_else(|e| panic!("{tag}: {e}"))
-    };
-    let sr2 = run(OrderStrategy::CoEnhancement);
-    let cp = run(OrderStrategy::CriticalPath);
-    let full_merit = oracle::synthesize(dfg, &params(OrderStrategy::CoEnhancement))
-        .unwrap_or_else(|e| panic!("{tag}: oracle: {e}"));
-    assert_eq!(sr2.merge_log, cp.merge_log, "{tag}: merge logs differ");
-    assert!(sr2 == cp, "{tag}: the strategies' results differ");
+    let params = SynthesisParams::paper_defaults(bits);
+    let got = IntegratedSynthesizer::new(params.clone())
+        .run(dfg)
+        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let full_merit =
+        oracle::synthesize(dfg, &params).unwrap_or_else(|e| panic!("{tag}: oracle: {e}"));
+    assert_eq!(
+        got.merge_log, full_merit.merge_log,
+        "{tag}: merge logs differ"
+    );
     assert!(
-        sr2 == full_merit,
+        got == full_merit,
         "{tag}: result differs from the full-merit oracle"
     );
 }
@@ -67,7 +60,7 @@ fn generated(seeds: std::ops::Range<u64>) -> Vec<(String, Dfg)> {
 }
 
 #[test]
-fn strategies_agree_on_paper_benchmarks_and_generated_graphs() {
+fn sr2_matches_the_full_merit_oracle_on_paper_benchmarks_and_generated_graphs() {
     for name in ["ex", "dct", "diffeq", "paulin", "tseng"] {
         let dfg = hlts_benchmarks::by_name(name).expect("bundled benchmark");
         check(name, &dfg, 4);
@@ -79,7 +72,7 @@ fn strategies_agree_on_paper_benchmarks_and_generated_graphs() {
 
 #[test]
 #[ignore = "release matrix: every paper benchmark and 32 generated graphs at 4 and 8 bits"]
-fn strategies_agree_matrix() {
+fn sr2_matches_the_full_merit_oracle_matrix() {
     for bits in [4, 8] {
         for (name, dfg) in hlts_benchmarks::all() {
             check(&format!("{name}@{bits}"), &dfg, bits);

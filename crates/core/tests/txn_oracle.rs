@@ -8,11 +8,11 @@
 //! 2. **The journal changes nothing but cost.** Full synthesis through
 //!    the in-place transaction path produces results equal to the
 //!    retained clone-based formulation (`hlts_core::oracle`) on every
-//!    bundled benchmark, in both evaluation modes.
+//!    bundled benchmark.
 
 use hlts_core::{
-    oracle, trial_merge, DeltaEvaluator, DesignState, EvalMode, IntegratedSynthesizer, MergeKind,
-    OrderStrategy, SynthesisParams,
+    oracle, trial_merge, DeltaEvaluator, DesignState, IntegratedSynthesizer, MergeKind,
+    SynthesisParams,
 };
 use hlts_dfg::{Dfg, DfgBuilder, OpKind};
 use proptest::prelude::*;
@@ -85,7 +85,7 @@ proptest! {
             let snap = state.deep_trial_clone();
             let fp = DeltaEvaluator::fingerprint(&state);
             // A pure-read pricing closure: trial applies, prices, rolls back.
-            let priced = trial_merge(&mut state, kind, OrderStrategy::CoEnhancement, |t| {
+            let priced = trial_merge(&mut state, kind, |t| {
                 Some(t.schedule.num_steps() as f64)
             });
             assert_restored(&state, &snap, fp, "after trial_merge");
@@ -145,14 +145,13 @@ fn txn_synthesis_matches_clone_oracle_on_benchmarks() {
     for (name, dfg) in hlts_benchmarks::all() {
         let params = SynthesisParams::paper_defaults(8);
         let want = oracle::synthesize(&dfg, &params).expect("oracle");
-        let synth = IntegratedSynthesizer::new(params);
-        for mode in [EvalMode::Sequential, EvalMode::Parallel] {
-            let got = synth.run_mode(&dfg, mode).expect("txn synthesis");
-            assert_eq!(
-                got, want,
-                "{name} ({mode:?}): transactional result diverges from clone oracle"
-            );
-        }
+        let got = IntegratedSynthesizer::new(params)
+            .run(&dfg)
+            .expect("txn synthesis");
+        assert_eq!(
+            got, want,
+            "{name}: transactional result diverges from clone oracle"
+        );
     }
 }
 

@@ -23,9 +23,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use hlts_core::{
-    merge_modules_with_resched_using, merge_registers_with_resched_using, DeltaEvaluator,
-    DesignState, EvalMode, IntegratedSynthesizer, MergeKind, RunCtl, SynthesisParams,
-    TraceMergeKind, TraceWinner,
+    merge_modules_with_resched, merge_registers_with_resched, DeltaEvaluator, DesignState,
+    IntegratedSynthesizer, MergeKind, RunCtl, SynthesisParams, TraceMergeKind, TraceWinner,
 };
 use hlts_cost::{estimate_cost, Floorplan, ModuleLibrary};
 use hlts_dfg::{Dfg, FuClass, OpKind};
@@ -237,13 +236,7 @@ fn check_run(tag: &str, dfg: &Dfg, bits: u32) -> usize {
     let base = DesignState::initial(dfg).expect("initial state");
     let synth = IntegratedSynthesizer::new(params.clone());
     let warm = synth
-        .run_on_warm(
-            &base,
-            EvalMode::Sequential,
-            &DeltaEvaluator::new(),
-            &RunCtl::none(),
-            None,
-        )
+        .run_on_warm(&base, &DeltaEvaluator::new(), &RunCtl::none(), None)
         .expect("synthesis");
     let mut state = DesignState::initial(dfg).expect("initial state");
     check_state(&format!("{tag} initial"), &state, bits, &lib);
@@ -256,12 +249,8 @@ fn check_run(tag: &str, dfg: &Dfg, bits: u32) -> usize {
         .enumerate()
     {
         match resolve(&state, w) {
-            MergeKind::Modules(a, b) => {
-                merge_modules_with_resched_using(&mut state, a, b, params.order_strategy)
-            }
-            MergeKind::Registers(a, b) => {
-                merge_registers_with_resched_using(&mut state, a, b, params.order_strategy)
-            }
+            MergeKind::Modules(a, b) => merge_modules_with_resched(&mut state, a, b),
+            MergeKind::Registers(a, b) => merge_registers_with_resched(&mut state, a, b),
         }
         .expect("recorded merge replays");
         assert_eq!(

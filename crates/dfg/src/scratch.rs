@@ -5,8 +5,8 @@
 //! single counter bump instead of a memset, and the backing vectors are
 //! reused across calls, so a steady-state reachability query performs
 //! no heap allocation. Keeping the scratch in TLS (rather than inside
-//! [`Dfg`](crate::Dfg)) keeps the graph `Sync` — parallel candidate
-//! evaluation shares one base state across scoped threads.
+//! [`Dfg`](crate::Dfg)) keeps the graph `Sync` — sweep workers share
+//! one base state across scoped threads.
 
 use std::cell::RefCell;
 

@@ -4,13 +4,11 @@
 //! Every behavior in the sweep gets **one** base [`DesignState`] and
 //! **one** [`DeltaEvaluator`]; each point forks the base (an
 //! `Arc`-sharing copy, not a deep clone) and runs Algorithm 1 through
-//! [`IntegratedSynthesizer::run_on`], so the testability fixpoints,
+//! [`IntegratedSynthesizer::run_on_warm`], so the testability fixpoints,
 //! critical-path extractions and (E, H) measurements that different
 //! parameter points happen to share resolve from the common caches.
 //! Under `--jobs N` the points are pulled off one atomic counter by `N`
-//! scoped threads; candidate evaluation *inside* a point is kept
-//! sequential (the pool already saturates the machine — nesting the
-//! per-candidate threads of `hlts-core` would only oversubscribe it).
+//! scoped threads; each point runs on one thread.
 //!
 //! Determinism: each point's result is bit-identical however computed
 //! (the PR 1–3 equivalences), completed results are merged into the
@@ -26,7 +24,7 @@ use std::time::Instant;
 use hlts_check::faults;
 use hlts_core::baselines;
 use hlts_core::{
-    CoreError, DeltaEvaluator, DesignState, EvalMode, EvalStats, IntegratedSynthesizer,
+    CoreError, DeltaEvaluator, DesignState, EvalStats, IntegratedSynthesizer,
     MergeTrace, ProgressEvent, ProgressSink, ReplayStats, RunCtl, SynthesisResult,
     TestabilityCacheStats, TxnStats,
 };
@@ -199,7 +197,7 @@ const K_MISMATCH_PENALTY: f64 = 1.0e9;
 
 /// Choose the warm-start seed neighbour for `target` among `completed`
 /// `(point id, params)` pairs: the nearest eligible point by
-/// `|Δα| + |Δβ|` (plus [`K_MISMATCH_PENALTY`] when `k` differs), ties
+/// `|Δα| + |Δβ|` (plus a 10⁹ penalty when `k` differs), ties
 /// broken toward the smaller id. Eligible means same bench, same bit
 /// width, and the integrated flow on both sides — baseline flows
 /// commit no merges, so they neither produce nor consume traces.
@@ -276,29 +274,17 @@ fn synthesize(
     let params = point.params.synthesis_params();
     // Only the iterative flows can observe mid-point cancellation; the
     // one-shot constructive baselines finish in a single step anyway.
-    let run = match (point.params.flow, warm) {
-        (Flow::Ours, Some(w)) => {
-            let seed = w.seed_for(&point.params);
-            return IntegratedSynthesizer::new(params)
-                .run_on_warm(
-                    &ctx.base,
-                    EvalMode::Sequential,
-                    &ctx.evaluator,
-                    ctl,
-                    seed.as_deref(),
-                )
-                .map(|warm_run| (warm_run.result, Some((warm_run.trace, warm_run.replay))))
-                .map_err(DseError::Core);
+    let run = match point.params.flow {
+        Flow::Ours => {
+            let seed = warm.and_then(|w| w.seed_for(&point.params));
+            let run = IntegratedSynthesizer::new(params)
+                .run_on_warm(&ctx.base, &ctx.evaluator, ctl, seed.as_deref())
+                .map_err(DseError::Core)?;
+            return Ok((run.result, warm.map(|_| (run.trace, run.replay))));
         }
-        (Flow::Ours, None) => IntegratedSynthesizer::new(params).run_on_ctl(
-            &ctx.base,
-            EvalMode::Sequential,
-            &ctx.evaluator,
-            ctl,
-        ),
-        (Flow::Camad, _) => baselines::camad_ctl(ctx.dfg, &params, ctl),
-        (Flow::Approach1, _) => baselines::approach1(ctx.dfg, &params),
-        (Flow::Approach2, _) => baselines::approach2(ctx.dfg, &params),
+        Flow::Camad => baselines::camad_ctl(ctx.dfg, &params, ctl),
+        Flow::Approach1 => baselines::approach1(ctx.dfg, &params),
+        Flow::Approach2 => baselines::approach2(ctx.dfg, &params),
     };
     run.map(|r| (r, None)).map_err(DseError::Core)
 }

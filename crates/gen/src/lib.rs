@@ -15,8 +15,7 @@
 //! The [`diff`] module turns a generated graph into a differential
 //! test vector: it runs the full engine matrix (worklist vs. dense
 //! testability, transactional merge loop vs. the clone-based oracle,
-//! parallel vs. sequential ΔC evaluation, parallel vs. serial DSE
-//! sweeps, and the structural auditor) and reports the first
+//! parallel vs. serial DSE sweeps, and the structural auditor) and reports the first
 //! divergence with a one-command repro line.
 
 #![forbid(unsafe_code)]

@@ -34,8 +34,7 @@ fn forced_rollback_engine_is_caught_as_txn_oracle_divergence() {
             .arm(sites::CORE_FORCE_ROLLBACK, u64::MAX)
             .install();
         let err = check_preset("balanced", 0).expect_err("broken engine must be caught");
-        // Parallel and sequential modes share the faulted txn path, so
-        // they agree with each other (zero merges each) and the first
+        // The faulted txn path commits zero merges; the first
         // disagreement is against the independent clone oracle.
         assert_eq!(err.check, "txn-oracle", "wrong pair flagged: {err}");
         let msg = err.to_string();

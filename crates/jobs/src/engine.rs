@@ -51,9 +51,8 @@ pub enum JobSpec {
         flow: Flow,
         /// The flow's parameters (`k`, α, β, bits, library, …).
         params: SynthesisParams,
-        /// Candidate-evaluation mode (results are bit-identical across
-        /// modes; the daemon uses [`EvalMode::Sequential`] so worker
-        /// parallelism comes from the pool, not nested threads).
+        /// Always [`EvalMode::Sequential`]; the field remains only while
+        /// the end-to-end benchmark still names it (see [`EvalMode`]).
         mode: EvalMode,
         /// Warm-context key: jobs submitting the same key (and bits)
         /// share one [`WarmCtx`] — base state, testability engine and
@@ -384,7 +383,7 @@ pub struct EngineCounts {
 ///   run's result without re-running the merge loop.
 ///
 /// Sharing never changes a result — every layer is keyed on content
-/// (see [`IntegratedSynthesizer::run_on`]), and the memo replays a
+/// (see [`IntegratedSynthesizer::run_on_ctl`]), and the memo replays a
 /// result the cold path itself produced.
 #[derive(Debug)]
 pub struct WarmCtx {

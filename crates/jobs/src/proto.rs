@@ -231,16 +231,13 @@ impl JobRequest {
     /// area-optimised (0.1, 10) weights, then the request's `k`/α/β
     /// overrides. The daemon and the one-shot CLI both resolve through
     /// here, so a served submission and `hlts run` of the same request
-    /// are bit-identical. `mode` is a run job's candidate-evaluation
-    /// mode: the daemon passes [`EvalMode::Sequential`] (its worker
-    /// pool is the parallelism), the CLI [`EvalMode::default`]; results
-    /// are identical across modes.
+    /// are bit-identical.
     ///
     /// # Errors
     ///
     /// An unknown benchmark or preset, an unreadable file, or a source
     /// that fails to parse.
-    pub fn resolve(&self, mode: EvalMode) -> Result<JobSpec, String> {
+    pub fn resolve(&self) -> Result<JobSpec, String> {
         match self {
             JobRequest::Run(run) => {
                 let (name, dfg, text) = resolve_source(&run.source)?;
@@ -264,7 +261,7 @@ impl JobRequest {
                     dfg,
                     flow: run.flow,
                     params,
-                    mode,
+                    mode: EvalMode::Sequential,
                     atpg: run.atpg,
                 })
             }

@@ -23,8 +23,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use hlts_core::EvalMode;
-
 use crate::engine::{EngineConfig, JobEngine, JobEvent, JobId, JobSink, SubmitError};
 use crate::json::{self, Json};
 use crate::proto::{self, Request};
@@ -160,7 +158,7 @@ fn handle_line(daemon: &Daemon, line: &str, sink: &Arc<LineSink>) -> LineOutcome
     };
     match request {
         Request::Submit { id, job } => {
-            match job.resolve(EvalMode::Sequential) {
+            match job.resolve() {
                 Ok(spec) => {
                     // Hold the write lock across submit so the
                     // acknowledgement line lands before the job's

@@ -60,7 +60,7 @@
 
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, EvalMode, RunCtl, SynthesisResult};
+use hlts::core::{DesignState, RunCtl, SynthesisResult};
 use hlts::dse::{self, Flow};
 use hlts::jobs::proto::{self, ExploreRequest, JobRequest, RunRequest, SourceRef};
 use hlts::jobs::{
@@ -442,7 +442,7 @@ fn run_json(
 fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = parse_run_args(args, false)?;
     let spec = JobRequest::Run(opts.job.clone())
-        .resolve(EvalMode::default())
+        .resolve()
         .map_err(|e| format!("error: {e}"))?;
     let ctl = RunCtl::cancel_only(sigint::install());
     let out = match execute(&spec, &ctl, &WarmPool::new(0)) {
@@ -518,7 +518,7 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
 fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
     let opts = parse_explore_args(args)?;
     let mut job = JobRequest::Explore(opts.job)
-        .resolve(EvalMode::default())
+        .resolve()
         .map_err(|e| format!("error: {e}"))?;
     let JobSpec::Explore { spec, cfg } = &mut job else {
         return Err("error: internal: explore request resolved to a non-explore job".into());

@@ -423,6 +423,97 @@ fn explore_interrupt_reports_a_partial_front() {
     assert!(text.contains("Pareto front"), "{text}");
 }
 
+/// The journal's crash model (DESIGN.md §4.6): a process killed with
+/// SIGKILL mid-sweep loses at most the line it was writing, and
+/// `--resume` then reaches the front an uninterrupted sweep reports.
+/// The sweep is a graded warm-start one, whose appends carry a `trace`
+/// line before each `point` line, so a torn tail may also orphan a
+/// trace.
+#[cfg(unix)]
+#[test]
+fn explore_resumes_after_sigkill_to_the_uninterrupted_front() {
+    let dir = std::env::temp_dir().join("hlts-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("sigkill-{}.journal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let journal = path.to_str().expect("utf8 path");
+    let sweep = [
+        "explore",
+        "bench:ex",
+        "--k",
+        "1,2,3",
+        "--weights",
+        "2:1,10:1,1:10",
+        "--bits",
+        "4",
+        "--atpg",
+        "--fault-sample",
+        "200",
+        "--warm-start",
+        "on",
+        "--jobs",
+        "1",
+        "--quiet",
+    ];
+    const TOTAL: usize = 9;
+    let points = || {
+        std::fs::read_to_string(&path)
+            .unwrap_or_default()
+            .lines()
+            .filter(|l| l.starts_with("point "))
+            .count()
+    };
+
+    let out = hlts().args(sweep).output().expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let uninterrupted = String::from_utf8_lossy(&out.stdout).into_owned();
+
+    let mut child = hlts()
+        .args(sweep)
+        .args(["--journal", journal])
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("binary spawns");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while points() == 0 {
+        assert!(
+            child.try_wait().expect("child status").is_none(),
+            "the sweep exited before journaling a point"
+        );
+        assert!(std::time::Instant::now() < deadline, "no point journaled");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL delivered");
+    child.wait().expect("child reaped");
+    let journaled = points();
+    assert!(
+        (1..TOTAL).contains(&journaled),
+        "the kill must land mid-sweep: {journaled} of {TOTAL} points journaled"
+    );
+
+    let out = hlts()
+        .args(sweep)
+        .args(["--resume", journal])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{out:?}");
+    let resumed = String::from_utf8_lossy(&out.stdout).into_owned();
+    // Every whole point line is resumed; a line torn by the kill is
+    // dropped and its point recomputed.
+    let count = |word: &str| -> usize {
+        let head = resumed.split(&format!(" {word}")).next().unwrap_or_default();
+        let digits = head.rsplit(|c: char| !c.is_ascii_digit()).next();
+        digits.and_then(|d| d.parse().ok()).unwrap_or(usize::MAX)
+    };
+    let (computed, reused) = (count("computed"), count("resumed"));
+    assert_eq!(computed + reused, TOTAL, "{resumed}");
+    assert!(reused + 1 >= journaled && reused <= journaled, "{resumed}");
+    let front = |s: &str| s.split("front: ").nth(1).map(str::to_owned);
+    assert!(front(&uninterrupted).is_some(), "{uninterrupted}");
+    assert_eq!(front(&uninterrupted), front(&resumed), "{uninterrupted} vs {resumed}");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Every worker-count flag rejects `0` through the same validator —
 /// `explore --jobs 0` used to be the odd one out, so pin all of them.
 #[test]

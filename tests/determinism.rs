@@ -1,10 +1,11 @@
-//! Determinism of the (default) parallel synthesis path: two runs on
-//! the same input must produce identical `SynthesisResult`s — the
-//! scoped-thread candidate evaluation reduces in shortlist order, so
-//! thread scheduling must never leak into the committed mergers, the
-//! final design, or even the human-readable merge log.
+//! Determinism of the synthesis loop: runs on the same input must
+//! produce identical `SynthesisResult`s whether the caches start cold or
+//! warm — cache state steers how much work a run does, never the
+//! committed mergers, the final design, or the human-readable merge log.
 
-use hlts::core::{EvalMode, IntegratedSynthesizer, SynthesisParams};
+use hlts::core::{
+    DeltaEvaluator, DesignState, EvalMode, IntegratedSynthesizer, RunCtl, SynthesisParams,
+};
 
 fn benchmarks() -> [(&'static str, hlts::dfg::Dfg); 3] {
     [
@@ -14,30 +15,32 @@ fn benchmarks() -> [(&'static str, hlts::dfg::Dfg); 3] {
     ]
 }
 
-/// Two explicit parallel runs agree bit-for-bit on every table
-/// benchmark.
+/// Two runs agree bit-for-bit on every table benchmark.
 #[test]
-fn parallel_runs_are_identical() {
+fn repeated_runs_are_identical() {
     for (name, dfg) in benchmarks() {
         let synth = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(8));
-        let r1 = synth.run_mode(&dfg, EvalMode::Parallel).expect("run 1");
-        let r2 = synth.run_mode(&dfg, EvalMode::Parallel).expect("run 2");
-        assert_eq!(r1, r2, "{name}: parallel synthesis is nondeterministic");
+        let r1 = synth.run(&dfg).expect("run 1");
+        let r2 = synth.run(&dfg).expect("run 2");
+        assert_eq!(r1, r2, "{name}: synthesis is nondeterministic");
     }
 }
 
-/// The default entry point (`run`, which evaluates candidates in
-/// parallel when the `parallel` feature is on) agrees with an explicit
-/// sequential run — the acceptance criterion of the parallel ΔC
-/// evaluation.
+/// Runs from one shared base state and evaluator — the batch path a
+/// sweep takes, where every run after the first meets warm testability
+/// and (E, H) caches — agree with a cold `run`.
 #[test]
-fn default_run_matches_sequential() {
+fn warm_cache_runs_match_cold_runs() {
     for (name, dfg) in benchmarks() {
         let synth = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(8));
-        let dflt = synth.run(&dfg).expect("default run");
-        let seq = synth
-            .run_mode(&dfg, EvalMode::Sequential)
-            .expect("sequential run");
-        assert_eq!(dflt, seq, "{name}: default mode diverged from sequential");
+        let cold = synth.run(&dfg).expect("cold run");
+        let base = DesignState::initial(&dfg).expect("initial state");
+        let evaluator = DeltaEvaluator::new();
+        for pass in 0..2 {
+            let warm = synth
+                .run_on_ctl(&base, EvalMode::Sequential, &evaluator, &RunCtl::none())
+                .expect("shared-cache run");
+            assert_eq!(warm, cold, "{name}: shared-cache pass {pass} diverged");
+        }
     }
 }

@@ -145,8 +145,7 @@ fn camad_has_fewest_muxes() {
 /// the paper: they pin the deterministic behavior of the whole
 /// pipeline (candidate ranking, ΔC pricing through the cached
 /// critical-path engine, merge-sort rescheduling) so that any change
-/// to any of those layers — including the parallel candidate
-/// evaluation path, which `run()` uses by default — is caught here.
+/// to any of those layers is caught here.
 #[test]
 fn golden_table_synthesis_outputs_are_pinned() {
     #[rustfmt::skip]

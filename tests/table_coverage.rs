@@ -1,6 +1,6 @@
 //! Golden coverage pins for the paper tables' grading runs.
 //!
-//! Tables 1–3, `extra_benchmarks` and `ablation_sr2` grade every design
+//! Tables 1–3, `extra_benchmarks` and `ablation_balance` grade every design
 //! through `hlts_tcov::grade_design` under the tables' ATPG
 //! configuration. The golden values below come from an independent
 //! serial implementation of the same two-phase flow, so they pin the

@@ -34,7 +34,7 @@ use std::cell::Cell;
 mod common;
 
 use hlts_atpg::{FaultUniverse, Podem, PodemOutcome};
-use hlts_core::{trial_merge, DesignState, MergeKind, OrderStrategy};
+use hlts_core::{trial_merge, DesignState, MergeKind};
 use hlts_cost::{estimate_cost, ModuleLibrary};
 use hlts_tcov::TcovConfig;
 
@@ -93,8 +93,6 @@ fn measured<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
     )
 }
 
-const STRATEGY: OrderStrategy = OrderStrategy::CoEnhancement;
-
 fn price(t: &DesignState) -> Option<f64> {
     Some(t.schedule.num_steps() as f64)
 }
@@ -118,7 +116,7 @@ fn forced_shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
                 continue; // free decision: SR2 would lower to ETPN
             }
             let kind = MergeKind::Modules(ma, mb);
-            if trial_merge(state, kind, STRATEGY, price).is_some() {
+            if trial_merge(state, kind, price).is_some() {
                 out.push(kind);
                 if out.len() >= k {
                     break 'mods;
@@ -146,7 +144,7 @@ fn forced_shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
                 continue;
             }
             let kind = MergeKind::Registers(ra, rb);
-            if trial_merge(state, kind, STRATEGY, price).is_some() {
+            if trial_merge(state, kind, price).is_some() {
                 out.push(kind);
                 if out.len() >= module_cands + k {
                     break 'regs;
@@ -176,7 +174,7 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     // overlay adjacency capacity and the txn journal pool.
     for _ in 0..3 {
         for &kind in &cands {
-            assert!(trial_merge(&mut state, kind, STRATEGY, price).is_some());
+            assert!(trial_merge(&mut state, kind, price).is_some());
         }
     }
 
@@ -185,7 +183,7 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     let (bytes, calls, ()) = measured(|| {
         for it in 0..iters {
             for (ci, &kind) in cands.iter().enumerate() {
-                let (b, c, priced) = measured(|| trial_merge(&mut state, kind, STRATEGY, price));
+                let (b, c, priced) = measured(|| trial_merge(&mut state, kind, price));
                 assert!(priced.is_some());
                 per_trial.push((it, ci, b, c));
             }
