@@ -98,5 +98,7 @@ fn main() {
         "acceptance criterion violated: the parallel sweep is only {speedup:.2}x \
          the sequential one on {name} with {cpus} CPUs (need >= {SPEEDUP_GATE}x)"
     );
-    println!("acceptance: parallel explore >= {SPEEDUP_GATE}x sequential on {name} — OK ({speedup:.1}x)");
+    println!(
+        "acceptance: parallel explore >= {SPEEDUP_GATE}x sequential on {name} — OK ({speedup:.1}x)"
+    );
 }

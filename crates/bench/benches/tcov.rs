@@ -42,8 +42,8 @@ fn largest_elaborated() -> (String, Netlist, usize) {
     let result = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(BITS))
         .run(&dfg)
         .expect("synthesis succeeds");
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
-        .expect("etpn builds");
+    let etpn =
+        Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation).expect("etpn builds");
     let nl = elaborate(
         &result.dfg,
         &result.schedule,

@@ -131,9 +131,11 @@ fn solvers(c: &mut Criterion) {
             b.iter(|| TestabilityAnalysis::analyze(dp))
         });
         let pair = (dp0, dp1);
-        group.bench_with_input(BenchmarkId::new("incremental", name), &pair, |b, (d0, d1)| {
-            b.iter(|| prev.reanalyze(d0, d1, &[]))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("incremental", name),
+            &pair,
+            |b, (d0, d1)| b.iter(|| prev.reanalyze(d0, d1, &[])),
+        );
     }
     group.finish();
 }

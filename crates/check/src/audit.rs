@@ -403,7 +403,12 @@ fn check_arc(
 /// Sharing legality: module-sharing operations in pairwise distinct
 /// steps, register-sharing values with disjoint lifetimes (recomputed
 /// from a fresh analysis).
-fn audit_sharing(dfg: &Dfg, schedule: &Schedule, allocation: &Allocation, report: &mut AuditReport) {
+fn audit_sharing(
+    dfg: &Dfg,
+    schedule: &Schedule,
+    allocation: &Allocation,
+    report: &mut AuditReport,
+) {
     if !allocation.covers(dfg) {
         return; // already reported as a shape violation
     }
@@ -452,7 +457,10 @@ fn audit_sharing(dfg: &Dfg, schedule: &Schedule, allocation: &Allocation, report
 /// relation.
 fn audit_overlay(dfg: &Dfg, report: &mut AuditReport) {
     let n = dfg.num_ops();
-    for (weak, arcs) in [(false, dfg.extra_precedence()), (true, dfg.weak_precedence())] {
+    for (weak, arcs) in [
+        (false, dfg.extra_precedence()),
+        (true, dfg.weak_precedence()),
+    ] {
         let label = if weak { "weak" } else { "strict" };
         for (i, &(from, to)) in arcs.iter().enumerate() {
             if from.index() >= n || to.index() >= n {
@@ -506,9 +514,7 @@ pub fn audit_txn_balance(
 ) {
     if committed + rolled_back > begun {
         report.push(AuditViolation::TxnImbalance {
-            detail: format!(
-                "{committed} committed + {rolled_back} rolled back > {begun} begun"
-            ),
+            detail: format!("{committed} committed + {rolled_back} rolled back > {begun} begun"),
         });
     }
     if ops_replayed > ops_recorded {
@@ -564,8 +570,7 @@ mod tests {
             .filter(|v| needs_register(&dfg, v.id()))
             .map(|v| vec![v.id()])
             .collect();
-        let allocation =
-            Allocation::from_groups(&dfg, &[vec![n1, n2], vec![n3]], &values).unwrap();
+        let allocation = Allocation::from_groups(&dfg, &[vec![n1, n2], vec![n3]], &values).unwrap();
         let report = audit_design(&dfg, &schedule, &allocation);
         assert!(report
             .violations()

@@ -306,7 +306,9 @@ impl IntegratedSynthesizer {
             // merge cone.
             let etpn = state.lower()?;
             let analysis = state.testability_engine().analyze(etpn.data_path());
-            state.testability_engine().set_anchor(etpn.data_path(), &analysis);
+            state
+                .testability_engine()
+                .set_anchor(etpn.data_path(), &analysis);
             let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
             if candidates.is_empty() {
                 trace.entries.push(TraceEntry {
@@ -454,7 +456,10 @@ impl IntegratedSynthesizer {
             {
                 let s = txn.state();
                 let report = hlts_check::audit_design(&s.dfg, &s.schedule, &s.allocation);
-                debug_assert!(report.is_clean(), "replayed merge failed the audit:\n{report}");
+                debug_assert!(
+                    report.is_clean(),
+                    "replayed merge failed the audit:\n{report}"
+                );
             }
             txn.commit();
         }
@@ -587,8 +592,12 @@ fn merge_symbols(state: &DesignState, kind: MergeKind) -> (String, String) {
 fn resolve_winner(state: &DesignState, winner: &TraceWinner) -> Option<MergeKind> {
     match winner.kind {
         TraceMergeKind::Modules => {
-            let a = state.allocation.module_of(state.dfg.op_by_name(&winner.sym_a)?);
-            let b = state.allocation.module_of(state.dfg.op_by_name(&winner.sym_b)?);
+            let a = state
+                .allocation
+                .module_of(state.dfg.op_by_name(&winner.sym_a)?);
+            let b = state
+                .allocation
+                .module_of(state.dfg.op_by_name(&winner.sym_b)?);
             (a != b).then_some(MergeKind::Modules(a, b))
         }
         TraceMergeKind::Registers => {
@@ -761,9 +770,15 @@ mod tests {
         assert_eq!(again.result.schedule, first.result.schedule);
         assert_eq!(again.result.allocation, first.result.allocation);
         assert_eq!(again.result.merge_log, first.result.merge_log);
-        assert_eq!(again.replay.recomputed, 0, "identical weights never diverge");
+        assert_eq!(
+            again.replay.recomputed, 0,
+            "identical weights never diverge"
+        );
         assert_eq!(again.replay.replayed, first.result.merge_log.len());
-        assert_eq!(again.trace, first.trace, "the replayed trace re-records itself");
+        assert_eq!(
+            again.trace, first.trace,
+            "the replayed trace re-records itself"
+        );
     }
 
     #[test]

@@ -61,14 +61,14 @@ mod txn;
 pub use algorithm::{
     EvalMode, IntegratedSynthesizer, SelectionPolicy, SynthesisParams, WarmSynthesis,
 };
-pub use trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWinner};
-pub use progress::{CancelToken, NullSink, ProgressEvent, ProgressSink, RunCtl};
 pub use candidates::{MergeCandidate, MergeKind};
 pub use delta_eval::{DeltaEvaluator, EvalStats};
 pub use error::CoreError;
+pub use progress::{CancelToken, NullSink, ProgressEvent, ProgressSink, RunCtl};
 pub use report::{DesignMetrics, SynthesisResult};
 pub use resched::{disjointness_arcs, merge_modules_with_resched, merge_registers_with_resched};
 pub use state::DesignState;
+pub use trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWinner};
 pub use txn::{trial_merge, StateTxn, TxnSavepoint, TxnStats};
 
 // The shared testability engine lives in `hlts-testability`; re-export

@@ -338,7 +338,9 @@ pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult
     for _ in 0..params.max_merges {
         let etpn = state.lower()?;
         let analysis = state.testability_engine().analyze(etpn.data_path());
-        state.testability_engine().set_anchor(etpn.data_path(), &analysis);
+        state
+            .testability_engine()
+            .set_anchor(etpn.data_path(), &analysis);
         let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
         if candidates.is_empty() {
             break;

@@ -189,7 +189,11 @@ impl<'a> StateTxn<'a> {
     ///
     /// As [`Allocation::merge_registers`](hlts_alloc::Allocation::merge_registers);
     /// on error nothing is recorded and the binding is unchanged.
-    pub fn merge_registers(&mut self, a: RegisterId, b: RegisterId) -> Result<RegisterId, AllocError> {
+    pub fn merge_registers(
+        &mut self,
+        a: RegisterId,
+        b: RegisterId,
+    ) -> Result<RegisterId, AllocError> {
         let undo = self.state.allocation.merge_registers_journaled(a, b)?;
         self.record(UndoOp::Registers(undo));
         Ok(a)
@@ -221,7 +225,9 @@ impl<'a> StateTxn<'a> {
             Self::undo(self.state, op);
             replayed += 1;
         }
-        self.counters.ops_replayed.fetch_add(replayed, Ordering::Relaxed);
+        self.counters
+            .ops_replayed
+            .fetch_add(replayed, Ordering::Relaxed);
     }
 
     /// Keep every recorded edit: the journal is discarded and the
@@ -368,7 +374,10 @@ mod tests {
         )
     }
 
-    fn assert_restored(s: &DesignState, snap: &(Dfg, hlts_sched::Schedule, hlts_alloc::Allocation, u64)) {
+    fn assert_restored(
+        s: &DesignState,
+        snap: &(Dfg, hlts_sched::Schedule, hlts_alloc::Allocation, u64),
+    ) {
         assert_eq!(s.dfg, snap.0);
         assert_eq!(s.schedule, snap.1);
         assert_eq!(s.allocation, snap.2);

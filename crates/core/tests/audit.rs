@@ -114,18 +114,33 @@ fn invalid_params_rejected_at_the_library_boundary() {
     use hlts_core::{baselines, CoreError, IntegratedSynthesizer, SynthesisParams};
     let dfg = hlts_benchmarks::by_name("ex").expect("known bench");
     let cases: Vec<(&str, SynthesisParams)> = vec![
-        ("k = 0", SynthesisParams { k: 0, ..SynthesisParams::paper_defaults(8) }),
+        (
+            "k = 0",
+            SynthesisParams {
+                k: 0,
+                ..SynthesisParams::paper_defaults(8)
+            },
+        ),
         (
             "alpha NaN",
-            SynthesisParams { alpha: f64::NAN, ..SynthesisParams::paper_defaults(8) },
+            SynthesisParams {
+                alpha: f64::NAN,
+                ..SynthesisParams::paper_defaults(8)
+            },
         ),
         (
             "beta negative",
-            SynthesisParams { beta: -1.0, ..SynthesisParams::paper_defaults(8) },
+            SynthesisParams {
+                beta: -1.0,
+                ..SynthesisParams::paper_defaults(8)
+            },
         ),
         (
             "alpha infinite",
-            SynthesisParams { alpha: f64::INFINITY, ..SynthesisParams::paper_defaults(8) },
+            SynthesisParams {
+                alpha: f64::INFINITY,
+                ..SynthesisParams::paper_defaults(8)
+            },
         ),
     ];
     for (what, params) in cases {
@@ -136,7 +151,10 @@ fn invalid_params_rejected_at_the_library_boundary() {
             "{what}: synthesizer accepted invalid params"
         );
         assert!(
-            matches!(baselines::camad(&dfg, &params), Err(CoreError::InvalidParams(_))),
+            matches!(
+                baselines::camad(&dfg, &params),
+                Err(CoreError::InvalidParams(_))
+            ),
             "{what}: camad accepted invalid params"
         );
         assert!(

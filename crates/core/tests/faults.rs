@@ -23,7 +23,9 @@ fn forced_rollbacks_degrade_to_the_initial_design() {
         let before_sched = state.schedule.content_hash();
         let before_alloc = state.allocation.content_hash();
 
-        let guard = FaultPlan::new().arm(sites::CORE_FORCE_ROLLBACK, 1).install();
+        let guard = FaultPlan::new()
+            .arm(sites::CORE_FORCE_ROLLBACK, 1)
+            .install();
         let mut priced = false;
         let dc = trial_merge(
             &mut state,

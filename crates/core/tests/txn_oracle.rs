@@ -42,7 +42,10 @@ fn spec_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 /// Deep-equality + fingerprint check of `state` against a snapshot.
 fn assert_restored(state: &DesignState, snap: &DesignState, fp: u64, what: &str) {
     assert_eq!(state.dfg, snap.dfg, "{what}: graph not restored");
-    assert_eq!(state.schedule, snap.schedule, "{what}: schedule not restored");
+    assert_eq!(
+        state.schedule, snap.schedule,
+        "{what}: schedule not restored"
+    );
     assert_eq!(
         state.allocation, snap.allocation,
         "{what}: allocation not restored"
@@ -165,9 +168,16 @@ fn txn_counters_are_populated() {
         .expect("synthesis");
     let s = r.txn_stats;
     assert!(s.begun > 0, "no transactions begun: {s:?}");
-    assert_eq!(s.begun, s.committed + s.rolled_back, "txn accounting leak: {s:?}");
+    assert_eq!(
+        s.begun,
+        s.committed + s.rolled_back,
+        "txn accounting leak: {s:?}"
+    );
     assert!(s.rolled_back > 0, "no trial was rolled back: {s:?}");
     assert!(s.committed > 0, "no merger was committed: {s:?}");
-    assert!(s.ops_recorded >= s.ops_replayed, "replayed more than recorded: {s:?}");
+    assert!(
+        s.ops_recorded >= s.ops_replayed,
+        "replayed more than recorded: {s:?}"
+    );
     assert!(s.ops_replayed > 0, "rollbacks replayed nothing: {s:?}");
 }

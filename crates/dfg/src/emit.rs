@@ -45,9 +45,7 @@ fn check_ident(name: &str, what: &str) -> Result<(), DfgError> {
     if RESERVED_OPERANDS.contains(&name) {
         return Err(DfgError::Parse {
             line: 0,
-            message: format!(
-                "cannot emit {what} `{name}`: collides with a unary keyword"
-            ),
+            message: format!("cannot emit {what} `{name}`: collides with a unary keyword"),
         });
     }
     Ok(())
@@ -138,10 +136,7 @@ pub fn emit(dfg: &Dfg) -> Result<String, DfgError> {
         }
     }
 
-    let outputs: Vec<&str> = dfg
-        .outputs()
-        .map(|id| dfg.value(id).name())
-        .collect();
+    let outputs: Vec<&str> = dfg.outputs().map(|id| dfg.value(id).name()).collect();
     if !outputs.is_empty() {
         let _ = writeln!(out, "  output {};", outputs.join(", "));
     }
@@ -206,8 +201,7 @@ mod tests {
 
     #[test]
     fn overlay_arcs_are_rejected() {
-        let mut d =
-            parse("dfg t { input a, b; N1: s = a + b; N2: p = s * b; output p; }").unwrap();
+        let mut d = parse("dfg t { input a, b; N1: s = a + b; N2: p = s * b; output p; }").unwrap();
         let n1 = d.op_by_name("N1").unwrap();
         let n2 = d.op_by_name("N2").unwrap();
         d.add_precedence(n1, n2).unwrap();

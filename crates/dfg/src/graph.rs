@@ -7,9 +7,7 @@ use crate::{scratch, DfgError, OpKind, Sym, Value, ValueId, ValueKind};
 /// Index of an [`Operation`] inside its [`Dfg`].
 ///
 /// Ids are dense (0..num_ops) and stable for the lifetime of the graph.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct OpId(pub(crate) u32);
 
 impl OpId {
@@ -341,7 +339,8 @@ impl Dfg {
 
     /// Iterator over primary-input value ids.
     pub fn inputs(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.core.values
+        self.core
+            .values
             .iter()
             .filter(|v| v.kind.is_input())
             .map(Value::id)
@@ -349,7 +348,8 @@ impl Dfg {
 
     /// Iterator over primary-output value ids.
     pub fn outputs(&self) -> impl Iterator<Item = ValueId> + '_ {
-        self.core.values
+        self.core
+            .values
             .iter()
             .filter(|v| v.kind.is_output())
             .map(Value::id)
@@ -648,10 +648,9 @@ impl Dfg {
             s.indeg.resize(n, 0);
             for op in &self.core.ops {
                 let i = op.id.index();
-                s.indeg[i] = u32::try_from(
-                    self.preds(op.id).count() + self.weak_preds(op.id).len(),
-                )
-                .expect("in-degree fits in u32");
+                s.indeg[i] =
+                    u32::try_from(self.preds(op.id).count() + self.weak_preds(op.id).len())
+                        .expect("in-degree fits in u32");
             }
             // Kahn's algorithm with `out` doubling as the work queue: a
             // dequeued op is final, so the queue prefix *is* the order.

@@ -1,6 +1,5 @@
 use std::fmt;
 
-
 /// Kind of a data-flow operation.
 ///
 /// The set covers what the DATE'98 benchmarks need (arithmetic, relational

@@ -64,7 +64,8 @@ impl AsapAlap {
         self.alap.resize(n, latency.saturating_sub(1));
         for &u in self.order.iter().rev() {
             for s in dfg.succs(u) {
-                self.alap[u.index()] = self.alap[u.index()].min(self.alap[s.index()].saturating_sub(1));
+                self.alap[u.index()] =
+                    self.alap[u.index()].min(self.alap[s.index()].saturating_sub(1));
             }
             for s in dfg.weak_succs(u) {
                 self.alap[u.index()] = self.alap[u.index()].min(self.alap[s.index()]);

@@ -5,9 +5,7 @@ use crate::Sym;
 /// Index of a [`Value`] inside its [`Dfg`](crate::Dfg).
 ///
 /// Ids are dense (0..num_values) and stable for the lifetime of the graph.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ValueId(pub(crate) u32);
 
 impl ValueId {

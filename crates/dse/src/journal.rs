@@ -189,10 +189,9 @@ fn parse_point(rest: &str, line: &str) -> Result<PointResult, DseError> {
     };
     // The warm-start pair is just as atomic.
     let replay = match (opt_field(&pairs, "rep"), opt_field(&pairs, "rec")) {
-        (Some(rep), Some(rec)) => Some((
-            parse_num(rep, "rep", line)?,
-            parse_num(rec, "rec", line)?,
-        )),
+        (Some(rep), Some(rec)) => {
+            Some((parse_num(rep, "rep", line)?, parse_num(rec, "rec", line)?))
+        }
         (None, None) => None,
         _ => {
             return Err(DseError::Journal(format!(
@@ -497,11 +496,7 @@ mod tests {
                         fingerprint: 0x00ab_cdef_0123_4567,
                     }),
                     total: 5,
-                    prices: vec![
-                        Some((1.0, -0.30000000000000004)),
-                        None,
-                        Some((-1.0, 0.125)),
-                    ],
+                    prices: vec![Some((1.0, -0.30000000000000004)), None, Some((-1.0, 0.125))],
                 },
                 TraceEntry {
                     winner: Some(TraceWinner {
@@ -557,7 +552,10 @@ mod tests {
         // it is skipped and counted like any other corrupted line.
         let damaged = text.replace(" tcyc=180", "");
         let scan = parse(&damaged).unwrap();
-        assert_eq!((scan.points.len(), scan.malformed, scan.torn_tail), (0, 1, 0));
+        assert_eq!(
+            (scan.points.len(), scan.malformed, scan.torn_tail),
+            (0, 1, 0)
+        );
     }
 
     #[test]
@@ -606,19 +604,17 @@ mod tests {
         }
         // Trailing blanks after a *clean* file stay harmless.
         let scan = parse(&format!("{intact}\n\n")).unwrap();
-        assert_eq!((scan.points.len(), scan.malformed, scan.torn_tail), (1, 0, 0));
+        assert_eq!(
+            (scan.points.len(), scan.malformed, scan.torn_tail),
+            (1, 0, 0)
+        );
     }
 
     #[test]
     fn trace_line_roundtrips_bit_exactly() {
         let trace = sample_trace();
         let line = render_trace(7, &trace).unwrap();
-        let text = format!(
-            "{}{}{}",
-            render_header(2),
-            line,
-            render_point(&sample(7))
-        );
+        let text = format!("{}{}{}", render_header(2), line, render_point(&sample(7)));
         let scan = parse(&text).unwrap();
         assert_eq!((scan.malformed, scan.torn_tail), (0, 0));
         assert_eq!(scan.traces, vec![(7, trace.clone())]);
@@ -660,7 +656,11 @@ mod tests {
     #[test]
     fn duplicate_trace_ids_rejected() {
         let line = render_trace(7, &sample_trace()).unwrap();
-        let text = format!("{}{line}{line}{}", render_header(2), render_point(&sample(7)));
+        let text = format!(
+            "{}{line}{line}{}",
+            render_header(2),
+            render_point(&sample(7))
+        );
         assert!(parse(&text).is_err());
     }
 

@@ -195,7 +195,11 @@ impl ExploreOutcome {
                 r.objectives.avg_controllability,
                 r.objectives.avg_observability,
                 r.objectives.co_depth,
-                if r.resumed { "-".into() } else { r.millis.to_string() },
+                if r.resumed {
+                    "-".into()
+                } else {
+                    r.millis.to_string()
+                },
                 if starred { "*" } else { "" },
             ));
         }
@@ -208,7 +212,12 @@ impl ExploreOutcome {
             let test = r
                 .objectives
                 .test
-                .map(|t| format!(", coverage = {:.2}%, test cycles = {}", t.coverage, t.test_cycles))
+                .map(|t| {
+                    format!(
+                        ", coverage = {:.2}%, test cycles = {}",
+                        t.coverage, t.test_cycles
+                    )
+                })
                 .unwrap_or_default();
             out.push_str(&format!(
                 "  #{:<3} {} -> E = {}, H = {:.3}, avg C = {:.2}, avg O = {:.2}, \

@@ -24,9 +24,9 @@ use std::time::Instant;
 use hlts_check::faults;
 use hlts_core::baselines;
 use hlts_core::{
-    CoreError, DeltaEvaluator, DesignState, EvalStats, IntegratedSynthesizer,
-    MergeTrace, ProgressEvent, ProgressSink, ReplayStats, RunCtl, SynthesisResult,
-    TestabilityCacheStats, TxnStats,
+    CoreError, DeltaEvaluator, DesignState, EvalStats, IntegratedSynthesizer, MergeTrace,
+    ProgressEvent, ProgressSink, ReplayStats, RunCtl, SynthesisResult, TestabilityCacheStats,
+    TxnStats,
 };
 use hlts_dfg::Dfg;
 
@@ -216,9 +216,7 @@ pub fn select_seed(completed: &[(usize, &PointParams)], target: &PointParams) ->
     }
     completed
         .iter()
-        .filter(|(_, p)| {
-            p.flow == Flow::Ours && p.bench == target.bench && p.bits == target.bits
-        })
+        .filter(|(_, p)| p.flow == Flow::Ours && p.bench == target.bench && p.bits == target.bits)
         .map(|(id, p)| {
             let mut dist = (p.alpha - target.alpha).abs() + (p.beta - target.beta).abs();
             if p.k != target.k {
@@ -711,7 +709,10 @@ pub fn explore_ctl(
         }
     }
     for ctx in &contexts {
-        add_testability(&mut stats.testability, ctx.base.testability_engine().stats());
+        add_testability(
+            &mut stats.testability,
+            ctx.base.testability_engine().stats(),
+        );
         add_eval(&mut stats.eval, ctx.evaluator.stats());
         add_txn(&mut stats.txn, ctx.base.txn_stats());
     }

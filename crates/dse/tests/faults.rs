@@ -12,9 +12,7 @@
 use std::path::PathBuf;
 
 use hlts_check::faults::{sites, FaultPlan};
-use hlts_dse::{
-    explore, load_journal, ExploreConfig, ExploreOutcome, ParetoArchive, SweepSpec,
-};
+use hlts_dse::{explore, load_journal, ExploreConfig, ExploreOutcome, ParetoArchive, SweepSpec};
 
 fn spec() -> SweepSpec {
     let mut spec = SweepSpec::new(vec![

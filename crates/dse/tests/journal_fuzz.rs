@@ -100,7 +100,10 @@ fn truncation_at_every_byte_counts_the_torn_tail() {
         let text = &clean[..cut];
         let scan = parse(text).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
         let complete = text[header_len..].matches('\n').count();
-        assert_eq!(scan.malformed, 0, "cut at byte {cut}: truncation is not corruption");
+        assert_eq!(
+            scan.malformed, 0,
+            "cut at byte {cut}: truncation is not corruption"
+        );
         assert!(scan.torn_tail <= 1, "cut at byte {cut}");
         if text.ends_with('\n') {
             assert_eq!(
@@ -187,8 +190,7 @@ fn warm_truncation_at_every_byte_counts_the_torn_tail() {
         // about *extra* blanks beyond it.
         for blanks in ["", "\n\n", "\n \n", "\n\n\n"] {
             let text = format!("{}{blanks}", &clean[..cut]);
-            let scan =
-                parse(&text).unwrap_or_else(|e| panic!("cut {cut} blanks {blanks:?}: {e}"));
+            let scan = parse(&text).unwrap_or_else(|e| panic!("cut {cut} blanks {blanks:?}: {e}"));
             assert_eq!(
                 scan.malformed, 0,
                 "cut {cut} blanks {blanks:?}: truncation is not corruption"

@@ -200,10 +200,7 @@ fn resume_recomputes_nothing_and_preserves_the_front() {
         },
     )
     .expect("journaled sweep");
-    assert_eq!(
-        journaled.front_signature(),
-        uninterrupted.front_signature()
-    );
+    assert_eq!(journaled.front_signature(), uninterrupted.front_signature());
 
     let text = std::fs::read_to_string(&path).expect("journal exists");
     let keep = 5usize;
@@ -258,10 +255,7 @@ fn resume_recomputes_nothing_and_preserves_the_front() {
     )
     .expect("replayed sweep");
     assert_eq!(replayed.stats.points_computed, 0);
-    assert_eq!(
-        replayed.front_signature(),
-        uninterrupted.front_signature()
-    );
+    assert_eq!(replayed.front_signature(), uninterrupted.front_signature());
     let _ = std::fs::remove_file(&path);
 }
 
@@ -286,7 +280,10 @@ fn warm_start_front_is_bit_identical_to_cold() {
             warm.front_signature(),
             "warm front diverged at {n} worker(s)"
         );
-        assert_eq!(cold.results, warm.results, "results diverged at {n} worker(s)");
+        assert_eq!(
+            cold.results, warm.results,
+            "results diverged at {n} worker(s)"
+        );
         for r in &warm.results {
             assert!(r.replay.is_some(), "warm points carry the accounting pair");
         }
@@ -334,7 +331,11 @@ fn warm_journal_resumes_with_traces() {
     // then add a torn tail.
     let text = std::fs::read_to_string(&path).expect("journal exists");
     let mut lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2 + 2 * total, "header + trace/point pair per point");
+    assert_eq!(
+        lines.len(),
+        2 + 2 * total,
+        "header + trace/point pair per point"
+    );
     let keep = 3usize;
     lines.truncate(2 + 2 * keep);
     let mut truncated = lines.join("\n");
@@ -399,7 +400,11 @@ fn seed_neighbour_is_order_independent() {
 
     let mut completed: Vec<(usize, &PointParams)> = pool.iter().enumerate().collect();
     let reference = select_seed(&completed, &target);
-    assert_eq!(reference, Some(1), "nearest same-k neighbour, smaller id on ties");
+    assert_eq!(
+        reference,
+        Some(1),
+        "nearest same-k neighbour, smaller id on ties"
+    );
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
     for _ in 0..50 {

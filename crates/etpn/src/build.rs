@@ -424,10 +424,7 @@ mod tests {
         // x1 and x in different registers: loop-carried copy arc exists
         let rx = dp.node_of_register(alloc.register_of(x).unwrap()).unwrap();
         let rx1 = dp.node_of_register(alloc.register_of(x1).unwrap()).unwrap();
-        assert!(dp
-            .in_arc_ids(rx)
-            .iter()
-            .any(|&a| dp.arc(a).from() == rx1));
+        assert!(dp.in_arc_ids(rx).iter().any(|&a| dp.arc(a).from() == rx1));
     }
 
     #[test]

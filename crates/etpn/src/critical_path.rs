@@ -106,7 +106,10 @@ impl CriticalPathEngine {
                 net.critical_path()
             }
         };
-        self.memo.lock().expect("engine memo poisoned").insert(key, e);
+        self.memo
+            .lock()
+            .expect("engine memo poisoned")
+            .insert(key, e);
         e
     }
 

@@ -376,7 +376,12 @@ impl ControlNet {
         let is_final: Vec<bool> = (0..n)
             .map(|i| self.final_places.contains(&PlaceId::from_index(i)))
             .collect();
-        let start = self.initial.iter().next().expect("checked nonempty").index();
+        let start = self
+            .initial
+            .iter()
+            .next()
+            .expect("checked nonempty")
+            .index();
         let mut memo: Vec<Option<usize>> = vec![None; n];
         let mut on_stack = vec![false; n];
         Some(chain_dfs(start, &succ, &is_final, &mut memo, &mut on_stack).unwrap_or(0))

@@ -138,7 +138,11 @@ pub fn check_graph(
     let initial = match DesignState::initial(&dfg) {
         Ok(s) => s,
         Err(e) => {
-            return Err(diverge("structure", format!("initial design failed: {e}"), &text))
+            return Err(diverge(
+                "structure",
+                format!("initial design failed: {e}"),
+                &text,
+            ))
         }
     };
     let etpn = match initial.lower() {
@@ -175,9 +179,7 @@ pub fn check_graph(
     // --- txn-oracle: journaled rollback loop vs. clone-based oracle -
     let gold = match oracle::synthesize(&dfg, &params) {
         Ok(r) => r,
-        Err(e) => {
-            return Err(diverge("txn-oracle", format!("oracle failed: {e}"), &text))
-        }
+        Err(e) => return Err(diverge("txn-oracle", format!("oracle failed: {e}"), &text)),
     };
     if sequential != gold {
         return Err(diverge(
@@ -214,8 +216,7 @@ pub fn check_graph(
             if w != d {
                 return Err(diverge(
                     "testability-dense",
-                    "worklist and dense solvers disagree on the synthesized design"
-                        .to_owned(),
+                    "worklist and dense solvers disagree on the synthesized design".to_owned(),
                     &text,
                 ));
             }
@@ -234,13 +235,29 @@ pub fn check_graph(
     let mut spec = SweepSpec::new(vec![(dfg.name().to_owned(), dfg.clone())]);
     spec.ks = vec![1, 3];
     spec.weights = vec![(2.0, 1.0), (1.0, 10.0)];
-    let serial = match explore(&spec, &ExploreConfig { jobs: 1, ..ExploreConfig::default() }) {
+    let serial = match explore(
+        &spec,
+        &ExploreConfig {
+            jobs: 1,
+            ..ExploreConfig::default()
+        },
+    ) {
         Ok(r) => r,
         Err(e) => {
-            return Err(diverge("dse-front", format!("serial sweep failed: {e}"), &text))
+            return Err(diverge(
+                "dse-front",
+                format!("serial sweep failed: {e}"),
+                &text,
+            ))
         }
     };
-    let threaded = match explore(&spec, &ExploreConfig { jobs: 3, ..ExploreConfig::default() }) {
+    let threaded = match explore(
+        &spec,
+        &ExploreConfig {
+            jobs: 3,
+            ..ExploreConfig::default()
+        },
+    ) {
         Ok(r) => r,
         Err(e) => {
             return Err(diverge(

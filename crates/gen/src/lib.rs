@@ -214,7 +214,9 @@ impl GenConfig {
             ("fanout_skew", self.fanout_skew),
         ] {
             if !(0.0..=1.0).contains(&v) || v.is_nan() {
-                return Err(GenError::Config(format!("{knob} must be in [0, 1], got {v}")));
+                return Err(GenError::Config(format!(
+                    "{knob} must be in [0, 1], got {v}"
+                )));
             }
         }
         if !(0.0..=8.0).contains(&self.const_ratio) || self.const_ratio.is_nan() {
@@ -234,7 +236,10 @@ fn pick_kind(rng: &mut StdRng, cfg: &GenConfig) -> OpKind {
     for (weight, bucket) in [
         (cfg.mul, &[OpKind::Mul][..]),
         (cfg.addsub, &[OpKind::Add, OpKind::Sub][..]),
-        (cfg.logic, &[OpKind::And, OpKind::Or, OpKind::Xor, OpKind::Not][..]),
+        (
+            cfg.logic,
+            &[OpKind::And, OpKind::Or, OpKind::Xor, OpKind::Not][..],
+        ),
         (cfg.cmp, &[OpKind::Lt, OpKind::Gt, OpKind::Eq][..]),
         (cfg.shift, &[OpKind::Shl, OpKind::Shr, OpKind::Mov][..]),
     ] {
@@ -481,9 +486,18 @@ mod tests {
     #[test]
     fn bad_configs_are_rejected() {
         let cases: [(GenConfig, &str); 4] = [
-            (GenConfig { ops: 0, ..GenConfig::default() }, "ops must be >= 1"),
             (
-                GenConfig { inputs: 0, ..GenConfig::default() },
+                GenConfig {
+                    ops: 0,
+                    ..GenConfig::default()
+                },
+                "ops must be >= 1",
+            ),
+            (
+                GenConfig {
+                    inputs: 0,
+                    ..GenConfig::default()
+                },
                 "inputs must be >= 1",
             ),
             (
@@ -498,7 +512,10 @@ mod tests {
                 "weights must not all be zero",
             ),
             (
-                GenConfig { depth_bias: 1.5, ..GenConfig::default() },
+                GenConfig {
+                    depth_bias: 1.5,
+                    ..GenConfig::default()
+                },
                 "depth_bias must be in [0, 1]",
             ),
         ];
@@ -506,8 +523,14 @@ mod tests {
             let err = generate(0, &cfg).expect_err("must reject");
             assert!(err.to_string().contains(needle), "{err}");
         }
-        let err = generate(0, &GenConfig { name: "no spaces".into(), ..GenConfig::default() })
-            .expect_err("must reject");
+        let err = generate(
+            0,
+            &GenConfig {
+                name: "no spaces".into(),
+                ..GenConfig::default()
+            },
+        )
+        .expect_err("must reject");
         assert!(err.to_string().contains("identifier"), "{err}");
     }
 

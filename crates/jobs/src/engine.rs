@@ -585,8 +585,12 @@ pub fn execute(spec: &JobSpec, ctl: &RunCtl<'_>, warm: &WarmPool) -> Result<JobO
                     match fingerprint.as_ref().and_then(|fp| ctx.memo_get(fp)) {
                         Some(hit) => Ok(hit),
                         None => {
-                            let run = IntegratedSynthesizer::new(params.clone())
-                                .run_on_ctl(&ctx.base, *mode, &ctx.evaluator, ctl);
+                            let run = IntegratedSynthesizer::new(params.clone()).run_on_ctl(
+                                &ctx.base,
+                                *mode,
+                                &ctx.evaluator,
+                                ctl,
+                            );
                             if let (Some(fp), Ok(result)) = (fingerprint, &run) {
                                 ctx.memo_put(fp, result);
                             }
@@ -597,8 +601,12 @@ pub fn execute(spec: &JobSpec, ctl: &RunCtl<'_>, warm: &WarmPool) -> Result<JobO
                 Flow::Camad => baselines::camad_ctl(dfg, params, ctl),
                 // The constructive baselines are single-pass; honor a
                 // token fired before they start.
-                Flow::Approach1 => cancel_gate(ctl).and_then(|()| baselines::approach1(dfg, params)),
-                Flow::Approach2 => cancel_gate(ctl).and_then(|()| baselines::approach2(dfg, params)),
+                Flow::Approach1 => {
+                    cancel_gate(ctl).and_then(|()| baselines::approach1(dfg, params))
+                }
+                Flow::Approach2 => {
+                    cancel_gate(ctl).and_then(|()| baselines::approach2(dfg, params))
+                }
             };
             let result = run.map_err(core_err)?;
             // Grading rides the same cancel token as synthesis and is
@@ -618,7 +626,8 @@ pub fn execute(spec: &JobSpec, ctl: &RunCtl<'_>, warm: &WarmPool) -> Result<JobO
             }),
         JobSpec::Gen { seed, cfg } => {
             cancel_gate(ctl).map_err(core_err)?;
-            let dfg = hlts_gen::generate(*seed, cfg).map_err(|e| ExecError::Failed(e.to_string()))?;
+            let dfg =
+                hlts_gen::generate(*seed, cfg).map_err(|e| ExecError::Failed(e.to_string()))?;
             let text = hlts_dfg::emit(&dfg).map_err(|e| ExecError::Failed(e.to_string()))?;
             Ok(JobOutput::Gen(text))
         }
@@ -767,10 +776,7 @@ impl JobEngine {
     /// Spawn the configured worker threads (idempotent: extra calls
     /// are no-ops once the pool is populated).
     pub fn start_workers(&self) {
-        let mut workers = self
-            .workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
         if !workers.is_empty() {
             return;
         }
@@ -801,11 +807,7 @@ impl JobEngine {
     /// [`SubmitError::QueueFull`] when the FIFO bound is hit,
     /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// began.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        sink: Option<SharedSink>,
-    ) -> Result<JobId, SubmitError> {
+    pub fn submit(&self, spec: JobSpec, sink: Option<SharedSink>) -> Result<JobId, SubmitError> {
         self.enqueue(spec, sink.unwrap_or_else(|| Arc::new(NullJobSink)), true)
     }
 
@@ -970,9 +972,8 @@ impl JobEngine {
         for (id, sink) in dropped {
             sink.event(id, &JobEvent::Cancelled(None));
         }
-        let workers = std::mem::take(
-            &mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner),
-        );
+        let workers =
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
         for w in workers {
             let _ = w.join();
         }
@@ -1025,10 +1026,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 if !st.accepting {
                     return;
                 }
-                st = inner
-                    .work
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
+                st = inner.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
 

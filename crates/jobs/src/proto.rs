@@ -377,7 +377,10 @@ pub fn parse_request(line: &str) -> Result<Request, ReqError> {
         });
     }
     // From here on the id is recoverable — echo it on every error.
-    let id = opt_str(&doc, "id").map_err(|m| ReqError { id: None, message: m })?;
+    let id = opt_str(&doc, "id").map_err(|m| ReqError {
+        id: None,
+        message: m,
+    })?;
     let op = doc
         .get("op")
         .and_then(Json::as_str)
@@ -489,7 +492,9 @@ fn parse_k(v: &Json) -> Result<usize, String> {
 }
 
 fn parse_weight(v: &Json, what: &str) -> Result<f64, String> {
-    let w = v.as_f64().ok_or_else(|| format!("`{what}` must be a number"))?;
+    let w = v
+        .as_f64()
+        .ok_or_else(|| format!("`{what}` must be a number"))?;
     if !w.is_finite() || w < 0.0 {
         return Err(format!("`{what}` must be finite and non-negative"));
     }
@@ -613,7 +618,10 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
             if let Some(items) = array("bits")? {
                 req.bits = items
                     .iter()
-                    .map(|b| b.as_u32().ok_or("`bits` entries must be integers".to_owned()))
+                    .map(|b| {
+                        b.as_u32()
+                            .ok_or("`bits` entries must be integers".to_owned())
+                    })
                     .collect::<Result<Vec<_>, _>>()?;
             }
             if req.flows.is_empty()
@@ -624,7 +632,9 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
                 return Err("grid axes must not be empty".to_owned());
             }
             if let Some(j) = job.get("jobs") {
-                req.jobs = j.as_usize().ok_or("`jobs` must be a non-negative integer")?;
+                req.jobs = j
+                    .as_usize()
+                    .ok_or("`jobs` must be a non-negative integer")?;
                 if req.jobs == 0 {
                     return Err("`jobs` must be >= 1".to_owned());
                 }
@@ -898,10 +908,9 @@ mod tests {
 
     #[test]
     fn parses_run_submit_with_defaults() {
-        let req = parse_request(
-            r#"{"op":"submit","id":"c1","job":{"kind":"run","source":"bench:ewf"}}"#,
-        )
-        .unwrap();
+        let req =
+            parse_request(r#"{"op":"submit","id":"c1","job":{"kind":"run","source":"bench:ewf"}}"#)
+                .unwrap();
         let Request::Submit { id, job } = req else {
             panic!("wrong request kind");
         };
@@ -943,10 +952,10 @@ mod tests {
         assert_eq!(atpg, None);
         // An object validates both knobs; `fault_sample: 0` means the
         // exhaustive collapsed universe.
-        let JobRequest::Run(RunRequest { atpg, .. }) = get(
-            r#"{"op":"submit","job":{"kind":"run","source":"bench:ex",
-                "atpg":{"fault_sample":0,"jobs":4}}}"#,
-        ) else {
+        let JobRequest::Run(RunRequest { atpg, .. }) =
+            get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex",
+                "atpg":{"fault_sample":0,"jobs":4}}}"#)
+        else {
             panic!("wrong job kind");
         };
         assert_eq!(
@@ -1051,14 +1060,12 @@ mod tests {
         let e = parse_request(r#"{"op":"warp","id":"x1"}"#).unwrap_err();
         assert_eq!(e.id.as_deref(), Some("x1"));
         // Bad parameter values are rejected, not silently defaulted.
-        let e =
-            parse_request(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","k":0}}"#)
-                .unwrap_err();
+        let e = parse_request(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","k":0}}"#)
+            .unwrap_err();
         assert!(e.message.contains("k"));
-        let e = parse_request(
-            r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","alpha":-1}}"#,
-        )
-        .unwrap_err();
+        let e =
+            parse_request(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","alpha":-1}}"#)
+                .unwrap_err();
         assert!(e.message.contains("alpha"));
     }
 
@@ -1073,7 +1080,10 @@ mod tests {
                 Some("s"),
                 &EngineCounts::default(),
                 2,
-                SymStats { count: 5, bytes: 40 },
+                SymStats {
+                    count: 5,
+                    bytes: 40,
+                },
             ),
         ];
         for line in &lines {
@@ -1082,7 +1092,8 @@ mod tests {
             crate::json::parse(line).unwrap();
         }
         assert!(lines[4].contains("\"malformed_requests\": 2"));
-        assert!(lines[4].contains("\"explore_replay\": {\"merges_replayed\": 0, \"merges_recomputed\": 0}"));
+        assert!(lines[4]
+            .contains("\"explore_replay\": {\"merges_replayed\": 0, \"merges_recomputed\": 0}"));
         assert!(lines[4].contains("\"tcov\": {\"ctx_hits\": 0"));
         assert!(lines[4].contains("\"interner\": {\"count\": 5, \"bytes\": 40}"));
     }
@@ -1150,9 +1161,12 @@ mod tests {
         let JobRequest::Run(run) = job else {
             panic!("wrong job kind");
         };
-        assert_eq!(parse_request(&render_submit(None, &run)), Ok(Request::Submit {
-            id: None,
-            job: JobRequest::Run(run),
-        }));
+        assert_eq!(
+            parse_request(&render_submit(None, &run)),
+            Ok(Request::Submit {
+                id: None,
+                job: JobRequest::Run(run),
+            })
+        );
     }
 }

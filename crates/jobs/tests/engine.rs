@@ -50,7 +50,10 @@ fn run_job_matches_direct_library_call() {
     let direct = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(8))
         .run(&hlts_benchmarks::ex())
         .unwrap();
-    assert_eq!(via_engine.result, direct, "engine run diverged from direct run");
+    assert_eq!(
+        via_engine.result, direct,
+        "engine run diverged from direct run"
+    );
     assert!(via_engine.coverage.is_none(), "no grading was requested");
     assert_eq!(
         proto::run_result_json(&via_engine.result),
@@ -100,7 +103,13 @@ fn gen_job_reproduces_the_generator() {
     let cfg = hlts_gen::preset("balanced").unwrap();
     let engine = JobEngine::start(EngineConfig::default());
     let id = engine
-        .submit(JobSpec::Gen { seed: 7, cfg: cfg.clone() }, None)
+        .submit(
+            JobSpec::Gen {
+                seed: 7,
+                cfg: cfg.clone(),
+            },
+            None,
+        )
         .unwrap();
     assert_eq!(engine.wait(id).unwrap().state, JobState::Done);
     let Some(JobOutput::Gen(text)) = engine.take_output(id) else {
@@ -184,8 +193,12 @@ fn graded_runs_attach_a_report_and_hit_the_coverage_memo() {
     assert!(report.coverage() > 0.0 && report.coverage() <= 100.0);
     assert_eq!(report.faults_graded, 200.min(report.total_collapsed));
     assert_eq!(
-        a.coverage.as_ref().map(hlts_tcov::CoverageReport::signature),
-        b.coverage.as_ref().map(hlts_tcov::CoverageReport::signature),
+        a.coverage
+            .as_ref()
+            .map(hlts_tcov::CoverageReport::signature),
+        b.coverage
+            .as_ref()
+            .map(hlts_tcov::CoverageReport::signature),
         "repeat grading diverged"
     );
     let counts = engine.counts();

@@ -138,9 +138,7 @@ fn daemon_survives_a_worker_kill_and_reports_the_failed_job() {
         let text = String::from_utf8(buffer.0.lock().unwrap().clone()).unwrap();
         let terminal = text
             .lines()
-            .filter(|l| {
-                l.contains("\"event\": \"done\"") || l.contains("\"event\": \"failed\"")
-            })
+            .filter(|l| l.contains("\"event\": \"done\"") || l.contains("\"event\": \"failed\""))
             .count();
         if terminal >= 3 {
             break;

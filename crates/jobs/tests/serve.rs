@@ -232,8 +232,8 @@ fn full_queue_rejects_submissions_until_slots_free_up() {
     c.send(
         r#"{"op":"submit","id":"long","job":{"kind":"explore","sources":["bench:ewf"],
             "ks":[1,2,3,4],"weights":[[2,1],[10,1],[1,10]]}}"#
-        .replace('\n', " ")
-        .as_str(),
+            .replace('\n', " ")
+            .as_str(),
     );
     let ack = c.recv_response();
     let long_job = ack.get("job").and_then(Json::as_u64).unwrap();
@@ -253,7 +253,11 @@ fn full_queue_rejects_submissions_until_slots_free_up() {
             r#"{{"op":"submit","id":"{id}","job":{{"kind":"run","source":"bench:ex"}}}}"#
         ));
         let ack = c.recv_response();
-        assert_eq!(ack.get("ok"), Some(&Json::Bool(true)), "submit {id}: {ack:?}");
+        assert_eq!(
+            ack.get("ok"),
+            Some(&Json::Bool(true)),
+            "submit {id}: {ack:?}"
+        );
     }
     c.send(r#"{"op":"submit","id":"q3","job":{"kind":"run","source":"bench:ex"}}"#);
     let rejected = c.recv_response();
@@ -277,7 +281,13 @@ fn full_queue_rejects_submissions_until_slots_free_up() {
     );
     // The cancelled sweep kept its finished points as a partial front.
     if let Some(partial) = terminal.get("partial") {
-        assert!(partial.get("points_cancelled").and_then(Json::as_u64).unwrap() > 0);
+        assert!(
+            partial
+                .get("points_cancelled")
+                .and_then(Json::as_u64)
+                .unwrap()
+                > 0
+        );
     }
     shutdown(&addr);
     daemon.join().unwrap();

@@ -337,7 +337,9 @@ pub fn reschedule_in_place(
             let prev = prev.or(Some(schedule.step_slice()));
             solve(dfg, groups, prev, s)?;
         }
-        debug_assert!(Schedule::from_step_vec(s.step_of.clone()).validate(dfg).is_ok());
+        debug_assert!(Schedule::from_step_vec(s.step_of.clone())
+            .validate(dfg)
+            .is_ok());
         Ok(schedule.replace_steps(&s.step_of))
     })
 }
@@ -445,9 +447,8 @@ mod tests {
         let prev = vec![3usize, 2, 1, 0];
         let expect = list_schedule(&d, &groups, ListPriority::Previous(prev.clone())).unwrap();
         let mut sched = Schedule::from_step_vec(prev);
-        let delta =
-            reschedule_in_place(&d, groups.as_slice(), &mut sched, ListPriority::default())
-                .unwrap();
+        let delta = reschedule_in_place(&d, groups.as_slice(), &mut sched, ListPriority::default())
+            .unwrap();
         assert_eq!(sched, expect);
         // reverting the delta restores the original assignment
         sched.revert(&delta);

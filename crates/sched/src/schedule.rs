@@ -284,7 +284,9 @@ thread_local! {
 const DELTA_POOL_CAP: usize = 64;
 
 fn delta_pool_acquire() -> Vec<(OpId, usize)> {
-    DELTA_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
+    DELTA_POOL
+        .with(|p| p.borrow_mut().pop())
+        .unwrap_or_default()
 }
 
 impl Drop for ScheduleDelta {

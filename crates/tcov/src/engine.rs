@@ -366,14 +366,8 @@ pub fn grade_with_universe(
     let faults = sampled.faults();
     let ctrl_idx = fsim::control_inputs(nl);
     let mut fs = FaultSimulator::new(nl.clone());
-    let random = fsim::run_random_phase(
-        &mut fs,
-        &cfg.atpg,
-        &ctrl_idx,
-        faults,
-        cfg.jobs,
-        &ctl.cancel,
-    )?;
+    let random =
+        fsim::run_random_phase(&mut fs, &cfg.atpg, &ctrl_idx, faults, cfg.jobs, &ctl.cancel)?;
     let mut detected = random.detected;
     let det = deterministic_phase(
         nl,
@@ -410,7 +404,11 @@ pub fn grade_with_universe(
 /// # Errors
 ///
 /// [`TcovError::Cancelled`] when the run control's token fires.
-pub fn grade(nl: &Netlist, cfg: &TcovConfig, ctl: &RunCtl<'_>) -> Result<CoverageReport, TcovError> {
+pub fn grade(
+    nl: &Netlist,
+    cfg: &TcovConfig,
+    ctl: &RunCtl<'_>,
+) -> Result<CoverageReport, TcovError> {
     let universe = FaultUniverse::collapsed(nl);
     grade_with_universe(nl, &universe, cfg, ctl)
 }
@@ -443,8 +441,8 @@ pub(crate) fn build_netlist(
     allocation: &Allocation,
     bits: u32,
 ) -> Result<Netlist, TcovError> {
-    let etpn = Etpn::from_parts(dfg, schedule, allocation)
-        .map_err(|e| TcovError::Build(e.to_string()))?;
+    let etpn =
+        Etpn::from_parts(dfg, schedule, allocation).map_err(|e| TcovError::Build(e.to_string()))?;
     elaborate(dfg, schedule, allocation, &etpn, bits).map_err(|e| TcovError::Build(e.to_string()))
 }
 

@@ -272,9 +272,7 @@ pub fn run_random_phase(
         if cancel.is_cancelled() {
             return Err(TcovError::Cancelled);
         }
-        let pending: Vec<usize> = (0..faults.len())
-            .filter(|&i| !phase.detected[i])
-            .collect();
+        let pending: Vec<usize> = (0..faults.len()).filter(|&i| !phase.detected[i]).collect();
         if pending.is_empty() {
             break;
         }

@@ -47,7 +47,9 @@ pub fn netlist_fingerprint(nl: &Netlist) -> u64 {
     for (i, gate) in nl.gates().iter().enumerate() {
         put(&[gate.kind() as u8]);
         for input in gate.inputs() {
-            put(&u32::try_from(input.index()).unwrap_or(u32::MAX).to_le_bytes());
+            put(&u32::try_from(input.index())
+                .unwrap_or(u32::MAX)
+                .to_le_bytes());
         }
         if let Some(name) = nl.name(hlts_netlist::GateId::from_index(i)) {
             put(name.as_bytes());

@@ -18,8 +18,8 @@ fn elaborated(bench: &str, bits: u32) -> Netlist {
     let result = IntegratedSynthesizer::new(params)
         .run(&dfg)
         .expect("synthesis succeeds");
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
-        .expect("etpn builds");
+    let etpn =
+        Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation).expect("etpn builds");
     elaborate(
         &result.dfg,
         &result.schedule,
@@ -68,7 +68,11 @@ fn serial_oracle(
         }
         assert_eq!(
             newly,
-            detected.iter().zip(&before).filter(|(d, b)| **d && !**b).count()
+            detected
+                .iter()
+                .zip(&before)
+                .filter(|(d, b)| **d && !**b)
+                .count()
         );
     }
     (detected, first, detected_random, test_cycles)

@@ -16,8 +16,8 @@ fn elaborated(bench: &str, bits: u32) -> Netlist {
     let result = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(bits))
         .run(&dfg)
         .expect("synthesis succeeds");
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
-        .expect("etpn builds");
+    let etpn =
+        Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation).expect("etpn builds");
     elaborate(
         &result.dfg,
         &result.schedule,

@@ -249,7 +249,11 @@ pub(crate) fn forward_evaluable(kind: &DpNodeKind) -> bool {
 /// The forward transfer function: the candidate output controllability
 /// of `node` given its predecessors' current values. `None` for kinds
 /// the forward pass does not evaluate.
-pub(crate) fn ctrl_candidate<F>(dp: &DataPath, node: DpNodeId, ctrl_of: &F) -> Option<Controllability>
+pub(crate) fn ctrl_candidate<F>(
+    dp: &DataPath,
+    node: DpNodeId,
+    ctrl_of: &F,
+) -> Option<Controllability>
 where
     F: Fn(DpNodeId) -> Controllability,
 {
@@ -266,12 +270,9 @@ where
                 },
             })
         }
-        DpNodeKind::Module { kinds, .. } => Some(module_output_ctrl(
-            dp,
-            node,
-            kinds.iter().copied(),
-            ctrl_of,
-        )),
+        DpNodeKind::Module { kinds, .. } => {
+            Some(module_output_ctrl(dp, node, kinds.iter().copied(), ctrl_of))
+        }
         _ => None,
     }
 }
@@ -525,16 +526,15 @@ impl TestabilityAnalysis {
         if ins.is_empty() {
             return self.out_ctrl[node.index()];
         }
-        ins.iter().map(|&a| self.out_ctrl[dp.arc(a).from().index()]).fold(
-            Controllability::none(),
-            |acc, c| {
+        ins.iter()
+            .map(|&a| self.out_ctrl[dp.arc(a).from().index()])
+            .fold(Controllability::none(), |acc, c| {
                 if c.better_than(acc) {
                     c
                 } else {
                     acc
                 }
-            },
-        )
+            })
     }
 
     /// The paper's node observability: the best observability of any of

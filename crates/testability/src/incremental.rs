@@ -179,7 +179,11 @@ impl BitEq for Observability {
 /// pop position `now` (earlier positions are already covered by kept
 /// prefixes, and pushing behind the pop would break evaluation order).
 fn push_future(wl: &mut Worklist, event_sweep: u32, src: usize, dst: usize, now: (u32, usize)) {
-    let target = if dst > src { event_sweep } else { event_sweep + 1 };
+    let target = if dst > src {
+        event_sweep
+    } else {
+        event_sweep + 1
+    };
     if (target, dst) > now {
         wl.push(target, dst);
     }
@@ -290,8 +294,8 @@ impl<'p, T: BitEq> Replay<'p, T> {
         if self.diverged[i] {
             return (accepted.is_some(), false);
         }
-        let expected = self.matched[i]
-            .and_then(|p| self.prev.slice(p).get(self.cursor[i] as usize).copied());
+        let expected =
+            self.matched[i].and_then(|p| self.prev.slice(p).get(self.cursor[i] as usize).copied());
         let newly = match (accepted, expected) {
             (Some(v), Some((s, old))) if s == sweep && old.bit_eq(v) => {
                 self.cursor[i] += 1;
@@ -408,8 +412,7 @@ impl TestabilityAnalysis {
             na.len() == pa.len()
                 && na.iter().zip(pa).all(|(&xa, &ya)| {
                     let (x, y) = (dp.arc(xa), prev_dp.arc(ya));
-                    x.port() == y.port()
-                        && matched_prev[x.from().index()] == Some(y.from().index())
+                    x.port() == y.port() && matched_prev[x.from().index()] == Some(y.from().index())
                 })
         };
         let out_sig_clean = |i: usize, p: usize| {
@@ -437,7 +440,13 @@ impl TestabilityAnalysis {
 
         // ---- Forward pass: controllability over nodes. ----
         let prev_ctrl = &self.ctrl_hist;
-        let mut rc = Replay::new(n, prev_ctrl, &matched_prev, &self.out_ctrl, Controllability::none());
+        let mut rc = Replay::new(
+            n,
+            prev_ctrl,
+            &matched_prev,
+            &self.out_ctrl,
+            Controllability::none(),
+        );
         for i in 0..n {
             if sig_dirty[i] || extra[i] {
                 rc.join_initial(i, ctrl_seed(dp.node(DpNodeId::from_index(i)).kind()));
@@ -556,10 +565,9 @@ impl TestabilityAnalysis {
         let mut arc_matched_prev: Vec<Option<usize>> = vec![None; m];
         let mut last_arc = None;
         for (i, a) in dp.arcs().iter().enumerate() {
-            let (Some(pf), Some(pt)) = (
-                matched_prev[a.from().index()],
-                matched_prev[a.to().index()],
-            ) else {
+            let (Some(pf), Some(pt)) =
+                (matched_prev[a.from().index()], matched_prev[a.to().index()])
+            else {
                 continue;
             };
             let hit = prev_dp
@@ -598,9 +606,16 @@ impl TestabilityAnalysis {
 
         // ---- Backward pass: observability over arcs. ----
         let prev_obs = &self.obs_hist;
-        let mut ro = Replay::new(m, prev_obs, &arc_matched_prev, &self.arc_obs, Observability::none());
+        let mut ro = Replay::new(
+            m,
+            prev_obs,
+            &arc_matched_prev,
+            &self.arc_obs,
+            Observability::none(),
+        );
         for i in 0..m {
-            if arc_matched_prev[i].is_none() || sink_dirty[dp.arc(DpArcId::from_index(i)).to().index()]
+            if arc_matched_prev[i].is_none()
+                || sink_dirty[dp.arc(DpArcId::from_index(i)).to().index()]
             {
                 ro.join_initial(i, Observability::none());
             }

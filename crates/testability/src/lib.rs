@@ -44,7 +44,7 @@ mod incremental;
 mod worklist;
 
 pub use analysis::{Controllability, Observability, TestabilityAnalysis};
-pub use engine::{TestabilityCacheStats, TestabilityEngine};
 pub use balance::{balance_score, balance_score_profiles, NodeProfile};
 pub use depth::{register_adjacency, sequential_depth, total_co_depth};
+pub use engine::{TestabilityCacheStats, TestabilityEngine};
 pub use factors::{ctf, otf};

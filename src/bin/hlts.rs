@@ -166,7 +166,10 @@ const GEN_FLAGS: &str = "--seed, --preset, --list-presets, --out, --ops, --input
     --loops, --name";
 
 fn unknown_flag(arg: &str, valid: &str) -> String {
-    format!("unexpected argument `{arg}` (valid flags: {valid})\n{}", usage())
+    format!(
+        "unexpected argument `{arg}` (valid flags: {valid})\n{}",
+        usage()
+    )
 }
 
 /// `--k` values must be positive: `k = 0` would make every iteration's
@@ -218,7 +221,9 @@ fn parse_warm_start(text: &str) -> Result<bool, String> {
     match text {
         "on" => Ok(true),
         "off" => Ok(false),
-        other => Err(format!("--warm-start: unknown mode `{other}` (expected off or on)")),
+        other => Err(format!(
+            "--warm-start: unknown mode `{other}` (expected off or on)"
+        )),
     }
 }
 
@@ -293,8 +298,10 @@ fn parse_run_args(
                 fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
             }
             "--tcov-jobs" => {
-                tcov_jobs =
-                    Some(parse_positive_count("--tcov-jobs", &take(&mut args, "--tcov-jobs")?)?);
+                tcov_jobs = Some(parse_positive_count(
+                    "--tcov-jobs",
+                    &take(&mut args, "--tcov-jobs")?,
+                )?);
             }
             "--audit" if !submit => audit = true,
             "--json" if !submit => json = true,
@@ -616,8 +623,8 @@ fn parse_gen_args(mut args: impl Iterator<Item = String>) -> Result<GenOptions, 
             "--out" => opts.out = Some(take(&mut args, "--out")?),
             // Knob overrides are collected as (flag, value) and applied
             // on top of the preset; hlts-gen validates the results.
-            "--ops" | "--inputs" | "--const-ratio" | "--mul" | "--addsub" | "--logic"
-            | "--cmp" | "--shift" | "--depth-bias" | "--fanout-skew" | "--loops" | "--name" => {
+            "--ops" | "--inputs" | "--const-ratio" | "--mul" | "--addsub" | "--logic" | "--cmp"
+            | "--shift" | "--depth-bias" | "--fanout-skew" | "--loops" | "--name" => {
                 let value = take(&mut args, &arg)?;
                 opts.overrides.push((arg, value));
             }

@@ -96,10 +96,7 @@ fn rejects_negative_and_nan_weights() {
             .expect("binary runs");
         assert!(!out.status.success(), "{flag} {value} accepted");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("finite non-negative"),
-            "{flag} {value}: {err}"
-        );
+        assert!(err.contains("finite non-negative"), "{flag} {value}: {err}");
     }
 }
 
@@ -112,7 +109,9 @@ fn unknown_flag_error_lists_the_valid_flags() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("`--wat`"), "{err}");
-    for flag in ["--flow", "--bits", "--k", "--alpha", "--beta", "--atpg", "--json", "--quiet"] {
+    for flag in [
+        "--flow", "--bits", "--k", "--alpha", "--beta", "--atpg", "--json", "--quiet",
+    ] {
         assert!(err.contains(flag), "missing {flag} in: {err}");
     }
 
@@ -137,7 +136,12 @@ fn run_json_is_machine_readable() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.trim_start().starts_with('{'), "{text}");
     assert!(text.trim_end().ends_with('}'), "{text}");
-    for key in ["\"source\"", "\"metrics\"", "\"execution_time\"", "\"merges\""] {
+    for key in [
+        "\"source\"",
+        "\"metrics\"",
+        "\"execution_time\"",
+        "\"merges\"",
+    ] {
         assert!(text.contains(key), "missing {key} in: {text}");
     }
     // JSON mode replaces the human report entirely.
@@ -147,7 +151,16 @@ fn run_json_is_machine_readable() {
 #[test]
 fn explore_reports_a_pareto_front() {
     let out = hlts()
-        .args(["explore", "bench:ex", "--k", "1,3", "--weights", "2:1,1:10", "--jobs", "2"])
+        .args([
+            "explore",
+            "bench:ex",
+            "--k",
+            "1,3",
+            "--weights",
+            "2:1,1:10",
+            "--jobs",
+            "2",
+        ])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
@@ -159,7 +172,15 @@ fn explore_reports_a_pareto_front() {
 #[test]
 fn explore_json_is_machine_readable() {
     let out = hlts()
-        .args(["explore", "bench:ex", "--k", "1", "--weights", "2:1", "--json"])
+        .args([
+            "explore",
+            "bench:ex",
+            "--k",
+            "1",
+            "--weights",
+            "2:1",
+            "--json",
+        ])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{out:?}");
@@ -176,7 +197,15 @@ fn explore_journal_roundtrips_through_resume() {
     let path = dir.join(format!("resume-{}.journal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let journal = path.to_str().expect("utf8 path");
-    let sweep = ["explore", "bench:ex", "--k", "1,2,3", "--weights", "2:1", "--quiet"];
+    let sweep = [
+        "explore",
+        "bench:ex",
+        "--k",
+        "1,2,3",
+        "--weights",
+        "2:1",
+        "--quiet",
+    ];
 
     let out = hlts()
         .args(sweep)
@@ -219,7 +248,10 @@ fn gen_is_deterministic_and_names_the_seed() {
     let first = run();
     assert_eq!(first, run(), "same (seed, preset) must emit identical text");
     assert!(first.starts_with("dfg loopy_mul_s11 {"), "{first}");
-    assert!(first.contains("loop "), "loopy-mul closes loop pairs: {first}");
+    assert!(
+        first.contains("loop "),
+        "loopy-mul closes loop pairs: {first}"
+    );
 }
 
 #[test]
@@ -303,10 +335,7 @@ fn gen_rejects_unknown_presets_and_bad_knobs() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("ops must be >= 1"), "{err}");
 
-    let out = hlts()
-        .args(["gen", "--wat"])
-        .output()
-        .expect("binary runs");
+    let out = hlts().args(["gen", "--wat"]).output().expect("binary runs");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--preset"), "should list gen flags: {err}");
@@ -501,7 +530,10 @@ fn explore_resumes_after_sigkill_to_the_uninterrupted_front() {
     // Every whole point line is resumed; a line torn by the kill is
     // dropped and its point recomputed.
     let count = |word: &str| -> usize {
-        let head = resumed.split(&format!(" {word}")).next().unwrap_or_default();
+        let head = resumed
+            .split(&format!(" {word}"))
+            .next()
+            .unwrap_or_default();
         let digits = head.rsplit(|c: char| !c.is_ascii_digit()).next();
         digits.and_then(|d| d.parse().ok()).unwrap_or(usize::MAX)
     };
@@ -510,7 +542,11 @@ fn explore_resumes_after_sigkill_to_the_uninterrupted_front() {
     assert!(reused + 1 >= journaled && reused <= journaled, "{resumed}");
     let front = |s: &str| s.split("front: ").nth(1).map(str::to_owned);
     assert!(front(&uninterrupted).is_some(), "{uninterrupted}");
-    assert_eq!(front(&uninterrupted), front(&resumed), "{uninterrupted} vs {resumed}");
+    assert_eq!(
+        front(&uninterrupted),
+        front(&resumed),
+        "{uninterrupted} vs {resumed}"
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -519,7 +555,10 @@ fn explore_resumes_after_sigkill_to_the_uninterrupted_front() {
 #[test]
 fn zero_worker_counts_are_rejected_uniformly() {
     let cases: [(&[&str], &str); 4] = [
-        (&["explore", "bench:ex", "--jobs", "0"], "--jobs must be >= 1"),
+        (
+            &["explore", "bench:ex", "--jobs", "0"],
+            "--jobs must be >= 1",
+        ),
         (
             &["bench:ex", "--atpg", "--tcov-jobs", "0"],
             "--tcov-jobs must be >= 1",
@@ -539,9 +578,21 @@ fn zero_worker_counts_are_rejected_uniformly() {
 /// same front as a cold sweep; garbage modes are rejected.
 #[test]
 fn explore_warm_start_preserves_the_front() {
-    let sweep = ["explore", "bench:ex", "--k", "2", "--weights", "2:1,2:1.05,1:10", "--quiet"];
+    let sweep = [
+        "explore",
+        "bench:ex",
+        "--k",
+        "2",
+        "--weights",
+        "2:1,2:1.05,1:10",
+        "--quiet",
+    ];
     let run = |extra: &[&str]| {
-        let out = hlts().args(sweep).args(extra).output().expect("binary runs");
+        let out = hlts()
+            .args(sweep)
+            .args(extra)
+            .output()
+            .expect("binary runs");
         assert!(out.status.success(), "{out:?}");
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
@@ -562,7 +613,14 @@ fn explore_warm_start_preserves_the_front() {
 #[test]
 fn explore_rejects_journal_plus_resume() {
     let out = hlts()
-        .args(["explore", "bench:ex", "--journal", "/tmp/a", "--resume", "/tmp/b"])
+        .args([
+            "explore",
+            "bench:ex",
+            "--journal",
+            "/tmp/a",
+            "--resume",
+            "/tmp/b",
+        ])
         .output()
         .expect("binary runs");
     assert!(!out.status.success());

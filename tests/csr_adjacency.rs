@@ -183,11 +183,19 @@ fn truncate_restores_adjacency_to_the_savepoint_on_all_graphs() {
         let mut added = 0;
         for i in 0..n {
             let j = (i + 7) % n;
-            if i != j && dfg.add_precedence(OpId::from_index(i), OpId::from_index(j)).is_ok() {
+            if i != j
+                && dfg
+                    .add_precedence(OpId::from_index(i), OpId::from_index(j))
+                    .is_ok()
+            {
                 added += 1;
             }
             let k = (i + 11) % n;
-            if i != k && dfg.add_weak_precedence(OpId::from_index(i), OpId::from_index(k)).is_ok() {
+            if i != k
+                && dfg
+                    .add_weak_precedence(OpId::from_index(i), OpId::from_index(k))
+                    .is_ok()
+            {
                 added += 1;
             }
         }
@@ -201,7 +209,10 @@ fn truncate_restores_adjacency_to_the_savepoint_on_all_graphs() {
         for (i, op) in dfg.ops().iter().enumerate() {
             let o = op.id();
             let preds: Vec<OpId> = dfg.preds(o).collect();
-            assert_eq!(preds, snapshot_preds[i], "{name}: preds({o}) after truncate");
+            assert_eq!(
+                preds, snapshot_preds[i],
+                "{name}: preds({o}) after truncate"
+            );
             assert_eq!(
                 dfg.weak_preds(o),
                 snapshot_weak[i].as_slice(),

@@ -22,8 +22,8 @@ fn elaborated(dfg: &Dfg) -> Netlist {
     let result = IntegratedSynthesizer::new(SynthesisParams::paper_defaults(BITS))
         .run(dfg)
         .expect("synthesis succeeds");
-    let etpn = Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation)
-        .expect("etpn builds");
+    let etpn =
+        Etpn::from_parts(&result.dfg, &result.schedule, &result.allocation).expect("etpn builds");
     elaborate(
         &result.dfg,
         &result.schedule,
@@ -81,9 +81,8 @@ fn check_workload(tag: &str, dfg: &Dfg) {
     for jobs in [1usize, 4] {
         let ctrl = fsim::control_inputs(&nl);
         let mut fs = FaultSimulator::new(nl.clone());
-        let phase =
-            fsim::run_random_phase(&mut fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
-                .expect("not cancelled");
+        let phase = fsim::run_random_phase(&mut fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
+            .expect("not cancelled");
         assert_eq!(phase.detected, oracle_det, "{tag} jobs={jobs}: bitmap");
         assert_eq!(
             phase.first_detect_seq, oracle_first,
@@ -92,7 +91,15 @@ fn check_workload(tag: &str, dfg: &Dfg) {
     }
 
     let ctl = RunCtl::none();
-    let serial = grade(&nl, &TcovConfig { atpg: cfg.clone(), jobs: 1 }, &ctl).expect("grades");
+    let serial = grade(
+        &nl,
+        &TcovConfig {
+            atpg: cfg.clone(),
+            jobs: 1,
+        },
+        &ctl,
+    )
+    .expect("grades");
     let parallel = grade(&nl, &TcovConfig { atpg: cfg, jobs: 4 }, &ctl).expect("grades");
     assert_eq!(
         serial.signature(),
