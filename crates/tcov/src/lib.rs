@@ -176,9 +176,16 @@ pub struct CoverageReport {
     pub detected_random: usize,
     /// Faults detected by the deterministic phase.
     pub detected_deterministic: usize,
-    /// Faults proven untestable within the frame bound.
+    /// Faults proven untestable within the frame bound. Only a netlist
+    /// without control inputs counts here: with all inputs free, PODEM
+    /// exhausting a target is a proof.
     pub untestable: usize,
-    /// Deterministic targets given up at the backtrack limit.
+    /// Deterministic targets left undetected after every preset: those
+    /// PODEM gave up on at the backtrack limit or whose test failed
+    /// validation, and — on a netlist with control inputs — also those
+    /// it proved untestable under every control preset, since the
+    /// presets fix inputs a real test may drive otherwise. So a run can
+    /// report aborted targets with zero backtracks.
     pub aborted: usize,
     /// Clock cycles of the kept test set.
     pub test_cycles: usize,

@@ -2,7 +2,7 @@
 //! for `Dfg`s and a protocol-driven netlist runner, used to check that
 //! synthesized designs still compute their behavior, plus the set-up of
 //! the PODEM tests (an elaborated paper-default design and the
-//! deterministic phase's first control preset).
+//! deterministic phase's control presets).
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
 use std::collections::HashMap;
@@ -205,17 +205,31 @@ pub fn elaborated(dfg: &Dfg, bits: u32) -> (Netlist, usize) {
     (nl, result.schedule.num_steps())
 }
 
-/// The deterministic phase's first control preset: control input
-/// `ctrl[j]` is high in frame `f` exactly when `f % ctrl.len() == j`;
-/// every data input is free.
-pub fn phase0_preset(nl: &Netlist, frames: usize) -> Vec<Vec<Option<bool>>> {
+/// The deterministic phase's control presets, as `hlts-tcov` tries
+/// them: preset `p` (for `p < min(3, walk length)`) drives control
+/// input `ctrl[j]` high in frame `f` exactly when
+/// `(f + p) % ctrl.len() == j`; every data input is free.
+pub fn control_presets(nl: &Netlist, frames: usize) -> Vec<Vec<Vec<Option<bool>>>> {
     let ctrl = hlts::tcov::fsim::control_inputs(nl);
     let walk = ctrl.len().max(1);
-    (0..frames)
-        .map(|f| {
-            (0..nl.inputs().len())
-                .map(|i| ctrl.iter().position(|&c| c == i).map(|pos| f % walk == pos))
+    (0..walk.min(3))
+        .map(|phase| {
+            (0..frames)
+                .map(|f| {
+                    (0..nl.inputs().len())
+                        .map(|i| {
+                            ctrl.iter()
+                                .position(|&c| c == i)
+                                .map(|pos| (f + phase) % walk == pos)
+                        })
+                        .collect()
+                })
                 .collect()
         })
         .collect()
+}
+
+/// The deterministic phase's first control preset (phase 0).
+pub fn phase0_preset(nl: &Netlist, frames: usize) -> Vec<Vec<Option<bool>>> {
+    control_presets(nl, frames).swap_remove(0)
 }
