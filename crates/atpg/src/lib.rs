@@ -14,21 +14,27 @@
 //!   inputs, with structural equivalence collapsing and optional
 //!   sampling;
 //! * [`FaultSimulator`] — serial-fault, parallel-pattern fault
-//!   simulation with fault dropping, plus the recorded-trace
-//!   single-fault check ([`FaultSimulator::detects`]) the grading
-//!   engine shards over threads;
+//!   simulation with fault dropping: a good machine recorded once per
+//!   sequence ([`GoodTrace`]), and an event-driven, cone-limited
+//!   single-fault check ([`FaultSimulator::detects`]) that the grading
+//!   engine shards over threads, each with its own [`FaultScratch`];
 //! * [`Podem`] — deterministic PODEM over a time-frame-expanded model
 //!   (reset state, bounded frames, bounded backtracks).
+//!
+//! `Podem` and `FaultSimulator` run on one shared levelized view of the
+//! netlist (topological positions, fan-in and fanout as CSR arrays),
+//! built once per instance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod faults;
 mod faultsim;
+mod levels;
 mod podem;
 mod sim;
 
 pub use faults::{Fault, FaultSite, FaultUniverse};
-pub use faultsim::{FaultSimulator, GoodTrace, PiAssign};
+pub use faultsim::{FaultScratch, FaultSimulator, GoodTrace, PiAssign};
 pub use podem::{Podem, PodemOutcome};
 pub use sim::Simulator;

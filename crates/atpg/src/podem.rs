@@ -17,12 +17,13 @@
 //! net of every frame in one flat `frames × gates` buffer, a byte per
 //! net holding an "is 1" and an "is 0" bit per machine (X has neither),
 //! so a gate evaluates both machines at once with a few bitwise
-//! operations. It also owns a levelized view of the netlist: every
-//! combinational gate's *position* in topological order, the nets it
-//! reads, and each net's fanout (the positions of the gates and the
-//! flip-flops it feeds), as flat CSR arrays. Everything is sized once,
-//! in [`Podem::new`]. Implication does only the work the assignment's
-//! changes cause:
+//! operations. It also owns the crate's shared levelized view of the
+//! netlist (`Levels`, the one [`crate::FaultSimulator`] runs on too):
+//! every combinational gate's *position* in topological order, the
+//! nets it reads, and each net's fanout (the positions of the gates and
+//! the flip-flops it feeds), as flat CSR arrays. Everything is sized
+//! once, in [`Podem::new`]. Implication does only the work the
+//! assignment's changes cause:
 //!
 //! * **Dirty frames.** A decision, a flip or a pop at frame `f` marks
 //!   `f` touched and lowers the earliest dirty frame to `f`. Frames
@@ -61,6 +62,7 @@
 
 use hlts_netlist::{GateId, GateKind, Netlist};
 
+use crate::levels::{is_source, Levels, Queue};
 use crate::{Fault, FaultSite};
 
 type V = Option<bool>;
@@ -163,73 +165,6 @@ pub struct Podem {
     reseed: Vec<usize>,
 }
 
-/// The netlist levelized for event-driven simulation, as flat arrays.
-#[derive(Debug, Clone)]
-struct Levels {
-    /// Nets (gates of every kind) in the netlist.
-    num_nets: usize,
-    /// Combinational gates in topological order; a gate's index here is
-    /// its *position*.
-    order: Vec<GateId>,
-    /// Gate index → position (`u32::MAX` for source nets).
-    pos: Vec<u32>,
-    /// Position → gate kind, and the nets it reads
-    /// (`fanin[fanin_start[p]..fanin_start[p + 1]]`, in pin order).
-    kinds: Vec<GateKind>,
-    fanin_start: Vec<u32>,
-    fanin: Vec<u32>,
-    /// Net index → the positions of the combinational gates it feeds
-    /// (`fan[fan_start[g]..fan_start[g + 1]]`, ascending, each once).
-    fan_start: Vec<u32>,
-    fan: Vec<u32>,
-    /// Net index → the flip-flops whose D input it is (gate indices,
-    /// `dff_fan[dff_start[g]..dff_start[g + 1]]`).
-    dff_start: Vec<u32>,
-    dff_fan: Vec<u32>,
-}
-
-impl Levels {
-    fn new(nl: &mut Netlist) -> Self {
-        let order = nl.topo_levels();
-        let n = nl.num_gates();
-        let index = |i: usize| u32::try_from(i).expect("netlist fits u32 indices");
-        let mut pos = vec![u32::MAX; n];
-        let mut fanin = Vec::with_capacity(order.len());
-        let mut fan = vec![Vec::new(); n];
-        for (p, &g) in order.iter().enumerate() {
-            pos[g.index()] = index(p);
-            let ins = nl.gates()[g.index()].inputs();
-            fanin.push(ins.iter().map(|i| index(i.index())).collect());
-            for &i in ins {
-                let row: &mut Vec<u32> = &mut fan[i.index()];
-                if row.last() != Some(&index(p)) {
-                    row.push(index(p));
-                }
-            }
-        }
-        let mut dff_fan = vec![Vec::new(); n];
-        for &q in nl.dffs() {
-            let d = nl.gates()[q.index()].inputs()[0];
-            dff_fan[d.index()].push(index(q.index()));
-        }
-        let (fanin_start, fanin) = csr(&fanin);
-        let (fan_start, fan) = csr(&fan);
-        let (dff_start, dff_fan) = csr(&dff_fan);
-        Levels {
-            num_nets: n,
-            kinds: order.iter().map(|g| nl.gates()[g.index()].kind()).collect(),
-            order,
-            pos,
-            fanin_start,
-            fanin,
-            fan_start,
-            fan,
-            dff_start,
-            dff_fan,
-        }
-    }
-}
-
 /// Good and faulty values of every net in every frame, frame-major
 /// (`frame * gates + gate`), and the D-frontier of every frame.
 #[derive(Debug, Clone)]
@@ -264,7 +199,7 @@ impl Machines {
         let base = t * n;
         let g = lv.order[p].index();
         let kind = lv.kinds[p];
-        let ins = &lv.fanin[lv.fanin_start[p] as usize..lv.fanin_start[p + 1] as usize];
+        let ins = lv.fanin(p);
         let pin = site.pin_at(g);
         let nets = &self.nets[base..base + n];
         let read = |k: usize| {
@@ -378,67 +313,6 @@ impl Site {
     }
 }
 
-/// A set of positions popped in ascending order: a bitset plus the
-/// range of words that may hold bits.
-#[derive(Debug, Clone)]
-struct Queue {
-    bits: Vec<u64>,
-    lo: usize,
-    hi: usize,
-}
-
-impl Queue {
-    fn new(words: usize) -> Self {
-        Queue {
-            bits: vec![0; words],
-            lo: usize::MAX,
-            hi: 0,
-        }
-    }
-
-    fn push(&mut self, p: usize) {
-        let w = p / 64;
-        self.bits[w] |= 1 << (p % 64);
-        self.lo = self.lo.min(w);
-        self.hi = self.hi.max(w + 1);
-    }
-
-    /// The lowest queued position, removed. Positions pushed while
-    /// popping must lie above the last one popped.
-    fn pop(&mut self) -> Option<usize> {
-        while self.lo < self.hi {
-            let bits = self.bits[self.lo];
-            if bits != 0 {
-                self.bits[self.lo] = bits & (bits - 1);
-                return Some(self.lo * 64 + bits.trailing_zeros() as usize);
-            }
-            self.lo += 1;
-        }
-        self.lo = usize::MAX;
-        self.hi = 0;
-        None
-    }
-}
-
-/// Compressed rows: row `i` is `flat[start[i]..start[i + 1]]`.
-fn csr(rows: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-    let mut start = Vec::with_capacity(rows.len() + 1);
-    start.push(0);
-    let mut flat = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-    for row in rows {
-        flat.extend_from_slice(row);
-        start.push(u32::try_from(flat.len()).expect("fanout fits u32"));
-    }
-    (start, flat)
-}
-
-fn is_source(kind: GateKind) -> bool {
-    matches!(
-        kind,
-        GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1
-    )
-}
-
 impl Podem {
     /// Create a generator unrolling `frames` time frames with the given
     /// backtrack limit.
@@ -451,7 +325,7 @@ impl Podem {
         for (pi, &g) in nl.inputs().iter().enumerate() {
             pi_of[g.index()] = pi;
         }
-        let words = lv.order.len().div_ceil(64);
+        let words = lv.words();
         // Every decision assigns a distinct free input, so the stack
         // never outgrows `frames × inputs`.
         let slots = frames * nl.inputs().len();
@@ -702,12 +576,11 @@ impl Podem {
     /// flip-flops it feeds for the next frame.
     fn fanout(&mut self, t: usize, g: usize) {
         let lv = &self.lv;
-        for &p in &lv.fan[lv.fan_start[g] as usize..lv.fan_start[g + 1] as usize] {
+        for &p in lv.fanout(g) {
             self.queue.push(p as usize);
         }
         if t + 1 < self.frames {
-            let row = lv.dff_start[g] as usize..lv.dff_start[g + 1] as usize;
-            self.next_latch.extend_from_slice(&lv.dff_fan[row]);
+            self.next_latch.extend_from_slice(lv.dff_fanout(g));
         }
     }
 
@@ -1002,7 +875,8 @@ mod tests {
         nl.output("o", q);
         let universe = crate::FaultUniverse::collapsed(&nl);
         let mut podem = Podem::new(nl.clone(), 4, 200);
-        let mut fs = crate::FaultSimulator::new(nl);
+        let fs = crate::FaultSimulator::new(nl);
+        let mut scratch = fs.scratch();
         let mut found = 0;
         for &f in universe.faults() {
             if let PodemOutcome::Test(t) = podem.generate(f) {
@@ -1012,7 +886,7 @@ mod tests {
                     .collect();
                 let trace = fs.good_trace(&seq);
                 assert!(
-                    fs.detects(&trace, &seq, f),
+                    fs.detects(&mut scratch, &trace, f),
                     "PODEM test must detect {}",
                     f.describe()
                 );

@@ -141,14 +141,6 @@ impl Simulator {
     pub fn value(&self, g: GateId) -> u64 {
         self.values[g.index()]
     }
-
-    pub(crate) fn order(&self) -> &[GateId] {
-        &self.order
-    }
-
-    pub(crate) fn state(&self) -> &[u64] {
-        &self.state
-    }
 }
 
 #[cfg(test)]

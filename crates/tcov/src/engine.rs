@@ -18,7 +18,9 @@
 //! of (netlist, config) alone.
 
 use hlts_alloc::Allocation;
-use hlts_atpg::{Fault, FaultSimulator, FaultUniverse, PiAssign, Podem, PodemOutcome};
+use hlts_atpg::{
+    Fault, FaultScratch, FaultSimulator, FaultUniverse, PiAssign, Podem, PodemOutcome,
+};
 use hlts_core::{CancelToken, RunCtl};
 use hlts_dfg::Dfg;
 use hlts_etpn::Etpn;
@@ -84,12 +86,13 @@ fn control_presets(nl: &Netlist, ctrl_idx: &[usize], frames: usize) -> Vec<Prese
 
 /// Resolve one deterministic target: try each preset, validate any
 /// test PODEM returns against the target fault itself, and account the
-/// backtracks the attempt consumed. `podem` and `fs` are reusable
-/// scratch machines — only `Podem::backtracks_used` mutates, and the
+/// backtracks the attempt consumed. `podem` and `scratch` are reusable
+/// buffers — only `Podem::backtracks_used` carries over, and the
 /// per-call delta is instance-independent.
 fn podem_target(
     podem: &mut Podem,
-    fs: &mut FaultSimulator,
+    fs: &FaultSimulator,
+    scratch: &mut FaultScratch,
     presets: &[Preset],
     fault: Fault,
 ) -> TargetOutcome {
@@ -104,7 +107,7 @@ fn podem_target(
                     .map(|frame| frame.iter().map(|&b| if b { !0u64 } else { 0 }).collect())
                     .collect();
                 let trace = fs.good_trace(&seq);
-                if fs.detects(&trace, &seq, fault) {
+                if fs.detects(scratch, &trace, fault) {
                     return TargetOutcome::Found {
                         test: seq,
                         backtracks: podem.backtracks_used() - before,
@@ -177,7 +180,8 @@ mod workers {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut podem = Podem::new(nl.clone(), frames, backtrack_limit);
-                        let mut fs = FaultSimulator::new(nl.clone());
+                        let fs = FaultSimulator::new(nl.clone());
+                        let mut scratch = fs.scratch();
                         let mut skips = 0usize;
                         loop {
                             // Death before the next claim: nothing this
@@ -202,7 +206,8 @@ mod workers {
                                 skips += 1;
                                 continue;
                             }
-                            let outcome = podem_target(&mut podem, &mut fs, presets, faults[fi]);
+                            let outcome =
+                                podem_target(&mut podem, &fs, &mut scratch, presets, faults[fi]);
                             if let TargetOutcome::Found { test, .. } = &outcome {
                                 // Drop broadcast: fault-simulate the new
                                 // test over every not-yet-covered fault
@@ -212,7 +217,7 @@ mod workers {
                                     if base_detected[i] || hints[i].load(Ordering::Relaxed) {
                                         continue;
                                     }
-                                    if fs.detects(&trace, test, f) {
+                                    if fs.detects(&mut scratch, &trace, f) {
                                         hints[i].store(true, Ordering::Relaxed);
                                     }
                                 }
@@ -238,7 +243,7 @@ mod workers {
 #[allow(clippy::too_many_arguments)]
 fn deterministic_phase(
     nl: &Netlist,
-    fs: &mut FaultSimulator,
+    fs: &FaultSimulator,
     cfg: &TcovConfig,
     ctrl_idx: &[usize],
     faults: &[Fault],
@@ -298,6 +303,7 @@ fn deterministic_phase(
     // Merge pass: serial, fault-index order, recomputing what no
     // worker delivered. Everything the report sees flows through here.
     let mut merge_podem: Option<Podem> = None;
+    let mut scratch = fs.scratch();
     for (t, &fi) in targets.iter().enumerate() {
         if detected[fi] {
             continue; // dropped by an earlier *kept* test
@@ -312,7 +318,7 @@ fn deterministic_phase(
                 let podem = merge_podem.get_or_insert_with(|| {
                     Podem::new(nl.clone(), cfg.atpg.frames, cfg.atpg.backtrack_limit)
                 });
-                podem_target(podem, fs, &presets, faults[fi])
+                podem_target(podem, fs, &mut scratch, &presets, faults[fi])
             }
         };
         phase.backtracks += outcome.backtracks();
@@ -320,8 +326,15 @@ fn deterministic_phase(
             TargetOutcome::Found { test, .. } => {
                 let pending: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
                 let trace = fs.good_trace(&test);
-                let hits =
-                    fsim::detect_partition(fs, &trace, &test, faults, &pending, cfg.jobs, cancel)?;
+                let hits = fsim::detect_partition(
+                    fs,
+                    &mut scratch,
+                    &trace,
+                    faults,
+                    &pending,
+                    cfg.jobs,
+                    cancel,
+                )?;
                 for &i in &hits {
                     detected[i] = true;
                 }
@@ -365,19 +378,10 @@ pub fn grade_with_universe(
     };
     let faults = sampled.faults();
     let ctrl_idx = fsim::control_inputs(nl);
-    let mut fs = FaultSimulator::new(nl.clone());
-    let random =
-        fsim::run_random_phase(&mut fs, &cfg.atpg, &ctrl_idx, faults, cfg.jobs, &ctl.cancel)?;
+    let fs = FaultSimulator::new(nl.clone());
+    let random = fsim::run_random_phase(&fs, &cfg.atpg, &ctrl_idx, faults, cfg.jobs, &ctl.cancel)?;
     let mut detected = random.detected;
-    let det = deterministic_phase(
-        nl,
-        &mut fs,
-        cfg,
-        &ctrl_idx,
-        faults,
-        &mut detected,
-        &ctl.cancel,
-    )?;
+    let det = deterministic_phase(nl, &fs, cfg, &ctrl_idx, faults, &mut detected, &ctl.cancel)?;
     Ok(CoverageReport {
         gates: nl.num_gates(),
         faults_graded: faults.len(),

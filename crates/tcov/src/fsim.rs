@@ -10,9 +10,10 @@
 //! `< s` — so the phase's coverage bitmap, per-fault first-detecting
 //! sequence and test-cycle count are bit-identical to the serial-fault
 //! path (`FaultSimulator::run`, one sequence at a time) at any worker
-//! count.
+//! count. Each sequence's trace is recorded into one reused buffer,
+//! and every worker grades with its own `FaultScratch`.
 
-use hlts_atpg::{Fault, FaultSimulator, GoodTrace, PiAssign};
+use hlts_atpg::{Fault, FaultScratch, FaultSimulator, GoodTrace, PiAssign};
 use hlts_core::CancelToken;
 use hlts_netlist::Netlist;
 use rand::rngs::StdRng;
@@ -105,15 +106,16 @@ pub(crate) fn effective_workers(_jobs: usize, _pending: usize) -> usize {
 /// sequence, sharded over `jobs` workers, returning the **sorted**
 /// indices of the newly detected faults. The result is a pure set —
 /// identical for any worker count, including the single-threaded
-/// fallback. Cancellation is polled per work-unit claim.
+/// fallback. Cancellation is polled per work-unit claim. The calling
+/// thread grades with `scratch`; parallel workers each make their own.
 ///
 /// # Errors
 ///
 /// [`TcovError::Cancelled`] when `cancel` fires mid-partition.
 pub fn detect_partition(
     fs: &FaultSimulator,
+    scratch: &mut FaultScratch,
     trace: &GoodTrace,
-    seq: &[PiAssign],
     faults: &[Fault],
     pending: &[usize],
     jobs: usize,
@@ -126,7 +128,7 @@ pub fn detect_partition(
             if n % CHUNK == 0 && cancel.is_cancelled() {
                 return Err(TcovError::Cancelled);
             }
-            if fs.detects(trace, seq, faults[i]) {
+            if fs.detects(scratch, trace, faults[i]) {
                 hits.push(i);
             }
         }
@@ -134,7 +136,7 @@ pub fn detect_partition(
     }
     #[cfg(feature = "parallel")]
     {
-        parallel::detect(fs, trace, seq, faults, pending, workers, cancel)
+        parallel::detect(fs, scratch, trace, faults, pending, workers, cancel)
     }
     #[cfg(not(feature = "parallel"))]
     unreachable!("effective_workers returns 1 without the parallel feature")
@@ -144,7 +146,7 @@ pub fn detect_partition(
 mod parallel {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-    use hlts_atpg::{Fault, FaultSimulator, GoodTrace, PiAssign};
+    use hlts_atpg::{Fault, FaultScratch, FaultSimulator, GoodTrace};
     use hlts_check::faults::{fire, sites};
     use hlts_core::CancelToken;
 
@@ -153,8 +155,8 @@ mod parallel {
 
     pub(super) fn detect(
         fs: &FaultSimulator,
+        scratch: &mut FaultScratch,
         trace: &GoodTrace,
-        seq: &[PiAssign],
         faults: &[Fault],
         pending: &[usize],
         workers: usize,
@@ -169,6 +171,7 @@ mod parallel {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut local = Vec::new();
+                        let mut scratch = fs.scratch();
                         loop {
                             if stop.load(Ordering::Relaxed) {
                                 break;
@@ -190,7 +193,7 @@ mod parallel {
                             let lo = c * CHUNK;
                             let hi = (lo + CHUNK).min(pending.len());
                             for &i in &pending[lo..hi] {
-                                if fs.detects(trace, seq, faults[i]) {
+                                if fs.detects(&mut scratch, trace, faults[i]) {
                                     local.push(i);
                                 }
                             }
@@ -216,7 +219,7 @@ mod parallel {
             let lo = c * CHUNK;
             let hi = (lo + CHUNK).min(pending.len());
             for &i in &pending[lo..hi] {
-                if fs.detects(trace, seq, faults[i]) {
+                if fs.detects(scratch, trace, faults[i]) {
                     hits.push(i);
                 }
             }
@@ -253,7 +256,7 @@ pub struct RandomPhase {
 /// [`TcovError::Cancelled`] when `cancel` fires between or inside
 /// sequences.
 pub fn run_random_phase(
-    fs: &mut FaultSimulator,
+    fs: &FaultSimulator,
     cfg: &AtpgConfig,
     ctrl_idx: &[usize],
     faults: &[Fault],
@@ -268,6 +271,8 @@ pub fn run_random_phase(
         test_cycles: 0,
         random_patterns: cfg.random_sequences * cfg.sequence_cycles * 64,
     };
+    let mut trace = GoodTrace::default();
+    let mut scratch = fs.scratch();
     for (s, seq) in seqs.iter().enumerate() {
         if cancel.is_cancelled() {
             return Err(TcovError::Cancelled);
@@ -276,8 +281,8 @@ pub fn run_random_phase(
         if pending.is_empty() {
             break;
         }
-        let trace = fs.good_trace(seq);
-        let hits = detect_partition(fs, &trace, seq, faults, &pending, jobs, cancel)?;
+        fs.record(seq, &mut trace);
+        let hits = detect_partition(fs, &mut scratch, &trace, faults, &pending, jobs, cancel)?;
         if !hits.is_empty() {
             for &i in &hits {
                 phase.detected[i] = true;

@@ -1,10 +1,16 @@
 //! Fast conformance checks: the fault-partitioned parallel paths must
-//! be bit-identical to the serial-fault oracle (the upstream
-//! `FaultSimulator::run` loop) and to themselves at any worker count.
+//! be bit-identical to the serial-fault oracle (the workspace's
+//! reference fault simulator, a full faulty-machine re-simulation that
+//! shares no code with `hlts-atpg`) and to themselves at any worker
+//! count.
 //! The full matrix over the paper benchmarks and 32 generated graphs
 //! runs as the `#[ignore]`d release tier in the workspace root's
 //! `tests/tcov_conformance.rs`.
 
+#[path = "../../../tests/common/fsim_reference.rs"]
+mod fsim_reference;
+
+use fsim_reference::ReferenceFsim;
 use hlts_atpg::{FaultSimulator, FaultUniverse};
 use hlts_core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
@@ -39,9 +45,8 @@ fn small_cfg(nl_steps_hint: usize, sample: usize) -> AtpgConfig {
     }
 }
 
-/// The serial-fault oracle: the upstream `FaultSimulator::run` loop,
-/// one sequence at a time, recording each fault's first detecting
-/// sequence.
+/// The serial-fault oracle: the reference simulator, one sequence at a
+/// time, recording each fault's first detecting sequence.
 fn serial_oracle(
     nl: &Netlist,
     cfg: &AtpgConfig,
@@ -49,14 +54,14 @@ fn serial_oracle(
 ) -> (Vec<bool>, Vec<Option<usize>>, usize, usize) {
     let ctrl = fsim::control_inputs(nl);
     let seqs = fsim::random_sequences(nl, cfg, &ctrl);
-    let mut fs = FaultSimulator::new(nl.clone());
+    let reference = ReferenceFsim::new(nl.clone());
     let mut detected = vec![false; faults.len()];
     let mut first = vec![None; faults.len()];
     let mut detected_random = 0;
     let mut test_cycles = 0;
     for (s, seq) in seqs.iter().enumerate() {
         let before = detected.clone();
-        let newly = fs.run(seq, faults, &mut detected);
+        let newly = reference.run(seq, faults, &mut detected);
         if newly > 0 {
             detected_random += newly;
             test_cycles += cfg.sequence_cycles;
@@ -89,10 +94,9 @@ fn parallel_random_phase_matches_serial_oracle() {
             serial_oracle(&nl, &cfg, faults);
         for jobs in [1usize, 4] {
             let ctrl = fsim::control_inputs(&nl);
-            let mut fs = FaultSimulator::new(nl.clone());
-            let phase =
-                fsim::run_random_phase(&mut fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
-                    .expect("not cancelled");
+            let fs = FaultSimulator::new(nl.clone());
+            let phase = fsim::run_random_phase(&fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
+                .expect("not cancelled");
             assert_eq!(phase.detected, oracle_det, "{bench} jobs={jobs}: bitmap");
             assert_eq!(
                 phase.first_detect_seq, oracle_first,

@@ -2,8 +2,11 @@
 //! for `Dfg`s and a protocol-driven netlist runner, used to check that
 //! synthesized designs still compute their behavior, plus the set-up of
 //! the PODEM tests (an elaborated paper-default design and the
-//! deterministic phase's control presets).
+//! deterministic phase's control presets), and the reference fault
+//! simulator (`fsim_reference`).
 #![allow(dead_code)] // each test binary uses a subset of these helpers
+
+pub mod fsim_reference;
 
 use std::collections::HashMap;
 

@@ -14,10 +14,11 @@
 //! shipped instance serves every target, so stale buffers from an
 //! earlier target would show up as a divergence.
 //!
-//! The tier-1 cases cover ex and paulin at 4 bits. The release matrix
-//! (the 4 paper benchmarks plus 32 generated graphs at 2–4 bits, and
-//! the graded-run benchmark corpus at its widths) is ignored by
-//! default:
+//! The tier-1 cases cover sampled faults of ex and paulin at 4 bits.
+//! The same two designs with every collapsed fault free and under
+//! phase 0, and the release matrix (the 4 paper benchmarks plus 32
+//! generated graphs at 2–4 bits, and the graded-run benchmark corpus at
+//! its widths) are ignored by default:
 //!
 //! ```text
 //! cargo test --release --test podem_reference -- --ignored
@@ -97,28 +98,48 @@ const GENERATED_SAMPLE: usize = 250;
 /// CLI's limit.
 const TIER1_LIMIT: usize = 3;
 
-/// Faults the tier-1 cases compare under the phase-shifted presets
-/// (every fault runs free and under phase 0): a debug-build budget.
-const TIER1_SHIFTED_SAMPLE: usize = 200;
+/// Faults the tier-1 cases compare free and under phase 0, and under
+/// the phase-shifted presets: a debug-build budget of a few seconds.
+const TIER1_SAMPLE: usize = 150;
+const TIER1_SHIFTED_SAMPLE: usize = 40;
+
+/// Faults the `*_every_fault` cases compare under the phase-shifted
+/// presets (every fault runs free and under phase 0).
+const FULL_SHIFTED_SAMPLE: usize = 200;
+
+/// Compare ex or paulin at 4 bits with `TIER1_LIMIT`.
+fn tier1(name: &str, free: Targets, shifted: Targets) {
+    let dfg = hlts::benchmarks::by_name(name).expect("known benchmark");
+    assert!(
+        check(name, &dfg, 4, TIER1_LIMIT, free, shifted) > 0,
+        "{name}: no faults"
+    );
+}
+
+const TIER1_FREE: Targets = Targets::Sample(TIER1_SAMPLE);
+const TIER1_SHIFTED: Targets = Targets::Sample(TIER1_SHIFTED_SAMPLE);
+const FULL_SHIFTED: Targets = Targets::Sample(FULL_SHIFTED_SAMPLE);
 
 #[test]
 fn shipped_podem_matches_reference_on_ex() {
-    let dfg = hlts::benchmarks::by_name("ex").expect("known benchmark");
-    let shifted = Targets::Sample(TIER1_SHIFTED_SAMPLE);
-    assert!(
-        check("ex", &dfg, 4, TIER1_LIMIT, Targets::All, shifted) > 0,
-        "ex: no faults"
-    );
+    tier1("ex", TIER1_FREE, TIER1_SHIFTED);
 }
 
 #[test]
 fn shipped_podem_matches_reference_on_paulin() {
-    let dfg = hlts::benchmarks::by_name("paulin").expect("known benchmark");
-    let shifted = Targets::Sample(TIER1_SHIFTED_SAMPLE);
-    assert!(
-        check("paulin", &dfg, 4, TIER1_LIMIT, Targets::All, shifted) > 0,
-        "paulin: no faults"
-    );
+    tier1("paulin", TIER1_FREE, TIER1_SHIFTED);
+}
+
+#[test]
+#[ignore = "release tier; run with -- --ignored"]
+fn shipped_podem_matches_reference_on_ex_every_fault() {
+    tier1("ex", Targets::All, FULL_SHIFTED);
+}
+
+#[test]
+#[ignore = "release tier; run with -- --ignored"]
+fn shipped_podem_matches_reference_on_paulin_every_fault() {
+    tier1("paulin", Targets::All, FULL_SHIFTED);
 }
 
 /// One release-matrix workload: a paper benchmark at 2–4 bits (every

@@ -7,6 +7,9 @@
 //! Ignored by default (minutes of release-mode work); CI runs it as
 //! `cargo test --release -- --ignored tcov_matrix`.
 
+mod common;
+
+use common::fsim_reference::ReferenceFsim;
 use hlts::atpg::{FaultSimulator, FaultUniverse};
 use hlts::core::{CancelToken, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts::dfg::Dfg;
@@ -44,9 +47,11 @@ fn matrix_cfg() -> AtpgConfig {
     }
 }
 
-/// The serial-fault oracle: the upstream `FaultSimulator::run` loop,
-/// one sequence at a time, recording each fault's first detecting
-/// sequence — the reference the partitioned path must reproduce.
+/// The serial-fault oracle: the reference simulator's full faulty-
+/// machine re-simulation (`tests/common/fsim_reference.rs`, no code
+/// shared with `hlts-atpg`), one sequence at a time, recording each
+/// fault's first detecting sequence — what the partitioned path must
+/// reproduce.
 fn serial_oracle(
     nl: &Netlist,
     cfg: &AtpgConfig,
@@ -54,12 +59,12 @@ fn serial_oracle(
 ) -> (Vec<bool>, Vec<Option<usize>>) {
     let ctrl = fsim::control_inputs(nl);
     let seqs = fsim::random_sequences(nl, cfg, &ctrl);
-    let mut fs = FaultSimulator::new(nl.clone());
+    let reference = ReferenceFsim::new(nl.clone());
     let mut detected = vec![false; faults.len()];
     let mut first = vec![None; faults.len()];
     for (s, seq) in seqs.iter().enumerate() {
         let before = detected.clone();
-        if fs.run(seq, faults, &mut detected) > 0 {
+        if reference.run(seq, faults, &mut detected) > 0 {
             for i in 0..faults.len() {
                 if detected[i] && !before[i] {
                     first[i] = Some(s);
@@ -80,8 +85,8 @@ fn check_workload(tag: &str, dfg: &Dfg) {
     let (oracle_det, oracle_first) = serial_oracle(&nl, &cfg, faults);
     for jobs in [1usize, 4] {
         let ctrl = fsim::control_inputs(&nl);
-        let mut fs = FaultSimulator::new(nl.clone());
-        let phase = fsim::run_random_phase(&mut fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
+        let fs = FaultSimulator::new(nl.clone());
+        let phase = fsim::run_random_phase(&fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
             .expect("not cancelled");
         assert_eq!(phase.detected, oracle_det, "{tag} jobs={jobs}: bitmap");
         assert_eq!(

@@ -8,7 +8,11 @@
 //! * PODEM's: once one call on a target has sized its decision stack,
 //!   a repeat call on that target that ends without a test performs
 //!   **zero heap allocations** — implication runs in the generator's
-//!   own buffers.
+//!   own buffers;
+//! * the fault simulator's: once a caller's scratch and trace have
+//!   served a netlist, recording a sequence's good trace into the
+//!   reused trace and grading every pending fault against it perform
+//!   **zero heap allocations**.
 //!
 //! Compiled only under the `count-allocs` feature — the test binary
 //! swaps in a byte/call-counting `#[global_allocator]`, which would
@@ -33,10 +37,10 @@ use std::cell::Cell;
 
 mod common;
 
-use hlts_atpg::{FaultUniverse, Podem, PodemOutcome};
+use hlts_atpg::{FaultSimulator, FaultUniverse, Podem, PodemOutcome};
 use hlts_core::{trial_merge, DesignState, MergeKind};
 use hlts_cost::{estimate_cost, ModuleLibrary};
-use hlts_tcov::TcovConfig;
+use hlts_tcov::{fsim, TcovConfig};
 
 /// Pass-through allocator that tallies every allocation of the calling
 /// thread. Per-thread counters keep the libtest harness threads (which
@@ -263,5 +267,55 @@ fn warmed_aborting_podem_call_allocates_zero_bytes() {
         (bytes, calls),
         (0, 0),
         "a warmed PODEM call without a test must not touch the heap"
+    );
+}
+
+#[test]
+fn warmed_fault_detection_allocates_zero_bytes() {
+    let bits = 4;
+    let dfg = hlts_benchmarks::by_name("ewf").expect("bundled benchmark");
+    let (nl, steps) = common::elaborated(&dfg, bits);
+    let atpg = TcovConfig::for_schedule(steps, None, 1).atpg;
+    let seqs = fsim::random_sequences(&nl, &atpg, &fsim::control_inputs(&nl));
+    let universe = FaultUniverse::collapsed(&nl);
+    let faults = universe.faults();
+    let fs = FaultSimulator::new(nl);
+    // Warm-up: the first sequence sizes the trace, and grading every
+    // fault against it exercises the scratch; what it leaves undetected
+    // is the pending list the second sequence grades.
+    let mut scratch = fs.scratch();
+    let mut trace = fs.good_trace(&seqs[0]);
+    let pending: Vec<_> = faults
+        .iter()
+        .copied()
+        .filter(|&f| !fs.detects(&mut scratch, &trace, f))
+        .collect();
+    let (rec_bytes, rec_calls, ()) = measured(|| fs.record(&seqs[1], &mut trace));
+    let (bytes, calls, hits) = measured(|| {
+        pending
+            .iter()
+            .filter(|&&f| fs.detects(&mut scratch, &trace, f))
+            .count()
+    });
+    println!(
+        "ewf {bits}-bit, {}-cycle sequences: record a good trace: {rec_bytes} bytes in \
+         {rec_calls} allocations; grade {} pending faults ({hits} detected): \
+         {bytes} bytes in {calls} allocations",
+        seqs[1].len(),
+        pending.len()
+    );
+    assert!(
+        !pending.is_empty(),
+        "the first sequence leaves faults pending"
+    );
+    assert_eq!(
+        (rec_bytes, rec_calls),
+        (0, 0),
+        "recording into a reused trace must not touch the heap"
+    );
+    assert_eq!(
+        (bytes, calls),
+        (0, 0),
+        "grading with a warmed scratch must not touch the heap"
     );
 }
