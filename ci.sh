@@ -48,7 +48,6 @@ echo "==> fault-injection suites (test-faults feature)"
 cargo test -q -p hlts-core --features test-faults --offline
 cargo test -q -p hlts-dse --features test-faults --offline
 cargo test -q -p hlts-jobs --features test-faults --offline
-cargo test -q -p hlts-tcov --features test-faults --offline
 
 echo "==> conformance harness meta-test (broken engine must be caught)"
 cargo test -q -p hlts-gen --features test-faults --offline
@@ -146,7 +145,7 @@ fi
 echo "==> bench smoke: serve warm-vs-cold request gate"
 cargo bench -q --bench serve --offline
 
-echo "==> bench smoke: tcov parallel-grade gate (bit-identity + speedup)"
+echo "==> bench smoke: tcov grade phases on ewf@8 (pinned report signature)"
 cargo bench -q --bench tcov --offline
 
 echo "==> explore --atpg smoke: graded front, journaled coverage, resume identity"

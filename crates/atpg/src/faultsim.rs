@@ -33,8 +33,8 @@
 //!
 //! The result equals a full re-simulation of the faulty machine from
 //! reset, cycle by cycle. The overlay, the epoch marks and the queue
-//! live in a [`FaultScratch`] the caller owns, so parallel workers
-//! share one `&FaultSimulator`, and a warmed scratch grades a fault
+//! live in a [`FaultScratch`] the caller owns, so the simulator itself
+//! is immutable while grading, and a warmed scratch grades a fault
 //! without allocating.
 
 use hlts_netlist::{GateKind, Netlist};

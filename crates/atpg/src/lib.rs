@@ -16,8 +16,8 @@
 //! * [`FaultSimulator`] — serial-fault, parallel-pattern fault
 //!   simulation with fault dropping: a good machine recorded once per
 //!   sequence ([`GoodTrace`]), and an event-driven, cone-limited
-//!   single-fault check ([`FaultSimulator::detects`]) that the grading
-//!   engine shards over threads, each with its own [`FaultScratch`];
+//!   single-fault check ([`FaultSimulator::detects`]) working in a
+//!   caller-owned [`FaultScratch`];
 //! * [`Podem`] — deterministic PODEM over a time-frame-expanded model
 //!   (reset state, bounded frames, bounded backtracks).
 //!

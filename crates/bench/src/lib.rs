@@ -5,8 +5,8 @@
 //! flows on a benchmark and measuring the paper's columns (fault
 //! coverage, test-generation effort, applied test cycles, area). The
 //! coverage columns come from the same grading engine as the CLI, the
-//! sweeps and the daemon — [`hlts_tcov::grade_design`], single-threaded
-//! under [`table_atpg_config`].
+//! sweeps and the daemon — [`hlts_tcov::grade_design`] under
+//! [`table_atpg_config`].
 //!
 //! Binaries (one per table/figure of the paper):
 //!
@@ -127,7 +127,7 @@ pub fn table_atpg_config(steps: usize, bits: u32) -> AtpgConfig {
 }
 
 /// Grade a synthesized design at `bits` the way every table does:
-/// single-threaded under [`table_atpg_config`].
+/// under [`table_atpg_config`].
 ///
 /// # Errors
 ///
@@ -135,7 +135,6 @@ pub fn table_atpg_config(steps: usize, bits: u32) -> AtpgConfig {
 pub fn grade_table(result: &SynthesisResult, bits: u32) -> Result<CoverageReport, TcovError> {
     let cfg = TcovConfig {
         atpg: table_atpg_config(result.schedule.num_steps(), bits),
-        jobs: 1,
     };
     hlts_tcov::grade_design(
         &result.dfg,

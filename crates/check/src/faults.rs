@@ -29,10 +29,6 @@ pub mod sites {
     /// A job-engine worker thread dies right after claiming a job from
     /// the queue (the job is reported failed; the thread is gone).
     pub const JOBS_WORKER_KILL: &str = "jobs::worker::kill";
-    /// A tcov grading worker dies before claiming its next fault
-    /// partition / PODEM target (the merge pass recomputes what the
-    /// dead worker never delivered, so the report stays correct).
-    pub const TCOV_WORKER_KILL: &str = "tcov::worker::kill";
 }
 
 #[cfg(feature = "test-faults")]

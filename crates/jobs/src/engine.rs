@@ -96,22 +96,22 @@ impl JobSpec {
 }
 
 /// Post-synthesis coverage grading attached to a run job. The graded
-/// report is a pure function of (design, `fault_sample`) — `jobs` only
-/// picks the worker count, never the answer — so two requests that
-/// differ only in `jobs` are answered from the same memo entry.
+/// report is a pure function of (design, `fault_sample`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtpgRequest {
     /// Grade at most this many collapsed faults, chosen by a seeded
     /// shuffle (`None` = the exhaustive collapsed universe).
     pub fault_sample: Option<usize>,
-    /// Fault-partition worker threads for the grading itself.
+    /// Ignored: grading runs on one thread. Kept only while the
+    /// end-to-end benchmark under `perf/` names it; a change to that
+    /// benchmark removes it.
     pub jobs: usize,
 }
 
 impl Default for AtpgRequest {
-    /// 2000 collapsed faults on one grading thread: enough for a stable
-    /// coverage estimate on every built-in benchmark while keeping
-    /// one-shot runs interactive.
+    /// 2000 collapsed faults: enough for a stable coverage estimate on
+    /// every built-in benchmark while keeping one-shot runs
+    /// interactive.
     fn default() -> AtpgRequest {
         AtpgRequest {
             fault_sample: Some(2000),
@@ -121,25 +121,19 @@ impl Default for AtpgRequest {
 }
 
 impl AtpgRequest {
-    /// The default request with the given knobs overridden:
-    /// `fault_sample` (`0` = the exhaustive collapsed universe) and the
-    /// grading worker count `jobs`.
+    /// The default request with `fault_sample` overridden (`0` = the
+    /// exhaustive collapsed universe).
     #[must_use]
-    pub fn with_overrides(fault_sample: Option<usize>, jobs: Option<usize>) -> AtpgRequest {
+    pub fn with_overrides(fault_sample: Option<usize>) -> AtpgRequest {
         let mut req = AtpgRequest::default();
         if let Some(n) = fault_sample {
             req.fault_sample = (n > 0).then_some(n);
-        }
-        if let Some(j) = jobs {
-            req.jobs = j;
         }
         req
     }
 }
 
-/// A sweep grades each point at `jobs = 1` (sweep workers are the
-/// parallelism), so only the sample carries over; a graded report is
-/// jobs-invariant either way.
+/// A sweep grades each point with the request's sample.
 impl From<AtpgRequest> for TcovSweep {
     fn from(req: AtpgRequest) -> TcovSweep {
         TcovSweep {
@@ -642,11 +636,7 @@ fn grade_run(
     warm: &WarmPool,
     ctl: &RunCtl<'_>,
 ) -> Result<CoverageReport, ExecError> {
-    let cfg = TcovConfig::for_schedule(
-        result.schedule.num_steps(),
-        req.fault_sample,
-        req.jobs.max(1),
-    );
+    let cfg = TcovConfig::for_schedule(result.schedule.num_steps(), req.fault_sample, 1);
     warm.tcov
         .grade_design(
             &result.dfg,

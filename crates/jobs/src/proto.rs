@@ -107,7 +107,7 @@ pub struct RunRequest {
     /// β override.
     pub beta: Option<f64>,
     /// Post-synthesis coverage grading (`"atpg": true` or
-    /// `{"fault_sample": N, "jobs": M}`; absent = no grading).
+    /// `{"fault_sample": N}`; absent = no grading).
     pub atpg: Option<AtpgRequest>,
 }
 
@@ -440,9 +440,8 @@ pub fn render_submit(id: Option<&str>, run: &RunRequest) -> String {
     if let Some(atpg) = run.atpg {
         let _ = write!(
             job,
-            ", \"atpg\": {{\"fault_sample\": {}, \"jobs\": {}}}",
-            atpg.fault_sample.unwrap_or(0),
-            atpg.jobs
+            ", \"atpg\": {{\"fault_sample\": {}}}",
+            atpg.fault_sample.unwrap_or(0)
         );
     }
     format!("{{\"op\": \"submit\", {}\"job\": {job}}}}}", id_field(id))
@@ -503,8 +502,9 @@ fn parse_weight(v: &Json, what: &str) -> Result<f64, String> {
 
 /// The `atpg` knob shared by run and explore jobs: absent or `false`
 /// disables grading, `true` takes the defaults, an object validates
-/// `fault_sample` (0 = the exhaustive collapsed universe) and `jobs`
-/// (grading worker threads; reports are jobs-invariant).
+/// `fault_sample` (0 = the exhaustive collapsed universe) and `jobs`.
+/// Grading runs on one thread, so a valid `jobs` is ignored; it is
+/// still accepted because existing clients send it.
 fn parse_atpg(job: &Json) -> Result<Option<AtpgRequest>, String> {
     let Some(v) = job.get("atpg") else {
         return Ok(None);
@@ -520,15 +520,12 @@ fn parse_atpg(job: &Json) -> Result<Option<AtpgRequest>, String> {
                         .ok_or("`fault_sample` must be a non-negative integer")
                 })
                 .transpose()?;
-            let jobs = v
-                .get("jobs")
-                .map(|j| match j.as_usize() {
-                    None => Err("atpg `jobs` must be a non-negative integer"),
-                    Some(0) => Err("atpg `jobs` must be >= 1"),
-                    Some(j) => Ok(j),
-                })
-                .transpose()?;
-            Ok(Some(AtpgRequest::with_overrides(fault_sample, jobs)))
+            match v.get("jobs").map(Json::as_usize) {
+                Some(None) => return Err("atpg `jobs` must be a non-negative integer".to_owned()),
+                Some(Some(0)) => return Err("atpg `jobs` must be >= 1".to_owned()),
+                _ => {}
+            }
+            Ok(Some(AtpgRequest::with_overrides(fault_sample)))
         }
         _ => Err("`atpg` must be a boolean or an object".to_owned()),
     }
@@ -950,11 +947,11 @@ mod tests {
             panic!("wrong job kind");
         };
         assert_eq!(atpg, None);
-        // An object validates both knobs; `fault_sample: 0` means the
-        // exhaustive collapsed universe.
+        // In an object, `fault_sample: 0` means the exhaustive
+        // collapsed universe.
         let JobRequest::Run(RunRequest { atpg, .. }) =
             get(r#"{"op":"submit","job":{"kind":"run","source":"bench:ex",
-                "atpg":{"fault_sample":0,"jobs":4}}}"#)
+                "atpg":{"fault_sample":0}}}"#)
         else {
             panic!("wrong job kind");
         };
@@ -962,7 +959,7 @@ mod tests {
             atpg,
             Some(AtpgRequest {
                 fault_sample: None,
-                jobs: 4
+                ..AtpgRequest::default()
             })
         );
         // Explore carries the sample into the sweep spec.
@@ -975,15 +972,36 @@ mod tests {
         assert_eq!(tcov, Some(TcovSweep { fault_sample: 500 }));
         // Garbage is rejected, not defaulted.
         let e = parse_request(
-            r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":{"jobs":0}}}"#,
-        )
-        .unwrap_err();
-        assert!(e.message.contains("jobs"), "{}", e.message);
-        let e = parse_request(
             r#"{"op":"submit","job":{"kind":"run","source":"bench:ex","atpg":"yes"}}"#,
         )
         .unwrap_err();
         assert!(e.message.contains("atpg"), "{}", e.message);
+    }
+
+    /// Grading is single-threaded, but clients still send the retired
+    /// `atpg.jobs` knob: a valid value parses and is ignored, an
+    /// invalid one is still rejected.
+    #[test]
+    fn atpg_jobs_is_validated_and_ignored() {
+        let atpg = |knob: &str| {
+            parse_request(&format!(
+                r#"{{"op":"submit","job":{{"kind":"run","source":"bench:ex","atpg":{knob}}}}}"#
+            ))
+            .map(|req| match req {
+                Request::Submit {
+                    job: JobRequest::Run(RunRequest { atpg, .. }),
+                    ..
+                } => atpg,
+                other => panic!("wrong request: {other:?}"),
+            })
+        };
+        let plain = atpg(r#"{"fault_sample":500}"#).unwrap();
+        assert_eq!(atpg(r#"{"fault_sample":500,"jobs":4}"#).unwrap(), plain);
+        assert_eq!(atpg(r#"{"jobs":1}"#).unwrap(), Some(AtpgRequest::default()));
+        for bad in [r#"{"jobs":0}"#, r#"{"jobs":"4"}"#, r#"{"jobs":-1}"#] {
+            let e = atpg(bad).unwrap_err();
+            assert!(e.message.contains("jobs"), "{bad}: {}", e.message);
+        }
     }
 
     #[test]
@@ -1134,7 +1152,7 @@ mod tests {
         });
         cases.push(RunRequest {
             flow: Flow::Camad,
-            atpg: Some(AtpgRequest::with_overrides(Some(0), Some(3))),
+            atpg: Some(AtpgRequest::with_overrides(Some(0))),
             ..RunRequest::new(inline)
         });
         for id in [None, Some("cli"), Some("a \"b\"")] {

@@ -1,21 +1,14 @@
-//! The grading engine: random phase, fault-partitioned parallel PODEM
-//! with cross-thread fault dropping, and the deterministic merge pass.
+//! The grading engine: the random phase, then PODEM over a fixed
+//! target list.
 //!
-//! ## Determinism rule (drop broadcast)
-//!
-//! Workers claim PODEM targets from a shared counter and broadcast
-//! every validated detection through an atomic hint bitmap, so no
-//! thread spends backtracks on a fault another thread already covered.
-//! The hints are *racy by design* — which worker's test reaches the
-//! bitmap first depends on scheduling. The reported coverage does not:
-//! a serial **merge pass** walks the fixed target list in fault-index
-//! order, keeps a target's test only if its fault is still undetected
-//! *at that point of the walk*, and — where a worker skipped a target
-//! on a hint (or died before delivering) — recomputes the outcome with
-//! the same pure, RNG-free `podem_target` function a worker would have
-//! run. Every kept test is then fault-simulated over the pending list,
-//! so the detected set, test cycles and backtrack totals are functions
-//! of (netlist, config) alone.
+//! The deterministic phase snapshots its targets — the first
+//! `max_deterministic_targets` faults the random phase left undetected,
+//! in fault-index order — and walks them in that order. A target an
+//! earlier kept test already detected is skipped; otherwise the pure,
+//! RNG-free `podem_target` resolves it, and every validated test is
+//! fault-simulated over the pending list. The detected set, test
+//! cycles and backtrack totals are therefore functions of (netlist,
+//! config) alone.
 
 use hlts_alloc::Allocation;
 use hlts_atpg::{
@@ -36,9 +29,8 @@ type Preset = Vec<Vec<Option<bool>>>;
 
 /// What one deterministic target resolved to. A pure function of
 /// (netlist, frames, backtrack limit, presets, fault) — no RNG, no
-/// cross-target state — so a worker's recorded outcome and the merge
-/// pass's recomputation are interchangeable.
-#[derive(Debug, Clone)]
+/// cross-target state.
+#[derive(Debug)]
 enum TargetOutcome {
     /// A validated test (it detects its own target fault).
     Found {
@@ -125,122 +117,17 @@ fn podem_target(
 }
 
 /// What the deterministic phase adds to the report.
+#[derive(Default)]
 struct DetPhase {
     detected_deterministic: usize,
     untestable: usize,
     aborted: usize,
     test_cycles: usize,
     backtracks: usize,
-    hint_skips: usize,
-    recomputed: usize,
 }
 
-/// Worker-recorded outcomes, one optional slot per target. Slot `t` is
-/// written at most once (targets are claimed exclusively); a `None`
-/// means no worker delivered it — hint skip, cancellation, or death —
-/// and the merge pass recomputes.
-type Slots = Vec<std::sync::Mutex<Option<TargetOutcome>>>;
-
-fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(feature = "parallel")]
-mod workers {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    use hlts_atpg::{Fault, FaultSimulator, Podem};
-    use hlts_check::faults::{fire, sites};
-    use hlts_core::CancelToken;
-    use hlts_netlist::Netlist;
-
-    use super::{podem_target, Preset, Slots, TargetOutcome};
-
-    /// Run the claim-loop workers over the fixed target list, filling
-    /// `slots` and broadcasting validated detections through `hints`.
-    /// Returns the total (racy, diagnostics-only) hint-skip count.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn run(
-        nl: &Netlist,
-        frames: usize,
-        backtrack_limit: usize,
-        presets: &[Preset],
-        faults: &[Fault],
-        base_detected: &[bool],
-        targets: &[usize],
-        slots: &Slots,
-        hints: &[AtomicBool],
-        workers: usize,
-        cancel: &CancelToken,
-    ) -> usize {
-        let cursor = AtomicUsize::new(0);
-        let mut hint_skips = 0usize;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut podem = Podem::new(nl.clone(), frames, backtrack_limit);
-                        let fs = FaultSimulator::new(nl.clone());
-                        let mut scratch = fs.scratch();
-                        let mut skips = 0usize;
-                        loop {
-                            // Death before the next claim: nothing this
-                            // worker holds is lost, survivors (or the
-                            // merge pass) cover the rest.
-                            if fire(sites::TCOV_WORKER_KILL) {
-                                break;
-                            }
-                            if cancel.is_cancelled() {
-                                break;
-                            }
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            if t >= targets.len() {
-                                break;
-                            }
-                            let fi = targets[t];
-                            if hints[fi].load(Ordering::Relaxed) {
-                                // Another worker's test already covers
-                                // this fault; leave the slot empty — the
-                                // merge pass recomputes iff it still
-                                // needs the outcome.
-                                skips += 1;
-                                continue;
-                            }
-                            let outcome =
-                                podem_target(&mut podem, &fs, &mut scratch, presets, faults[fi]);
-                            if let TargetOutcome::Found { test, .. } = &outcome {
-                                // Drop broadcast: fault-simulate the new
-                                // test over every not-yet-covered fault
-                                // and publish the detections.
-                                let trace = fs.good_trace(test);
-                                for (i, &f) in faults.iter().enumerate() {
-                                    if base_detected[i] || hints[i].load(Ordering::Relaxed) {
-                                        continue;
-                                    }
-                                    if fs.detects(&mut scratch, &trace, f) {
-                                        hints[i].store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            *super::lock_recover(&slots[t]) = Some(outcome);
-                        }
-                        skips
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Ok(skips) = h.join() {
-                    hint_skips += skips;
-                }
-            }
-        });
-        hint_skips
-    }
-}
-
-/// The deterministic phase: fixed target list, parallel workers with
-/// drop broadcast, serial merge pass.
-#[allow(clippy::too_many_arguments)]
+/// The deterministic phase: fixed target list, PODEM per target in
+/// fault-index order.
 fn deterministic_phase(
     nl: &Netlist,
     fs: &FaultSimulator,
@@ -250,19 +137,10 @@ fn deterministic_phase(
     detected: &mut [bool],
     cancel: &CancelToken,
 ) -> Result<DetPhase, TcovError> {
-    let mut phase = DetPhase {
-        detected_deterministic: 0,
-        untestable: 0,
-        aborted: 0,
-        test_cycles: 0,
-        backtracks: 0,
-        hint_skips: 0,
-        recomputed: 0,
-    };
+    let mut phase = DetPhase::default();
     // The fixed target list: the first `max_deterministic_targets`
-    // still-undetected faults, in fault-index order. Snapshotting it
-    // *before* any deterministic test runs is what makes the list — and
-    // everything derived from it — independent of worker scheduling.
+    // still-undetected faults, in fault-index order, snapshotted
+    // *before* any deterministic test runs.
     let targets: Vec<usize> = (0..faults.len())
         .filter(|&i| !detected[i])
         .take(cfg.atpg.max_deterministic_targets)
@@ -271,70 +149,23 @@ fn deterministic_phase(
         return Ok(phase);
     }
     let presets = control_presets(nl, ctrl_idx, cfg.atpg.frames.max(1));
-    let slots: Slots = (0..targets.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-
-    let workers = fsim::effective_workers(cfg.jobs, targets.len());
-    #[cfg(feature = "parallel")]
-    if workers > 1 {
-        let hints: Vec<std::sync::atomic::AtomicBool> = (0..faults.len())
-            .map(|_| std::sync::atomic::AtomicBool::new(false))
-            .collect();
-        phase.hint_skips = workers::run(
-            nl,
-            cfg.atpg.frames,
-            cfg.atpg.backtrack_limit,
-            &presets,
-            faults,
-            detected,
-            &targets,
-            &slots,
-            &hints,
-            workers,
-            cancel,
-        );
-        if cancel.is_cancelled() {
-            return Err(TcovError::Cancelled);
-        }
-    }
-    let _ = workers;
-
-    // Merge pass: serial, fault-index order, recomputing what no
-    // worker delivered. Everything the report sees flows through here.
-    let mut merge_podem: Option<Podem> = None;
+    let mut podem = Podem::new(nl.clone(), cfg.atpg.frames, cfg.atpg.backtrack_limit);
     let mut scratch = fs.scratch();
-    for (t, &fi) in targets.iter().enumerate() {
+    for &fi in &targets {
         if detected[fi] {
-            continue; // dropped by an earlier *kept* test
+            continue; // dropped by an earlier kept test
         }
         if cancel.is_cancelled() {
             return Err(TcovError::Cancelled);
         }
-        let outcome = match lock_recover(&slots[t]).take() {
-            Some(outcome) => outcome,
-            None => {
-                phase.recomputed += 1;
-                let podem = merge_podem.get_or_insert_with(|| {
-                    Podem::new(nl.clone(), cfg.atpg.frames, cfg.atpg.backtrack_limit)
-                });
-                podem_target(podem, fs, &mut scratch, &presets, faults[fi])
-            }
-        };
+        let outcome = podem_target(&mut podem, fs, &mut scratch, &presets, faults[fi]);
         phase.backtracks += outcome.backtracks();
         match outcome {
             TargetOutcome::Found { test, .. } => {
                 let pending: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
                 let trace = fs.good_trace(&test);
-                let hits = fsim::detect_partition(
-                    fs,
-                    &mut scratch,
-                    &trace,
-                    faults,
-                    &pending,
-                    cfg.jobs,
-                    cancel,
-                )?;
+                let hits =
+                    fsim::detect_partition(fs, &mut scratch, &trace, faults, &pending, cancel)?;
                 for &i in &hits {
                     detected[i] = true;
                 }
@@ -379,7 +210,7 @@ pub fn grade_with_universe(
     let faults = sampled.faults();
     let ctrl_idx = fsim::control_inputs(nl);
     let fs = FaultSimulator::new(nl.clone());
-    let random = fsim::run_random_phase(&fs, &cfg.atpg, &ctrl_idx, faults, cfg.jobs, &ctl.cancel)?;
+    let random = fsim::run_random_phase(&fs, &cfg.atpg, &ctrl_idx, faults, &ctl.cancel)?;
     let mut detected = random.detected;
     let det = deterministic_phase(nl, &fs, cfg, &ctrl_idx, faults, &mut detected, &ctl.cancel)?;
     Ok(CoverageReport {
@@ -394,16 +225,12 @@ pub fn grade_with_universe(
         test_cycles: random.test_cycles + det.test_cycles,
         backtracks: det.backtracks,
         random_patterns: random.random_patterns,
-        stats: GradeStats {
-            workers: fsim::effective_workers(cfg.jobs, faults.len()),
-            hint_skips: det.hint_skips,
-            recomputed: det.recomputed,
-        },
+        stats: GradeStats::default(),
     })
 }
 
 /// Grade a netlist: collapse its fault universe, run both phases, and
-/// report measured coverage. Bit-identical at any `cfg.jobs`.
+/// report measured coverage.
 ///
 /// # Errors
 ///
@@ -475,12 +302,7 @@ mod tests {
     }
 
     fn run(atpg: AtpgConfig) -> CoverageReport {
-        grade(
-            &small_sequential(),
-            &TcovConfig { atpg, jobs: 1 },
-            &RunCtl::none(),
-        )
-        .expect("grades")
+        grade(&small_sequential(), &TcovConfig { atpg }, &RunCtl::none()).expect("grades")
     }
 
     #[test]

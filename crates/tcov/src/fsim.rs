@@ -1,17 +1,14 @@
-//! Fault-partitioned random-phase fault simulation.
+//! Random-phase fault simulation.
 //!
 //! The random phase's sequencing is split from its per-fault grading:
 //! [`random_sequences`] draws every input sequence up front (the RNG
 //! is consumed nowhere else), then each sequence's good-machine trace
-//! is recorded once and the pending fault list is sharded over scoped
-//! workers that share the immutable simulator ([`detect_partition`]).
-//! The detected *set* per sequence is independent of the sharding, and
-//! the pending set before sequence `s` depends only on sequences
-//! `< s` — so the phase's coverage bitmap, per-fault first-detecting
-//! sequence and test-cycle count are bit-identical to the serial-fault
-//! path (`FaultSimulator::run`, one sequence at a time) at any worker
-//! count. Each sequence's trace is recorded into one reused buffer,
-//! and every worker grades with its own `FaultScratch`.
+//! is recorded once into one reused buffer and the still-undetected
+//! faults are graded against it ([`detect_partition`]). The pending
+//! set before sequence `s` depends only on sequences `< s`, so the
+//! phase's coverage bitmap, per-fault first-detecting sequence and
+//! test-cycle count equal those of the serial-fault path
+//! (`FaultSimulator::run`, one sequence at a time).
 
 use hlts_atpg::{Fault, FaultScratch, FaultSimulator, GoodTrace, PiAssign};
 use hlts_core::CancelToken;
@@ -21,9 +18,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::{AtpgConfig, TcovError};
 
-/// Faults graded per work-unit claim (amortizes the claim atomics
-/// without starving load balance).
-const CHUNK: usize = 32;
+/// Faults graded between two polls of the cancel token.
+const CANCEL_POLL: usize = 32;
 
 /// Indices (into the netlist's primary-input list) of the control
 /// inputs, protocol-ordered: the setup state (`ctrl_final`) first,
@@ -56,8 +52,7 @@ pub fn control_inputs(nl: &Netlist) -> Vec<usize> {
 /// in netlist order, one `u64` per input except for control inputs of
 /// a protocol sequence (the first `protocol_fraction` of the
 /// sequences), which take the rotating one-hot and draw nothing.
-/// Grading touches the RNG *only* here, which is what lets the
-/// per-fault grading underneath parallelize freely.
+/// Grading touches the RNG *only* here.
 #[must_use]
 pub fn random_sequences(nl: &Netlist, cfg: &AtpgConfig, ctrl_idx: &[usize]) -> Vec<Vec<PiAssign>> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -90,24 +85,9 @@ pub fn random_sequences(nl: &Netlist, cfg: &AtpgConfig, ctrl_idx: &[usize]) -> V
         .collect()
 }
 
-/// Workers the fault-partitioned loops actually use: never more than
-/// the pending work, never less than one.
-#[cfg(feature = "parallel")]
-pub(crate) fn effective_workers(jobs: usize, pending: usize) -> usize {
-    jobs.clamp(1, pending.max(1))
-}
-
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn effective_workers(_jobs: usize, _pending: usize) -> usize {
-    1
-}
-
-/// Grade `pending` (indices into `faults`) against one recorded
-/// sequence, sharded over `jobs` workers, returning the **sorted**
-/// indices of the newly detected faults. The result is a pure set —
-/// identical for any worker count, including the single-threaded
-/// fallback. Cancellation is polled per work-unit claim. The calling
-/// thread grades with `scratch`; parallel workers each make their own.
+/// Grade `pending` (indices into `faults`, ascending) against one
+/// recorded sequence, returning the ascending indices of the newly
+/// detected faults. Cancellation is polled every few dozen faults.
 ///
 /// # Errors
 ///
@@ -118,115 +98,18 @@ pub fn detect_partition(
     trace: &GoodTrace,
     faults: &[Fault],
     pending: &[usize],
-    jobs: usize,
     cancel: &CancelToken,
 ) -> Result<Vec<usize>, TcovError> {
-    let workers = effective_workers(jobs, pending.len() / CHUNK);
-    if workers <= 1 {
-        let mut hits = Vec::new();
-        for (n, &i) in pending.iter().enumerate() {
-            if n % CHUNK == 0 && cancel.is_cancelled() {
-                return Err(TcovError::Cancelled);
-            }
-            if fs.detects(scratch, trace, faults[i]) {
-                hits.push(i);
-            }
-        }
-        return Ok(hits);
-    }
-    #[cfg(feature = "parallel")]
-    {
-        parallel::detect(fs, scratch, trace, faults, pending, workers, cancel)
-    }
-    #[cfg(not(feature = "parallel"))]
-    unreachable!("effective_workers returns 1 without the parallel feature")
-}
-
-#[cfg(feature = "parallel")]
-mod parallel {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    use hlts_atpg::{Fault, FaultScratch, FaultSimulator, GoodTrace};
-    use hlts_check::faults::{fire, sites};
-    use hlts_core::CancelToken;
-
-    use super::CHUNK;
-    use crate::TcovError;
-
-    pub(super) fn detect(
-        fs: &FaultSimulator,
-        scratch: &mut FaultScratch,
-        trace: &GoodTrace,
-        faults: &[Fault],
-        pending: &[usize],
-        workers: usize,
-        cancel: &CancelToken,
-    ) -> Result<Vec<usize>, TcovError> {
-        let chunks = pending.len().div_ceil(CHUNK);
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let mut hits: Vec<usize> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        let mut scratch = fs.scratch();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // A killed worker exits *before* claiming, so
-                            // its would-be chunks stay claimable by the
-                            // survivors (or by the fallback loop below).
-                            if fire(sites::TCOV_WORKER_KILL) {
-                                break;
-                            }
-                            if cancel.is_cancelled() {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let c = cursor.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            let lo = c * CHUNK;
-                            let hi = (lo + CHUNK).min(pending.len());
-                            for &i in &pending[lo..hi] {
-                                if fs.detects(&mut scratch, trace, faults[i]) {
-                                    local.push(i);
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Ok(local) = h.join() {
-                    hits.extend(local);
-                }
-            }
-        });
-        if cancel.is_cancelled() {
+    let mut hits = Vec::new();
+    for (n, &i) in pending.iter().enumerate() {
+        if n % CANCEL_POLL == 0 && cancel.is_cancelled() {
             return Err(TcovError::Cancelled);
         }
-        // Completeness fallback: chunks no surviving worker ever
-        // claimed (every worker died early) are graded inline — a
-        // degraded schedule, never a degraded answer.
-        let claimed = cursor.load(Ordering::Relaxed).min(chunks);
-        for c in claimed..chunks {
-            let lo = c * CHUNK;
-            let hi = (lo + CHUNK).min(pending.len());
-            for &i in &pending[lo..hi] {
-                if fs.detects(scratch, trace, faults[i]) {
-                    hits.push(i);
-                }
-            }
+        if fs.detects(scratch, trace, faults[i]) {
+            hits.push(i);
         }
-        hits.sort_unstable();
-        Ok(hits)
     }
+    Ok(hits)
 }
 
 /// What the random phase established.
@@ -247,9 +130,8 @@ pub struct RandomPhase {
 }
 
 /// Run the random phase: simulate every sequence's good machine once,
-/// shard the pending fault list per sequence, and keep a sequence's
-/// cycles only when it detected something — bit-identically at any
-/// `jobs` count.
+/// grade the pending fault list against it, and keep a sequence's
+/// cycles only when it detected something.
 ///
 /// # Errors
 ///
@@ -260,7 +142,6 @@ pub fn run_random_phase(
     cfg: &AtpgConfig,
     ctrl_idx: &[usize],
     faults: &[Fault],
-    jobs: usize,
     cancel: &CancelToken,
 ) -> Result<RandomPhase, TcovError> {
     let seqs = random_sequences(fs.netlist(), cfg, ctrl_idx);
@@ -282,7 +163,7 @@ pub fn run_random_phase(
             break;
         }
         fs.record(seq, &mut trace);
-        let hits = detect_partition(fs, &mut scratch, &trace, faults, &pending, jobs, cancel)?;
+        let hits = detect_partition(fs, &mut scratch, &trace, faults, &pending, cancel)?;
         if !hits.is_empty() {
             for &i in &hits {
                 phase.detected[i] = true;

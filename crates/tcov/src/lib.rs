@@ -1,4 +1,4 @@
-//! # hlts-tcov — parallel gate-level fault-coverage grading
+//! # hlts-tcov — gate-level fault-coverage grading
 //!
 //! The measurement layer behind the paper's Tables 1–3: given a bound
 //! design (or an already-elaborated netlist), grade it with the
@@ -20,24 +20,18 @@
 //! presets are part of that definition, so the tables' numbers are
 //! pinned by golden tests rather than by a second implementation.
 //!
-//! Inside, the expensive per-fault work is **fault-partitioned** across
-//! scoped worker threads:
+//! A grading runs on the calling thread:
 //!
-//! * the random phase shards the pending fault list over workers that
-//!   share one recorded good-machine trace per sequence
+//! * the random phase records each sequence's good-machine trace once
+//!   and fault-simulates the still-undetected faults against it
 //!   ([`fsim::detect_partition`]);
-//! * the deterministic phase hands PODEM targets to workers that
-//!   broadcast their validated detections through a shared atomic hint
-//!   bitmap, so no thread wastes backtracks on an already-covered
-//!   fault (the private `engine` module).
+//! * the deterministic phase runs PODEM on each still-undetected
+//!   target in fault-index order and fault-simulates every validated
+//!   test over the pending list (the private `engine` module).
 //!
-//! **Determinism rule:** everything that reaches the [`CoverageReport`]
-//! is decided by a serial merge pass in fault-index order, using
-//! worker-recorded outcomes where available and recomputing the (pure,
-//! RNG-free) PODEM outcome where a racy hint — or a dead worker — left
-//! a gap. Worker scheduling can therefore change wall-clock, never the
-//! report: coverage is bit-identical at any `jobs` count, and a killed
-//! grading worker degrades to recomputation, not to a wrong answer.
+//! Parallelism lives one level up, where the units are long and
+//! independent: the sweep pool runs whole points side by side and the
+//! daemon runs whole jobs on its workers, each grading single-threaded.
 //!
 //! Repeated grading of the same netlist (sweep neighbours, daemon
 //! re-submissions) is served by [`TcovPool`], a two-tier memo keyed by
@@ -96,26 +90,12 @@ impl Default for AtpgConfig {
     }
 }
 
-/// Configuration of one grading run: the ATPG knobs plus the worker
-/// count for the fault-partitioned phases.
-#[derive(Debug, Clone, PartialEq)]
+/// Configuration of one grading run.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TcovConfig {
     /// The two-phase ATPG parameters (seed, sequences, frames,
     /// backtrack limit, optional fault sampling).
     pub atpg: AtpgConfig,
-    /// Worker threads for the fault-partitioned phases. `1` runs the
-    /// same algorithm single-threaded; the report is bit-identical for
-    /// any value.
-    pub jobs: usize,
-}
-
-impl Default for TcovConfig {
-    fn default() -> Self {
-        TcovConfig {
-            atpg: AtpgConfig::default(),
-            jobs: 1,
-        }
-    }
 }
 
 impl TcovConfig {
@@ -123,8 +103,12 @@ impl TcovConfig {
     /// to walk the whole controller twice, frames covering the
     /// schedule plus settle slack, and an optional fault-sample cap
     /// (`None` = exhaustive).
+    ///
+    /// `_jobs` is ignored: grading runs on the calling thread. The
+    /// parameter is kept only while the end-to-end benchmark under
+    /// `perf/` names it; a change to that benchmark removes it.
     #[must_use]
-    pub fn for_schedule(num_steps: usize, fault_sample: Option<usize>, jobs: usize) -> Self {
+    pub fn for_schedule(num_steps: usize, fault_sample: Option<usize>, _jobs: usize) -> Self {
         TcovConfig {
             atpg: AtpgConfig {
                 sequence_cycles: (num_steps + 1) * 2,
@@ -132,24 +116,23 @@ impl TcovConfig {
                 fault_sample,
                 ..AtpgConfig::default()
             },
-            jobs: jobs.max(1),
         }
     }
 }
 
-/// Diagnostics of one grading run. These counters depend on worker
-/// scheduling (how often the hint bitmap raced ahead of a claim, how
-/// much the merge pass had to recompute) and are therefore **excluded**
-/// from [`CoverageReport`] equality and from [`CoverageReport::signature`].
+/// Retired worker diagnostics; both counters are always 0.
+///
+/// Grading runs on one thread, so no PODEM target is skipped on a
+/// hint and none is recomputed. The type, its two fields and
+/// [`CoverageReport::stats`] are kept only while the end-to-end
+/// benchmark under `perf/` names them; a change to that benchmark
+/// removes them. They are not part of [`CoverageReport`] equality or
+/// of [`CoverageReport::signature`].
 #[derive(Debug, Clone, Default)]
 pub struct GradeStats {
-    /// Workers the fault-partitioned phases actually used.
-    pub workers: usize,
-    /// PODEM targets a worker skipped because the hint bitmap already
-    /// marked their fault detected (racy, diagnostics only).
+    /// Always 0.
     pub hint_skips: usize,
-    /// PODEM outcomes the merge pass recomputed because no worker
-    /// delivered them (hint races, cancellations, killed workers).
+    /// Always 0.
     pub recomputed: usize,
 }
 
@@ -157,9 +140,8 @@ pub struct GradeStats {
 /// coverage / test-generation effort / test-cycle columns, plus the
 /// sampled-vs-total fault accounting.
 ///
-/// Equality (and [`signature`](CoverageReport::signature)) covers only
-/// the deterministic fields; [`stats`](CoverageReport::stats) is
-/// scheduling-dependent bookkeeping.
+/// Equality (and [`signature`](CoverageReport::signature)) covers every
+/// field except the retired [`stats`](CoverageReport::stats).
 #[derive(Debug, Clone)]
 pub struct CoverageReport {
     /// Gates in the graded netlist.
@@ -193,7 +175,7 @@ pub struct CoverageReport {
     pub backtracks: usize,
     /// Random patterns simulated (sequences × cycles × 64).
     pub random_patterns: usize,
-    /// Scheduling-dependent diagnostics (not part of equality).
+    /// Retired worker diagnostics, always zero (not part of equality).
     pub stats: GradeStats,
 }
 
@@ -234,9 +216,9 @@ impl CoverageReport {
 
     /// The canonical bit-identity witness: every deterministic field,
     /// with floats in shortest-round-trip (`{:?}`) form. Two runs of
-    /// the same (netlist, config) must produce equal signatures at any
-    /// `jobs` count — the bench gate and the conformance tests compare
-    /// exactly this string.
+    /// the same (netlist, config) produce equal signatures — the tcov
+    /// bench's pin and the conformance tests compare exactly this
+    /// string.
     #[must_use]
     pub fn signature(&self) -> String {
         format!(

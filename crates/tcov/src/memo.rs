@@ -6,17 +6,13 @@
 //!   fault universe, which every grading of that netlist shares
 //!   regardless of ATPG configuration.
 //! * **Tier 2** — per-context report memo keyed by the ATPG
-//!   configuration's canonical debug string. `jobs` is deliberately
-//!   **not** part of the key: reports are bit-identical at any worker
-//!   count, so a result graded at `jobs = 8` serves a `jobs = 1`
-//!   request verbatim.
+//!   configuration's canonical debug string.
 //!
 //! Contexts are built outside the pool lock (double-checked on
-//! insert), entries are FIFO-bounded, and all counters are atomics —
-//! the same discipline as `WarmPool`, so the daemon can expose both in
-//! `status` symmetrically.
+//! insert) and entries are FIFO-bounded — the same discipline as
+//! `WarmPool`, so the daemon can expose both in `status`
+//! symmetrically.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use hlts_alloc::Allocation;
@@ -94,10 +90,7 @@ pub struct TcovStats {
 pub struct TcovPool {
     capacity: usize,
     entries: Mutex<Vec<(u64, Arc<TcovCtx>)>>,
-    ctx_hits: AtomicU64,
-    ctx_misses: AtomicU64,
-    report_hits: AtomicU64,
-    report_misses: AtomicU64,
+    stats: Mutex<TcovStats>,
 }
 
 impl std::fmt::Debug for TcovPool {
@@ -120,29 +113,21 @@ impl TcovPool {
         TcovPool {
             capacity,
             entries: Mutex::new(Vec::new()),
-            ctx_hits: AtomicU64::new(0),
-            ctx_misses: AtomicU64::new(0),
-            report_hits: AtomicU64::new(0),
-            report_misses: AtomicU64::new(0),
+            stats: Mutex::new(TcovStats::default()),
         }
     }
 
     /// The memo counters.
     #[must_use]
     pub fn stats(&self) -> TcovStats {
-        TcovStats {
-            ctx_hits: self.ctx_hits.load(Ordering::Relaxed),
-            ctx_misses: self.ctx_misses.load(Ordering::Relaxed),
-            report_hits: self.report_hits.load(Ordering::Relaxed),
-            report_misses: self.report_misses.load(Ordering::Relaxed),
-        }
+        *lock_recover(&self.stats)
     }
 
     /// Fetch-or-build the tier-1 context for `nl`.
     fn context(&self, nl: &Netlist) -> Arc<TcovCtx> {
         let key = netlist_fingerprint(nl);
         if let Some((_, ctx)) = lock_recover(&self.entries).iter().find(|(k, _)| *k == key) {
-            self.ctx_hits.fetch_add(1, Ordering::Relaxed);
+            lock_recover(&self.stats).ctx_hits += 1;
             return Arc::clone(ctx);
         }
         // Build outside the lock: collapsing a large universe must not
@@ -154,10 +139,10 @@ impl TcovPool {
         let mut entries = lock_recover(&self.entries);
         if let Some((_, ctx)) = entries.iter().find(|(k, _)| *k == key) {
             // Double-check: somebody else built it while we did.
-            self.ctx_hits.fetch_add(1, Ordering::Relaxed);
+            lock_recover(&self.stats).ctx_hits += 1;
             return Arc::clone(ctx);
         }
-        self.ctx_misses.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.stats).ctx_misses += 1;
         if entries.len() >= self.capacity {
             entries.remove(0); // FIFO eviction
         }
@@ -166,8 +151,7 @@ impl TcovPool {
     }
 
     /// Grade `nl`, serving both tiers of the memo. The returned report
-    /// is exactly what [`engine::grade`] would compute — reports are
-    /// jobs-invariant, so the memo key excludes `cfg.jobs`.
+    /// is exactly what [`engine::grade`] would compute.
     ///
     /// # Errors
     ///
@@ -185,7 +169,7 @@ impl TcovPool {
         let ctx = self.context(nl);
         let key = format!("{:?}", cfg.atpg);
         if let Some((_, report)) = lock_recover(&ctx.reports).iter().find(|(k, _)| *k == key) {
-            self.report_hits.fetch_add(1, Ordering::Relaxed);
+            lock_recover(&self.stats).report_hits += 1;
             return Ok(report.clone());
         }
         let report = engine::grade_with_universe(nl, &ctx.universe, cfg, ctl)?;
@@ -196,7 +180,7 @@ impl TcovPool {
             }
             reports.push((key, report.clone()));
         }
-        self.report_misses.fetch_add(1, Ordering::Relaxed);
+        lock_recover(&self.stats).report_misses += 1;
         Ok(report)
     }
 

@@ -1,8 +1,8 @@
-//! Fast conformance checks: the fault-partitioned parallel paths must
-//! be bit-identical to the serial-fault oracle (the workspace's
-//! reference fault simulator, a full faulty-machine re-simulation that
-//! shares no code with `hlts-atpg`) and to themselves at any worker
-//! count.
+//! Fast conformance checks: the random phase must be bit-identical to
+//! the serial-fault oracle (the workspace's reference fault simulator,
+//! a full faulty-machine re-simulation that shares no code with
+//! `hlts-atpg`), and grading must honour its sample, its memo and its
+//! cancel token.
 //! The full matrix over the paper benchmarks and 32 generated graphs
 //! runs as the `#[ignore]`d release tier in the workspace root's
 //! `tests/tcov_conformance.rs`.
@@ -84,7 +84,7 @@ fn serial_oracle(
 }
 
 #[test]
-fn parallel_random_phase_matches_serial_oracle() {
+fn random_phase_matches_serial_oracle() {
     for bench in ["ex", "paulin"] {
         let nl = elaborated(bench, 4);
         let cfg = small_cfg(8, 400);
@@ -92,47 +92,31 @@ fn parallel_random_phase_matches_serial_oracle() {
         let faults = universe.faults();
         let (oracle_det, oracle_first, oracle_rand, oracle_cycles) =
             serial_oracle(&nl, &cfg, faults);
-        for jobs in [1usize, 4] {
-            let ctrl = fsim::control_inputs(&nl);
-            let fs = FaultSimulator::new(nl.clone());
-            let phase = fsim::run_random_phase(&fs, &cfg, &ctrl, faults, jobs, &CancelToken::new())
-                .expect("not cancelled");
-            assert_eq!(phase.detected, oracle_det, "{bench} jobs={jobs}: bitmap");
-            assert_eq!(
-                phase.first_detect_seq, oracle_first,
-                "{bench} jobs={jobs}: per-fault detecting sequence"
-            );
-            assert_eq!(phase.detected_random, oracle_rand, "{bench} jobs={jobs}");
-            assert_eq!(phase.test_cycles, oracle_cycles, "{bench} jobs={jobs}");
-        }
+        let ctrl = fsim::control_inputs(&nl);
+        let fs = FaultSimulator::new(nl.clone());
+        let phase = fsim::run_random_phase(&fs, &cfg, &ctrl, faults, &CancelToken::new())
+            .expect("not cancelled");
+        assert_eq!(phase.detected, oracle_det, "{bench}: bitmap");
+        assert_eq!(
+            phase.first_detect_seq, oracle_first,
+            "{bench}: per-fault detecting sequence"
+        );
+        assert_eq!(phase.detected_random, oracle_rand, "{bench}");
+        assert_eq!(phase.test_cycles, oracle_cycles, "{bench}");
     }
 }
 
 #[test]
-fn grade_is_bit_identical_across_worker_counts() {
+fn grade_reports_sampled_fault_counts() {
     let nl = elaborated("ex", 4);
-    let cfg1 = TcovConfig {
+    let cfg = TcovConfig {
         atpg: small_cfg(8, 300),
-        jobs: 1,
     };
-    let ctl = RunCtl::none();
-    let serial = grade(&nl, &cfg1, &ctl).expect("grades");
-    for jobs in [2usize, 4, 8] {
-        let cfg = TcovConfig {
-            jobs,
-            ..cfg1.clone()
-        };
-        let parallel = grade(&nl, &cfg, &ctl).expect("grades");
-        assert_eq!(
-            serial.signature(),
-            parallel.signature(),
-            "jobs={jobs} diverged"
-        );
-    }
-    assert!(serial.coverage() > 0.0 && serial.coverage() <= 100.0);
-    assert_eq!(serial.faults_graded, 300);
-    assert!(serial.total_collapsed > serial.faults_graded);
-    assert!(serial.total_uncollapsed > serial.total_collapsed);
+    let report = grade(&nl, &cfg, &RunCtl::none()).expect("grades");
+    assert!(report.coverage() > 0.0 && report.coverage() <= 100.0);
+    assert_eq!(report.faults_graded, 300);
+    assert!(report.total_collapsed > report.faults_graded);
+    assert!(report.total_uncollapsed > report.total_collapsed);
 }
 
 /// With the deterministic phase disabled, the report's random-phase
@@ -146,7 +130,7 @@ fn random_only_grade_matches_pinned_values() {
         max_deterministic_targets: 0,
         ..small_cfg(8, 300)
     };
-    let report = grade(&nl, &TcovConfig { atpg, jobs: 4 }, &RunCtl::none()).expect("grades");
+    let report = grade(&nl, &TcovConfig { atpg }, &RunCtl::none()).expect("grades");
     assert_eq!(report.gates, 307);
     assert_eq!(report.faults_graded, 300);
     assert_eq!(report.detected_random, 281);
@@ -163,24 +147,13 @@ fn pool_memoizes_per_netlist_and_per_config() {
     let ctl = RunCtl::none();
     let cfg = TcovConfig {
         atpg: small_cfg(8, 200),
-        jobs: 1,
     };
     let first = pool.grade(&nl, &cfg, &ctl).expect("grades");
     let stats = pool.stats();
     assert_eq!((stats.ctx_hits, stats.ctx_misses), (0, 1));
     assert_eq!((stats.report_hits, stats.report_misses), (0, 1));
-    // Same netlist + same ATPG config but different jobs: tier-2 hit
-    // (reports are jobs-invariant, so jobs is not part of the key).
-    let again = pool
-        .grade(
-            &nl,
-            &TcovConfig {
-                jobs: 4,
-                ..cfg.clone()
-            },
-            &ctl,
-        )
-        .expect("grades");
+    // Same netlist + same ATPG config: tier-2 hit.
+    let again = pool.grade(&nl, &cfg, &ctl).expect("grades");
     assert_eq!(first, again);
     let stats = pool.stats();
     assert_eq!((stats.ctx_hits, stats.report_hits), (1, 1));
@@ -190,7 +163,6 @@ fn pool_memoizes_per_netlist_and_per_config() {
             &nl,
             &TcovConfig {
                 atpg: small_cfg(8, 120),
-                jobs: 1,
             },
             &ctl,
         )
@@ -236,9 +208,24 @@ fn cancellation_is_reported() {
         &nl,
         &TcovConfig {
             atpg: small_cfg(8, 200),
-            jobs: 4,
         },
         &ctl,
     );
+    assert_eq!(out, Err(TcovError::Cancelled));
+}
+
+/// With no random sequences the random phase never polls the token,
+/// so the deterministic phase's own per-target check must report the
+/// cancellation.
+#[test]
+fn cancellation_is_reported_in_the_deterministic_phase() {
+    let nl = elaborated("ex", 4);
+    let token = CancelToken::new();
+    token.cancel();
+    let atpg = AtpgConfig {
+        random_sequences: 0,
+        ..small_cfg(8, 200)
+    };
+    let out = grade(&nl, &TcovConfig { atpg }, &RunCtl::cancel_only(token));
     assert_eq!(out, Err(TcovError::Cancelled));
 }

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &result.schedule,
         &result.allocation,
         8,
-        &TcovConfig { atpg, jobs: 1 },
+        &TcovConfig { atpg },
         &RunCtl::none(),
     )?;
     println!("gate netlist: {} gates", report.gates);

@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &r.schedule,
             &r.allocation,
             bits,
-            &TcovConfig { atpg, jobs: 1 },
+            &TcovConfig { atpg },
             &RunCtl::none(),
         )?;
         println!(

@@ -3,7 +3,7 @@
 //! ```text
 //! hlts [run] <file.dfg | bench:NAME> [--flow ours|camad|approach1|approach2]
 //!      [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]
-//!      [--fault-sample N] [--tcov-jobs N] [--audit] [--json] [--quiet]
+//!      [--fault-sample N] [--audit] [--json] [--quiet]
 //! hlts explore <source>... [--flow LIST] [--bits LIST] [--k LIST]
 //!      [--weights A:B,...] [--jobs N] [--warm-start off|on] [--atpg]
 //!      [--fault-sample N] [--journal PATH | --resume PATH] [--json] [--quiet]
@@ -14,18 +14,17 @@
 //! hlts serve [--tcp ADDR] [--workers N] [--queue N] [--warm N]
 //! hlts submit <file.dfg | bench:NAME | -> --connect ADDR
 //!      [--flow FLOW] [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]
-//!      [--fault-sample N] [--tcov-jobs N]
+//!      [--fault-sample N]
 //! ```
 //!
 //! `run` (the default subcommand) reads a behavioral description in the
 //! textual DFG format (or a built-in benchmark via `bench:ex`,
 //! `bench:dct`, …, or stdin via `-`), synthesizes it with the requested
 //! flow, prints the resulting schedule/allocation and metrics, and
-//! optionally grades the elaborated netlist with the parallel two-phase
-//! coverage engine (`hlts-tcov`): `--atpg` measures fault coverage,
+//! optionally grades the elaborated netlist with the two-phase
+//! coverage engine (`hlts-tcov`): `--atpg` measures fault coverage and
 //! `--fault-sample N` bounds the graded fault set (0 = the exhaustive
-//! collapsed universe) and `--tcov-jobs N` picks the grading worker
-//! count — reports are bit-identical at any worker count. When faults
+//! collapsed universe). When faults
 //! are sampled, both the sampled and the total collapsed counts are
 //! reported, so a sampled estimate is never mistaken for an exhaustive
 //! grade.
@@ -139,7 +138,7 @@ struct ExploreOptions {
 fn usage() -> &'static str {
     "usage: hlts [run] <file.dfg | bench:NAME | -> [--flow ours|camad|approach1|approach2]\n\
      \x20            [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]\n\
-     \x20            [--fault-sample N] [--tcov-jobs N] [--audit] [--json] [--quiet]\n\
+     \x20            [--fault-sample N] [--audit] [--json] [--quiet]\n\
      \x20      hlts explore <source>... [--flow LIST] [--bits LIST] [--k LIST]\n\
      \x20            [--weights A:B,...] [--jobs N] [--warm-start off|on] [--atpg]\n\
      \x20            [--fault-sample N] [--journal PATH | --resume PATH] [--json] [--quiet]\n\
@@ -150,17 +149,17 @@ fn usage() -> &'static str {
      \x20      hlts serve [--tcp ADDR] [--workers N] [--queue N] [--warm N]\n\
      \x20      hlts submit <file.dfg | bench:NAME | -> --connect ADDR\n\
      \x20            [--flow FLOW] [--bits N] [--k N] [--alpha X] [--beta X] [--atpg]\n\
-     \x20            [--fault-sample N] [--tcov-jobs N]\n\
+     \x20            [--fault-sample N]\n\
      built-in benchmarks: ex, dct, diffeq, ewf, paulin, tseng"
 }
 
 const RUN_FLAGS: &str = "--flow, --bits, --k, --alpha, --beta, --atpg, --fault-sample, \
-    --tcov-jobs, --audit, --json, --quiet";
+    --audit, --json, --quiet";
 const EXPLORE_FLAGS: &str = "--flow, --bits, --k, --weights, --jobs, --warm-start, --atpg, \
     --fault-sample, --journal, --resume, --json, --quiet";
 const SERVE_FLAGS: &str = "--tcp, --workers, --queue, --warm";
 const SUBMIT_FLAGS: &str = "--connect, --flow, --bits, --k, --alpha, --beta, --atpg, \
-    --fault-sample, --tcov-jobs";
+    --fault-sample";
 const GEN_FLAGS: &str = "--seed, --preset, --list-presets, --out, --ops, --inputs, \
     --const-ratio, --mul, --addsub, --logic, --cmp, --shift, --depth-bias, --fanout-skew, \
     --loops, --name";
@@ -202,10 +201,10 @@ fn parse_fault_sample(text: &str) -> Result<usize, String> {
 }
 
 /// Worker/capacity counts must be positive — zero workers is a sweep
-/// (or a grading pass, or a daemon) that can never make progress. One
-/// validator serves every such flag (`--jobs`, `--tcov-jobs`,
-/// `--workers`, `--queue`) so they all reject `0` through the same
-/// typed error path with the same message shape.
+/// (or a daemon) that can never make progress. One validator serves
+/// every such flag (`--jobs`, `--workers`, `--queue`) so they all
+/// reject `0` through the same typed error path with the same message
+/// shape.
 fn parse_positive_count(flag: &str, text: &str) -> Result<usize, String> {
     let n: usize = text.parse().map_err(|e| format!("{flag}: {e}"))?;
     if n == 0 {
@@ -280,7 +279,7 @@ fn parse_run_args(
     // stdin), so the placeholder never survives parsing.
     let mut job = RunRequest::new(SourceRef::Path(String::new()));
     let mut source = None;
-    let (mut atpg, mut fault_sample, mut tcov_jobs) = (false, None, None);
+    let (mut atpg, mut fault_sample) = (false, None);
     let (mut audit, mut json, mut quiet, mut connect) = (false, false, false, String::new());
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -296,12 +295,6 @@ fn parse_run_args(
             "--atpg" => atpg = true,
             "--fault-sample" => {
                 fault_sample = Some(parse_fault_sample(&take(&mut args, "--fault-sample")?)?);
-            }
-            "--tcov-jobs" => {
-                tcov_jobs = Some(parse_positive_count(
-                    "--tcov-jobs",
-                    &take(&mut args, "--tcov-jobs")?,
-                )?);
             }
             "--audit" if !submit => audit = true,
             "--json" if !submit => json = true,
@@ -319,13 +312,13 @@ fn parse_run_args(
     let Some(source) = source else {
         return Err(usage().to_owned());
     };
-    if !atpg && (fault_sample.is_some() || tcov_jobs.is_some()) {
-        return Err("--fault-sample/--tcov-jobs configure coverage grading; add --atpg".into());
+    if !atpg && fault_sample.is_some() {
+        return Err("--fault-sample configures coverage grading; add --atpg".into());
     }
     if submit && connect.is_empty() {
         return Err("submit needs --connect ADDR (a running `hlts serve --tcp` daemon)".into());
     }
-    job.atpg = atpg.then(|| AtpgRequest::with_overrides(fault_sample, tcov_jobs));
+    job.atpg = atpg.then(|| AtpgRequest::with_overrides(fault_sample));
     job.source = source_ref(&source)?;
     Ok(RunOptions {
         job,
@@ -394,7 +387,7 @@ fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreO
     // measured (coverage, test cycles) as well. The sample size joins
     // the sweep fingerprint, so journals from plain and graded sweeps
     // never mix.
-    job.tcov = atpg.then(|| AtpgRequest::with_overrides(fault_sample, None).into());
+    job.tcov = atpg.then(|| AtpgRequest::with_overrides(fault_sample).into());
     job.sources = sources
         .iter()
         .map(|s| source_ref(s))

@@ -16,8 +16,8 @@
 //! * [`core`] — the integrated synthesis algorithm and the three baselines;
 //! * [`netlist`] — RTL-to-gate elaboration;
 //! * [`atpg`] — stuck-at fault simulation and test generation;
-//! * [`tcov`] — parallel fault-coverage grading (fault-partitioned
-//!   fault sim + PODEM, deterministic merge, coverage memo);
+//! * [`tcov`] — fault-coverage grading (random-phase fault sim +
+//!   PODEM, coverage memo);
 //! * [`benchmarks`] — the six DATE'98 benchmark graphs;
 //! * [`dse`] — parallel Pareto design-space exploration over
 //!   parameter sweeps, with checkpoint/resume;

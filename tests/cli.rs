@@ -552,16 +552,22 @@ fn explore_resumes_after_sigkill_to_the_uninterrupted_front() {
 
 /// Every worker-count flag rejects `0` through the same validator —
 /// `explore --jobs 0` used to be the odd one out, so pin all of them.
+/// Grading is single-threaded, so the retired `--tcov-jobs` is an
+/// unknown flag of `run` and `submit`.
 #[test]
 fn zero_worker_counts_are_rejected_uniformly() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["explore", "bench:ex", "--jobs", "0"],
             "--jobs must be >= 1",
         ),
         (
-            &["bench:ex", "--atpg", "--tcov-jobs", "0"],
-            "--tcov-jobs must be >= 1",
+            &["bench:ex", "--atpg", "--tcov-jobs", "2"],
+            "unexpected argument `--tcov-jobs`",
+        ),
+        (
+            &["submit", "bench:ex", "--atpg", "--tcov-jobs", "2"],
+            "unexpected argument `--tcov-jobs`",
         ),
         (&["serve", "--workers", "0"], "--workers must be >= 1"),
         (&["serve", "--queue", "0"], "--queue must be >= 1"),

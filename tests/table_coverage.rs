@@ -40,7 +40,7 @@ fn check((bench, flow, bits, quick, want, cov): Pin) {
         max_deterministic_targets: if quick { 40 } else { 200 },
         ..AtpgConfig::default()
     };
-    let cfg = TcovConfig { atpg, jobs: 1 };
+    let cfg = TcovConfig { atpg };
     let rep = grade_design(
         &r.dfg,
         &r.schedule,
