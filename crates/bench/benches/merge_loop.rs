@@ -21,8 +21,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use hlts_bench::{rounded, write_bench_json};
 use hlts_core::{oracle, trial_merge, DesignState, MergeKind};
 use hlts_dfg::Dfg;
+use hlts_jobs::members;
 
 /// `merge_loop/txn/ewf` median on main immediately before the arena
 /// refactor (CSR adjacency, merge scratch, pooled journals/deltas),
@@ -371,33 +373,24 @@ fn emit_arena_json(c: &mut Criterion) {
     let clone = c
         .median_ns(&format!("merge_loop/clone/{largest}"))
         .expect("clone ran");
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for (name, dfg) in hlts_benchmarks::all() {
-        let Some((med, allocs, bytes, cands)) = forced_trial_stats(&dfg) else {
-            println!("BENCH_arena: {name}: no forced candidates, skipped");
-            continue;
-        };
-        if !rows.is_empty() {
-            rows.push_str(",\n");
+        match forced_trial_stats(&dfg) {
+            Some(stats) => rows.push((name, stats)),
+            None => println!("BENCH_arena: {name}: no forced candidates, skipped"),
         }
-        rows.push_str(&format!(
-            "    {{\"benchmark\": \"{name}\", \"forced_trial_median_ns\": {med:.1}, \
-             \"allocs_per_trial\": {allocs}, \"bytes_per_trial\": {bytes}, \
-             \"candidates\": {cands}}}"
-        ));
     }
-    let json = format!(
-        "{{\n  \"pinned_pre_arena_txn_ns\": {PRE_ARENA_TXN_NS},\n  \
-         \"txn_trial_median_ns\": {txn:.1},\n  \
-         \"clone_trial_median_ns\": {clone:.1},\n  \
-         \"speedup_vs_pre_arena\": {:.2},\n  \
-         \"largest_benchmark\": \"{largest}\",\n  \
-         \"steady_state\": [\n{rows}\n  ]\n}}\n",
-        PRE_ARENA_TXN_NS / txn
-    );
-    let path = "BENCH_arena.json";
-    std::fs::write(path, &json).expect("write BENCH_arena.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_arena.json", "cargo bench --bench merge_loop", |o| {
+        members!(o, "pinned_pre_arena_txn_ns": PRE_ARENA_TXN_NS,
+            "txn_trial_median_ns": rounded(txn, 1), "clone_trial_median_ns": rounded(clone, 1),
+            "speedup_vs_pre_arena": rounded(PRE_ARENA_TXN_NS / txn, 2),
+            "largest_benchmark": largest);
+        o.objects("steady_state", rows, |row, (name, stats)| {
+            let (med, allocs, bytes, cands) = stats;
+            members!(row, "benchmark": name, "forced_trial_median_ns": rounded(med, 1),
+                "allocs_per_trial": allocs, "bytes_per_trial": bytes, "candidates": cands);
+        });
+    });
 }
 
 criterion_group!(

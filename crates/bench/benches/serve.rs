@@ -26,9 +26,10 @@
 
 use std::time::Instant;
 
+use hlts_bench::{rounded, write_bench_json};
 use hlts_core::{CancelToken, EvalMode, NullSink, RunCtl, SynthesisParams};
 use hlts_dse::Flow;
-use hlts_jobs::{execute, proto, JobOutput, JobSpec, WarmPool};
+use hlts_jobs::{execute, members, proto, JobOutput, JobSpec, WarmPool};
 
 const SPEEDUP_GATE: f64 = 2.0;
 /// Timed requests per path (medians of small odd samples are robust).
@@ -171,16 +172,11 @@ fn main() {
         cold / context,
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"requests_per_path\": {REQUESTS},\n  \
-         \"cold_median_ms\": {:.3},\n  \"warm_median_ms\": {:.3},\n  \
-         \"context_warm_median_ms\": {:.3},\n  \
-         \"warm_speedup\": {speedup:.2},\n  \"speedup_gate\": {SPEEDUP_GATE}\n}}\n",
-        cold * 1e3,
-        warm * 1e3,
-        context * 1e3,
-    );
-    let path = "BENCH_serve.json";
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_serve.json", "cargo bench --bench serve", |o| {
+        members!(o, "benchmark": name.as_str(), "requests_per_path": REQUESTS,
+            "cold_median_ms": rounded(cold * 1e3, 3), "warm_median_ms": rounded(warm * 1e3, 3),
+            "context_warm_median_ms": rounded(context * 1e3, 3),
+            "warm_speedup": rounded(speedup, 2), "context_speedup": rounded(cold / context, 2),
+            "speedup_gate": SPEEDUP_GATE);
+    });
 }

@@ -19,8 +19,10 @@
 
 use std::time::Instant;
 
+use hlts_bench::{rounded, write_bench_json};
 use hlts_core::{IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_etpn::Etpn;
+use hlts_jobs::members;
 use hlts_netlist::{elaborate, Netlist};
 use hlts_tcov::{grade, CoverageReport, TcovConfig};
 
@@ -31,7 +33,6 @@ const FAULT_SAMPLE: usize = 2500;
 const PINNED_SIGNATURE: &str =
     "gates=1312 graded=2500 collapsed=7690 uncollapsed=8258 rand=2449 det=0 \
      untest=0 abort=51 cycles=54 backtracks=10200 patterns=82944 cov=97.96 eff=97.96";
-const COMMAND: &str = "cargo bench --bench tcov";
 
 /// Synthesize the largest bundled benchmark with the paper defaults
 /// and elaborate the bound design to gates.
@@ -60,20 +61,6 @@ fn timed_grade(nl: &Netlist, cfg: &TcovConfig) -> (f64, CoverageReport) {
     let t = Instant::now();
     let report = grade(nl, cfg, &RunCtl::none()).expect("grades");
     (t.elapsed().as_secs_f64(), report)
-}
-
-/// The checked-out git revision (`-dirty` when the tree has
-/// uncommitted changes), or `"unknown"` outside a git checkout.
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_owned())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 fn main() {
@@ -108,20 +95,10 @@ fn main() {
     );
     println!("acceptance: {name} coverage report matches the pinned signature — OK");
 
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"bits\": {BITS},\n  \"gates\": {},\n  \
-         \"faults_graded\": {},\n  \"coverage_pct\": {:.2},\n  \
-         \"full_secs\": {full_secs:.3},\n  \"random_secs\": {random_secs:.3},\n  \
-         \"podem_secs\": {podem_secs:.3},\n  \"signature\": \"{}\",\n  \
-         \"cpus\": {cpus},\n  \"revision\": \"{}\",\n  \"command\": \"{COMMAND}\"\n}}\n",
-        full.gates,
-        full.faults_graded,
-        full.coverage(),
-        full.signature(),
-        git_revision(),
-    );
-    let path = "BENCH_tcov.json";
-    std::fs::write(path, &json).expect("write BENCH_tcov.json");
-    println!("wrote {path}");
+    write_bench_json("BENCH_tcov.json", "cargo bench --bench tcov", |o| {
+        members!(o, "benchmark": name.as_str(), "bits": BITS, "gates": full.gates,
+            "faults_graded": full.faults_graded, "coverage_pct": rounded(full.coverage(), 2),
+            "full_secs": rounded(full_secs, 3), "random_secs": rounded(random_secs, 3),
+            "podem_secs": rounded(podem_secs, 3), "signature": full.signature());
+    });
 }

@@ -23,7 +23,9 @@
 
 use std::time::Instant;
 
+use hlts_bench::{rounded, write_bench_json};
 use hlts_dse::{explore, ExploreConfig, ExploreOutcome, SweepSpec};
+use hlts_jobs::members;
 
 const SPEEDUP_GATE: f64 = 1.5;
 /// Dense α sweep at two β values: neighbours differ by 0.01 in α, so
@@ -120,17 +122,16 @@ fn main() {
     );
     println!("acceptance: warm sweep >= {SPEEDUP_GATE}x cold on {name} — OK ({speedup:.2}x)");
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"{name}\",\n  \"points\": {points},\n  \
-         \"cold_secs\": {cold_secs:.3},\n  \"warm_secs\": {warm_secs:.3},\n  \
-         \"merges_replayed\": {},\n  \"merges_recomputed\": {},\n  \
-         \"speedup\": {speedup:.2},\n  \"speedup_gate\": {SPEEDUP_GATE},\n  \
-         \"front_size\": {},\n  \"bit_identical\": true\n}}\n",
-        warm.stats.merges_replayed,
-        warm.stats.merges_recomputed,
-        warm.front.len(),
+    write_bench_json(
+        "BENCH_warmstart.json",
+        "cargo bench --bench warmstart",
+        |o| {
+            members!(o, "benchmark": name.as_str(), "points": points,
+                "cold_secs": rounded(cold_secs, 3), "warm_secs": rounded(warm_secs, 3),
+                "merges_replayed": warm.stats.merges_replayed,
+                "merges_recomputed": warm.stats.merges_recomputed,
+                "speedup": rounded(speedup, 2), "speedup_gate": SPEEDUP_GATE,
+                "front_size": warm.front.len(), "bit_identical": true);
+        },
     );
-    let path = "BENCH_warmstart.json";
-    std::fs::write(path, &json).expect("write BENCH_warmstart.json");
-    println!("wrote {path}");
 }

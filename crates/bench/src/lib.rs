@@ -6,7 +6,8 @@
 //! coverage, test-generation effort, applied test cycles, area). The
 //! coverage columns come from the same grading engine as the CLI, the
 //! sweeps and the daemon — [`hlts_tcov::grade_design`] under
-//! [`table_atpg_config`].
+//! [`table_atpg_config`]. The benches write their `BENCH_*.json` files
+//! through [`write_bench_json`].
 //!
 //! Binaries (one per table/figure of the paper):
 //!
@@ -22,12 +23,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use hlts_core::{
     baselines, CoreError, IntegratedSynthesizer, RunCtl, SynthesisParams, SynthesisResult,
 };
 use hlts_dfg::Dfg;
+use hlts_jobs::json::Obj;
+use hlts_jobs::members;
 use hlts_tcov::{AtpgConfig, CoverageReport, TcovConfig, TcovError};
 
 /// The four synthesis flows of the paper's comparison.
@@ -212,6 +216,34 @@ pub fn print_table(title: &str, dfg: &Dfg, with_area: bool) {
             );
         }
     }
+}
+
+/// Write a bench's headline `figures` to `path` (a `BENCH_*.json`
+/// file), then the header every such file shares: the host's CPU count,
+/// its git revision and the `command` that regenerates it. Call it only
+/// once the bench's own checks have passed.
+pub fn write_bench_json(path: &str, command: &str, figures: impl FnOnce(&mut Obj<'_>)) {
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let revision = Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |rev| rev.trim().to_owned());
+    let text = hlts_jobs::json::object_lines(|o| {
+        figures(o);
+        members!(o, "cpus": cpus, "revision": revision, "command": command);
+    });
+    std::fs::write(path, text + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
+/// `x` rounded to `decimals` places, for a `BENCH_*.json` figure.
+#[must_use]
+pub fn rounded(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
 }
 
 #[cfg(test)]

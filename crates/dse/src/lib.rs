@@ -284,118 +284,11 @@ impl ExploreOutcome {
         ));
         out
     }
-
-    /// Render the outcome as machine-readable JSON (hand-rolled, no
-    /// serde; floats in shortest round-trip format — NaN/∞ cannot
-    /// occur because specs reject non-finite weights and every metric
-    /// is finite by construction).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"points\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let o = &r.objectives;
-            // Present only on graded sweeps, so plain output stays
-            // byte-identical to earlier versions.
-            let test = o
-                .test
-                .map(|t| {
-                    format!(
-                        " \"coverage\": {:?}, \"test_cycles\": {},",
-                        t.coverage, t.test_cycles
-                    )
-                })
-                .unwrap_or_default();
-            // Like `test`: present only on warm-start sweeps.
-            let replay = r
-                .replay
-                .map(|(rep, rec)| format!(" \"replayed\": {rep}, \"recomputed\": {rec},"))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "    {{\"id\": {}, \"bench\": {}, \"flow\": \"{}\", \"k\": {}, \
-                 \"alpha\": {:?}, \"beta\": {:?}, \"bits\": {}, \"E\": {}, \"H\": {:?}, \
-                 \"modules\": {}, \"registers\": {}, \"muxes\": {}, \
-                 \"avg_controllability\": {:?}, \"avg_observability\": {:?}, \
-                 \"co_depth\": {:?},{test}{replay} \"millis\": {}, \"resumed\": {}, \"on_front\": {}}}{}\n",
-                r.id,
-                json_string(&r.params.bench),
-                r.params.flow,
-                r.params.k,
-                r.params.alpha,
-                r.params.beta,
-                r.params.bits,
-                o.execution_time,
-                o.hardware,
-                r.modules,
-                r.registers,
-                r.muxes,
-                o.avg_controllability,
-                o.avg_observability,
-                o.co_depth,
-                r.millis,
-                r.resumed,
-                self.front.iter().any(|f| f.id == r.id),
-                if i + 1 == self.results.len() { "" } else { "," },
-            ));
-        }
-        let front_ids: Vec<String> = self.front.iter().map(|r| r.id.to_string()).collect();
-        let failures: Vec<String> = self
-            .failures
-            .iter()
-            .map(|f| {
-                format!(
-                    "{{\"id\": {}, \"message\": {}}}",
-                    f.id,
-                    json_string(&f.message)
-                )
-            })
-            .collect();
-        let s = &self.stats;
-        // Stats keys gated like the per-point pair: cold JSON stays
-        // byte-identical.
-        let warm_stats = if self.results.iter().any(|r| r.replay.is_some()) {
-            format!(
-                "\"merges_replayed\": {}, \"merges_recomputed\": {}, ",
-                s.merges_replayed, s.merges_recomputed
-            )
-        } else {
-            String::new()
-        };
-        out.push_str(&format!(
-            "  ],\n  \"front\": [{}],\n  \"failures\": [{}],\n  \"stats\": {{\"points_total\": {}, \
-             \"points_computed\": {}, \"points_resumed\": {}, \"points_failed\": {}, \
-             \"points_cancelled\": {}, \
-             \"journal_malformed\": {}, \"journal_torn_tail\": {}, {warm_stats}\"workers\": {}, \
-             \"wall_millis\": {}, \"compute_millis\": {}, \
-             \"testability\": {{\"hits\": {}, \"misses\": {}, \"incremental\": {}, \
-             \"full\": {}}}, \"eval\": {{\"state_hits\": {}, \"state_misses\": {}}}, \
-             \"txn\": {{\"begun\": {}, \"committed\": {}, \"rolled_back\": {}}}}}\n}}\n",
-            front_ids.join(", "),
-            failures.join(", "),
-            s.points_total,
-            s.points_computed,
-            s.points_resumed,
-            s.points_failed,
-            s.points_cancelled,
-            s.journal_malformed,
-            s.journal_torn_tail,
-            s.workers,
-            s.wall_millis,
-            s.compute_millis,
-            s.testability.hits,
-            s.testability.misses,
-            s.testability.incremental,
-            s.testability.full,
-            s.eval.state_hits,
-            s.eval.state_misses,
-            s.txn.begun,
-            s.txn.committed,
-            s.txn.rolled_back,
-        ));
-        out
-    }
 }
 
-/// Quote and escape a string for JSON output.
+/// Quote and escape a string for JSON: the escaping routine of the
+/// writer in `hlts_jobs::json`. It stays here only while the benchmark
+/// under `perf/` names it, then moves into that module.
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -574,8 +574,10 @@ pub fn execute(spec: &JobSpec, ctl: &RunCtl<'_>, warm: &WarmPool) -> Result<JobO
                     // re-running the merge loop. The `Debug` rendering
                     // of the parameters round-trips every field
                     // (floats included), so equal fingerprints really
-                    // mean equal inputs.
-                    let fingerprint = key.map(|_| format!("{params:?}"));
+                    // mean equal inputs. A pool that keeps nothing
+                    // (one-shot `hlts run`) has no use for a memo.
+                    let memo = key.is_some() && warm.capacity > 0;
+                    let fingerprint = memo.then(|| format!("{params:?}"));
                     match fingerprint.as_ref().and_then(|fp| ctx.memo_get(fp)) {
                         Some(hit) => Ok(hit),
                         None => {

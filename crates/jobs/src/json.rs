@@ -1,18 +1,19 @@
-//! A minimal JSON reader for the serve protocol.
+//! The workspace's JSON reader and writer (no serde, by design).
 //!
-//! The workspace deliberately has no serde (offline build, hand-rolled
-//! output everywhere — see [`hlts_dse::json_string`]); this module adds
-//! the other direction: a small recursive-descent parser producing a
-//! [`Json`] tree, enough to read line-delimited protocol requests.
-//! Objects keep their key order (a `Vec` of pairs — duplicate keys
-//! resolve to the first occurrence, and the handful of keys per
-//! request makes linear lookup the right trade).
+//! [`parse`] is a small recursive-descent parser producing a [`Json`]
+//! tree, enough to read line-delimited protocol requests. Objects keep
+//! their key order (a `Vec` of pairs — duplicate keys resolve to the
+//! first occurrence). A depth bound caps hostile nesting, trailing
+//! garbage is rejected, and every error carries its byte offset, so a
+//! malformed protocol line becomes an error response, never a panic.
 //!
-//! Robustness over features: a depth bound caps hostile nesting, a
-//! trailing-garbage check rejects concatenated documents, and every
-//! error carries the byte offset it was detected at — malformed
-//! protocol lines turn into structured error responses, never into a
-//! daemon panic.
+//! [`object`] is the writer behind every JSON text the workspace emits
+//! (protocol lines, `--json` reports, `BENCH_*.json`). Callers add
+//! typed members; only the writer knows separators (`", "`, `": "`),
+//! escaping and number form: integers as integers, floats in shortest
+//! round-trip `{:?}` form, so `4.0` stays `4.0`.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -357,6 +358,180 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// A value the writer renders in place: a boolean, an integer, a
+/// float (every one the workspace emits is finite) or a string.
+pub trait Scalar {
+    /// Append this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// Numbers and booleans print as their `Debug` form: integers as
+/// digits, floats in shortest round-trip form (`4.0` stays `4.0`).
+macro_rules! debug_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self:?}");
+            }
+        }
+    )*};
+}
+
+debug_scalar!(bool, u32, u64, usize, f64);
+
+impl Scalar for str {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&hlts_dse::json_string(self));
+    }
+}
+
+impl Scalar for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: Scalar + ?Sized> Scalar for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// Add members to an [`Obj`] in JSON-like syntax, in order: values
+/// are [`Scalar`] expressions or nested `{...}` objects, so
+/// `members!(o, "n": 1, "sub": {"x": 2.0})` is `o.field("n", 1)`
+/// followed by `o.obj("sub", |o| ...)` writing `"x": 2.0` into it.
+#[macro_export]
+macro_rules! members {
+    ($obj:expr $(,)?) => { () };
+    ($obj:expr, $key:literal: {$($inner:tt)*} $(, $($rest:tt)*)?) => {{
+        $obj.obj($key, |o| $crate::members!(o, $($inner)*));
+        $crate::members!($obj $(, $($rest)*)?)
+    }};
+    ($obj:expr, $key:literal: $value:expr $(, $($rest:tt)*)?) => {{
+        $obj.field($key, $value);
+        $crate::members!($obj $(, $($rest)*)?)
+    }};
+}
+
+/// A JSON object (inside the writer, also an array) being written:
+/// entries separated by `", "`, or each on a new line in *lines* layout
+/// (indented two spaces per level; `depth` is the entries' level).
+pub struct Obj<'a> {
+    out: &'a mut String,
+    lines: bool,
+    depth: usize,
+}
+
+impl<'a> Obj<'a> {
+    fn new(out: &'a mut String, lines: bool, depth: usize) -> Obj<'a> {
+        Obj { out, lines, depth }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n("  ", depth));
+    }
+
+    /// Start the next entry: a separator unless the container was just
+    /// opened, then the key inside an object.
+    fn entry(&mut self, key: Option<&str>) {
+        if !self.out.ends_with(['{', '[']) {
+            self.out.push_str(if self.lines { "," } else { ", " });
+        }
+        if self.lines {
+            self.newline(self.depth);
+        }
+        if let Some(key) = key {
+            key.write_json(self.out);
+            self.out.push_str(": ");
+        }
+    }
+
+    /// Write the brackets `b` around what `f` writes into this container.
+    fn fill(mut self, b: [char; 2], f: impl FnOnce(&mut Obj)) {
+        self.out.push(b[0]);
+        f(&mut self);
+        if self.lines && !self.out.ends_with(b[0]) {
+            self.newline(self.depth - 1);
+        }
+        self.out.push(b[1]);
+    }
+
+    fn nest(&mut self, key: Option<&str>, b: [char; 2], lines: bool, f: impl FnOnce(&mut Obj)) {
+        self.entry(key);
+        Obj::new(self.out, lines, self.depth + 1).fill(b, f);
+    }
+
+    /// Add a scalar member.
+    pub fn field(&mut self, key: &str, value: impl Scalar) -> &mut Self {
+        self.entry(Some(key));
+        value.write_json(self.out);
+        self
+    }
+
+    /// Add a scalar member only when `value` is `Some`.
+    pub fn opt(&mut self, key: &str, value: Option<impl Scalar>) -> &mut Self {
+        if let Some(value) = value {
+            self.field(key, value);
+        }
+        self
+    }
+
+    /// Add a nested object, on one line.
+    pub fn obj(&mut self, key: &str, f: impl FnOnce(&mut Obj)) -> &mut Self {
+        self.nest(Some(key), ['{', '}'], false, f);
+        self
+    }
+
+    /// Add an array of scalars, on one line.
+    pub fn items<T: Scalar>(&mut self, key: &str, items: impl IntoIterator<Item = T>) -> &mut Self {
+        self.nest(Some(key), ['[', ']'], false, |arr| {
+            for item in items {
+                arr.entry(None);
+                item.write_json(arr.out);
+            }
+        });
+        self
+    }
+
+    /// Add an array of objects, one per item, each filled by `f` on one
+    /// line; at the top level of [`object_lines`], each on its own line.
+    pub fn objects<I: IntoIterator>(
+        &mut self,
+        key: &str,
+        items: I,
+        mut f: impl FnMut(&mut Obj, I::Item),
+    ) -> &mut Self {
+        let lines = self.lines;
+        self.nest(Some(key), ['[', ']'], lines, |arr| {
+            for item in items {
+                arr.nest(None, ['{', '}'], false, |o| f(o, item));
+            }
+        });
+        self
+    }
+}
+
+/// Render one object on a single line: the protocol's form.
+#[must_use]
+pub fn object(f: impl FnOnce(&mut Obj)) -> String {
+    render(false, f)
+}
+
+/// Render one object with each top-level member on its own line: the
+/// form of the `--json` reports and `BENCH_*.json` files.
+#[must_use]
+pub fn object_lines(f: impl FnOnce(&mut Obj)) -> String {
+    render(true, f)
+}
+
+fn render(lines: bool, f: impl FnOnce(&mut Obj)) -> String {
+    let mut out = String::new();
+    Obj::new(&mut out, lines, 1).fill(['{', '}'], f);
+    out
 }
 
 #[cfg(test)]

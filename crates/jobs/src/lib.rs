@@ -18,8 +18,8 @@
 //!   through [`proto::JobRequest::resolve`];
 //! * [`serve`] — the line-delimited JSON daemon (stdin or TCP) and
 //!   the `hlts submit` client, speaking the [`proto`] protocol;
-//! * [`json`] — the from-scratch JSON reader the protocol needs (the
-//!   workspace has no serde by design).
+//! * [`json`] — the from-scratch JSON reader and the one writer every
+//!   JSON text of the workspace renders through (no serde by design).
 //!
 //! Determinism contract: a job whose token never fires is
 //! **bit-identical** to the same work run without the engine — the

@@ -5,9 +5,10 @@
 //! per-job event lines. This module parses request lines into
 //! [`Request`] values and renders responses, events and the `hlts
 //! submit` request line ([`render_submit`]) as single-line JSON strings
-//! (hand-rolled, like every other JSON emitter in the workspace — see
-//! [`hlts_dse::json_string`]). A [`JobRequest`] is the only way a job is
-//! described: the daemon parses one from each submit line, `hlts run`
+//! through the shared writer in [`crate::json`]; the CLI's `--json`
+//! reports reuse the same members ([`run_fields`], [`coverage_fields`])
+//! and [`explore_report_json`]. A [`JobRequest`] is the only way a job
+//! is described: the daemon parses one from each submit line, `hlts run`
 //! and `hlts explore` fill one from their flags, and both turn it into
 //! a [`JobSpec`] through [`JobRequest::resolve`], which loads the
 //! sources and applies the run parameter policy. The I/O and engine
@@ -47,17 +48,16 @@
 //! {"event":"failed","job":3,"error":"..."}
 //! ```
 
-use std::fmt::Write as _;
-
 use hlts_core::{DesignMetrics, EvalMode, ProgressEvent, SynthesisParams, SynthesisResult};
 use hlts_dfg::{Dfg, SymStats};
-use hlts_dse::{json_string, ExploreConfig, ExploreOutcome, Flow, SweepSpec, TcovSweep};
+use hlts_dse::{ExploreConfig, ExploreOutcome, Flow, SweepSpec, TcovSweep};
 use hlts_tcov::CoverageReport;
 
 use crate::engine::{
-    AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, JobSpec, RunOutput,
+    AtpgRequest, CancelOutcome, EngineCounts, JobEvent, JobId, JobOutput, JobSpec,
 };
-use crate::json::{self, Json};
+use crate::json::{self, Json, Obj};
+use crate::members;
 
 /// A reference to a behavior source, loaded by [`JobRequest::resolve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -414,37 +414,25 @@ pub fn parse_request(line: &str) -> Result<Request, ReqError> {
 /// the line means the same to any daemon.
 #[must_use]
 pub fn render_submit(id: Option<&str>, run: &RunRequest) -> String {
-    let source = match &run.source {
-        SourceRef::Bench(name) => json_string(&format!("bench:{name}")),
-        SourceRef::Path(path) => json_string(path),
-        SourceRef::Inline { name, text } => format!(
-            "{{\"name\": {}, \"dfg\": {}}}",
-            json_string(name),
-            json_string(text)
-        ),
-    };
-    let mut job = format!(
-        "{{\"kind\": \"run\", \"source\": {source}, \"flow\": {}, \"bits\": {}",
-        json_string(run.flow.name()),
-        run.bits
-    );
-    if let Some(k) = run.k {
-        let _ = write!(job, ", \"k\": {k}");
-    }
-    if let Some(alpha) = run.alpha {
-        let _ = write!(job, ", \"alpha\": {alpha:?}");
-    }
-    if let Some(beta) = run.beta {
-        let _ = write!(job, ", \"beta\": {beta:?}");
-    }
-    if let Some(atpg) = run.atpg {
-        let _ = write!(
-            job,
-            ", \"atpg\": {{\"fault_sample\": {}}}",
-            atpg.fault_sample.unwrap_or(0)
-        );
-    }
-    format!("{{\"op\": \"submit\", {}\"job\": {job}}}}}", id_field(id))
+    json::object(|o| {
+        o.field("op", "submit").opt("id", id).obj("job", |job| {
+            job.field("kind", "run");
+            match &run.source {
+                SourceRef::Bench(name) => members!(job, "source": format!("bench:{name}")),
+                SourceRef::Path(path) => members!(job, "source": path),
+                SourceRef::Inline { name, text } => {
+                    members!(job, "source": {"name": name, "dfg": text});
+                }
+            }
+            members!(job, "flow": run.flow.name(), "bits": run.bits);
+            job.opt("k", run.k)
+                .opt("alpha", run.alpha)
+                .opt("beta", run.beta);
+            if let Some(atpg) = run.atpg {
+                members!(job, "atpg": {"fault_sample": atpg.fault_sample.unwrap_or(0)});
+            }
+        });
+    })
 }
 
 fn parse_source(v: &Json) -> Result<SourceRef, String> {
@@ -540,13 +528,8 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
         "run" => {
             let source = match (job.get("source"), job.get("dfg")) {
                 (Some(s), None) => parse_source(s)?,
-                (None, Some(d)) => parse_source(&Json::Obj(vec![
-                    ("dfg".to_owned(), d.clone()),
-                    (
-                        "name".to_owned(),
-                        job.get("name").cloned().unwrap_or(Json::Null),
-                    ),
-                ]))?,
+                // An inline source spelled on the job itself.
+                (None, Some(_)) => parse_source(job)?,
                 (None, None) => return Err("run job needs `source` or `dfg`".to_owned()),
                 (Some(_), Some(_)) => {
                     return Err("run job takes `source` or `dfg`, not both".to_owned())
@@ -664,81 +647,57 @@ fn parse_job(job: &Json) -> Result<JobRequest, String> {
     }
 }
 
-fn id_field(id: Option<&str>) -> String {
-    id.map_or_else(String::new, |id| format!("\"id\": {}, ", json_string(id)))
+/// A response line: `ok`, the echoed `id` when there is one, then the
+/// members `f` adds.
+fn response(ok: bool, id: Option<&str>, f: impl FnOnce(&mut Obj<'_>)) -> String {
+    json::object(|o| f(o.field("ok", ok).opt("id", id)))
 }
 
 /// `{"ok":true,...}` submit acknowledgement with the engine job id.
 #[must_use]
 pub fn render_submit_ok(id: Option<&str>, job: JobId) -> String {
-    format!("{{\"ok\": true, {}\"job\": {job}}}", id_field(id))
+    response(true, id, |o| members!(o, "job": job))
 }
 
 /// `{"ok":false,...}` error response (also the malformed-line answer).
 #[must_use]
 pub fn render_error(id: Option<&str>, message: &str) -> String {
-    format!(
-        "{{\"ok\": false, {}\"error\": {}}}",
-        id_field(id),
-        json_string(message)
-    )
+    response(false, id, |o| members!(o, "error": message))
 }
 
-/// `{"ok":true,...}` status snapshot: engine counters, warm-cache and
-/// leak-bounded interner statistics, and the malformed-request count.
+/// `{"ok":true,...}` status snapshot: the engine counters `c`,
+/// warm-cache and leak-bounded interner statistics, and the
+/// malformed-request count.
 #[must_use]
-pub fn render_status(
-    id: Option<&str>,
-    counts: &EngineCounts,
-    malformed: u64,
-    sym: SymStats,
-) -> String {
-    format!(
-        "{{\"ok\": true, {}\"status\": {{\
-         \"jobs\": {{\"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \
-         \"cancelled\": {}}}, \
-         \"workers\": {}, \"queue_capacity\": {}, \
-         \"warm\": {{\"hits\": {}, \"misses\": {}}}, \
-         \"explore_replay\": {{\"merges_replayed\": {}, \"merges_recomputed\": {}}}, \
-         \"tcov\": {{\"ctx_hits\": {}, \"ctx_misses\": {}, \
-         \"report_hits\": {}, \"report_misses\": {}}}, \
-         \"malformed_requests\": {malformed}, \
-         \"interner\": {{\"count\": {}, \"bytes\": {}}}}}}}",
-        id_field(id),
-        counts.queued,
-        counts.running,
-        counts.done,
-        counts.failed,
-        counts.cancelled,
-        counts.workers,
-        counts.queue_capacity,
-        counts.warm_hits,
-        counts.warm_misses,
-        counts.merges_replayed,
-        counts.merges_recomputed,
-        counts.tcov.ctx_hits,
-        counts.tcov.ctx_misses,
-        counts.tcov.report_hits,
-        counts.tcov.report_misses,
-        sym.count,
-        sym.bytes,
-    )
+pub fn render_status(id: Option<&str>, c: &EngineCounts, malformed: u64, sym: SymStats) -> String {
+    response(true, id, |o| {
+        members!(o, "status": {
+            "jobs": {"queued": c.queued, "running": c.running, "done": c.done,
+                "failed": c.failed, "cancelled": c.cancelled},
+            "workers": c.workers, "queue_capacity": c.queue_capacity,
+            "warm": {"hits": c.warm_hits, "misses": c.warm_misses},
+            "explore_replay": {"merges_replayed": c.merges_replayed,
+                "merges_recomputed": c.merges_recomputed},
+            "tcov": {"ctx_hits": c.tcov.ctx_hits, "ctx_misses": c.tcov.ctx_misses,
+                "report_hits": c.tcov.report_hits, "report_misses": c.tcov.report_misses},
+            "malformed_requests": malformed,
+            "interner": {"count": sym.count, "bytes": sym.bytes},
+        });
+    })
 }
 
 /// `{"ok":true,...}` cancel acknowledgement.
 #[must_use]
 pub fn render_cancel(id: Option<&str>, job: JobId, outcome: CancelOutcome) -> String {
-    format!(
-        "{{\"ok\": true, {}\"job\": {job}, \"cancel\": {}}}",
-        id_field(id),
-        json_string(outcome.name()),
-    )
+    response(true, id, |o| {
+        members!(o, "job": job, "cancel": outcome.name());
+    })
 }
 
 /// `{"ok":true,...}` shutdown acknowledgement.
 #[must_use]
 pub fn render_shutdown(id: Option<&str>) -> String {
-    format!("{{\"ok\": true, {}\"shutdown\": true}}", id_field(id))
+    response(true, id, |o| members!(o, "shutdown": true))
 }
 
 /// The metrics object of one synthesis result — the exact shape
@@ -746,157 +705,154 @@ pub fn render_shutdown(id: Option<&str>) -> String {
 /// compare with plain string equality.
 #[must_use]
 pub fn metrics_json(m: &DesignMetrics) -> String {
-    format!(
-        "{{\"execution_time\": {}, \"modules\": {}, \"registers\": {}, \"muxes\": {}, \
-         \"self_loops\": {}, \"hardware\": {:?}, \"avg_controllability\": {:?}, \
-         \"avg_observability\": {:?}, \"co_depth\": {:?}}}",
-        m.execution_time,
-        m.num_modules,
-        m.num_registers,
-        m.mux_count,
-        m.self_loops,
-        m.hardware.total(),
-        m.avg_controllability,
-        m.avg_observability,
-        m.co_depth,
-    )
+    json::object(|o| metrics_fields(o, m))
+}
+
+fn metrics_fields(o: &mut Obj<'_>, m: &DesignMetrics) {
+    members!(o, "execution_time": m.execution_time, "modules": m.num_modules,
+        "registers": m.num_registers, "muxes": m.mux_count, "self_loops": m.self_loops,
+        "hardware": m.hardware.total(), "avg_controllability": m.avg_controllability,
+        "avg_observability": m.avg_observability, "co_depth": m.co_depth);
 }
 
 /// One run result as a single-line JSON object (metrics + merge log).
 #[must_use]
 pub fn run_result_json(result: &SynthesisResult) -> String {
-    format!("{{{}}}", run_fields(result))
+    json::object(|o| run_fields(o, result))
 }
 
-fn run_fields(result: &SynthesisResult) -> String {
-    format!(
-        "\"metrics\": {}, \"merges\": [{}]",
-        metrics_json(&result.metrics),
-        result
-            .merge_log
-            .iter()
-            .map(|s| json_string(s))
-            .collect::<Vec<_>>()
-            .join(", "),
-    )
+/// The `metrics` object and `merges` array of one run: the members a
+/// run result, a served `done` event and `hlts run --json` share.
+pub fn run_fields(o: &mut Obj<'_>, result: &SynthesisResult) {
+    o.obj("metrics", |m| metrics_fields(m, &result.metrics));
+    o.items("merges", &result.merge_log);
 }
 
-/// One coverage report as a single-line JSON object. `faults_graded`
-/// vs `total_collapsed` distinguishes a sampled estimate from an
-/// exhaustive grade — both are always reported.
-#[must_use]
-pub fn coverage_json(r: &CoverageReport) -> String {
-    format!(
-        "{{\"gates\": {}, \"coverage\": {:?}, \"efficiency\": {:?}, \"faults_graded\": {}, \
-         \"total_collapsed\": {}, \"total_uncollapsed\": {}, \"detected_random\": {}, \
-         \"detected_deterministic\": {}, \"untestable\": {}, \"aborted\": {}, \
-         \"test_cycles\": {}, \"random_patterns\": {}}}",
-        r.gates,
-        r.coverage(),
-        r.efficiency(),
-        r.faults_graded,
-        r.total_collapsed,
-        r.total_uncollapsed,
-        r.detected_random,
-        r.detected_deterministic,
-        r.untestable,
-        r.aborted,
-        r.test_cycles,
-        r.random_patterns,
-    )
+/// The members of one coverage report. `faults_graded` vs
+/// `total_collapsed` tells a sampled estimate from an exhaustive grade.
+pub fn coverage_fields(o: &mut Obj<'_>, r: &CoverageReport) {
+    members!(o, "gates": r.gates, "coverage": r.coverage(), "efficiency": r.efficiency(),
+        "faults_graded": r.faults_graded, "total_collapsed": r.total_collapsed,
+        "total_uncollapsed": r.total_uncollapsed, "detected_random": r.detected_random,
+        "detected_deterministic": r.detected_deterministic, "untestable": r.untestable,
+        "aborted": r.aborted, "test_cycles": r.test_cycles, "random_patterns": r.random_patterns);
 }
 
-/// A run job's full payload: [`run_result_json`] plus a `"coverage"`
-/// object when the job asked for grading. Ungraded payloads are
-/// byte-identical to the pre-coverage protocol.
-#[must_use]
-pub fn run_output_json(out: &RunOutput) -> String {
-    match &out.coverage {
-        None => run_result_json(&out.result),
-        Some(report) => format!(
-            "{{{}, \"coverage\": {}}}",
-            run_fields(&out.result),
-            coverage_json(report)
-        ),
+/// The point accounting shared by the explore summary and report.
+fn point_counts(o: &mut Obj<'_>, outcome: &ExploreOutcome) {
+    let s = &outcome.stats;
+    members!(o, "points_total": s.points_total, "points_computed": s.points_computed,
+        "points_resumed": s.points_resumed, "points_failed": s.points_failed,
+        "points_cancelled": s.points_cancelled);
+}
+
+/// The replayed/recomputed merge split, on warm-start sweeps only, so
+/// cold reports keep their earlier shape.
+fn replay_counts(o: &mut Obj<'_>, outcome: &ExploreOutcome) {
+    if outcome.results.iter().any(|r| r.replay.is_some()) {
+        let s = &outcome.stats;
+        members!(o, "merges_replayed": s.merges_replayed, "merges_recomputed": s.merges_recomputed);
     }
 }
 
-/// One explore outcome as a single-line JSON summary. The
-/// `front_signature` field is the workspace's canonical bit-identity
-/// witness (equal strings ⇔ bit-identical fronts). Warm-start sweeps
-/// additionally report the replayed/recomputed merge split; cold
-/// sweeps stay byte-identical to the pre-warm-start protocol.
+/// The `hlts explore --json` report: one line per point (and per
+/// failure), the front's point ids and the sweep statistics.
 #[must_use]
-pub fn explore_result_json(outcome: &ExploreOutcome) -> String {
+pub fn explore_report_json(outcome: &ExploreOutcome) -> String {
     let s = &outcome.stats;
-    let warm = if outcome.results.iter().any(|r| r.replay.is_some()) {
-        format!(
-            ", \"merges_replayed\": {}, \"merges_recomputed\": {}",
-            s.merges_replayed, s.merges_recomputed
-        )
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"front_signature\": {}, \"front_size\": {}, \"points_total\": {}, \
-         \"points_computed\": {}, \"points_resumed\": {}, \"points_failed\": {}, \
-         \"points_cancelled\": {}{warm}}}",
-        json_string(&outcome.front_signature()),
-        outcome.front.len(),
-        s.points_total,
-        s.points_computed,
-        s.points_resumed,
-        s.points_failed,
-        s.points_cancelled,
-    )
+    json::object_lines(|o| {
+        o.objects("points", &outcome.results, |p, r| {
+            let (o, params) = (&r.objectives, &r.params);
+            members!(p, "id": r.id, "bench": &params.bench, "flow": params.flow.name(),
+                "k": params.k, "alpha": params.alpha, "beta": params.beta, "bits": params.bits,
+                "E": o.execution_time, "H": o.hardware, "modules": r.modules,
+                "registers": r.registers, "muxes": r.muxes,
+                "avg_controllability": o.avg_controllability,
+                "avg_observability": o.avg_observability, "co_depth": o.co_depth);
+            // Coverage only on graded sweeps, replay only on warm ones.
+            if let Some(t) = o.test {
+                members!(p, "coverage": t.coverage, "test_cycles": t.test_cycles);
+            }
+            if let Some((replayed, recomputed)) = r.replay {
+                members!(p, "replayed": replayed, "recomputed": recomputed);
+            }
+            let on_front = outcome.front.iter().any(|f| f.id == r.id);
+            members!(p, "millis": r.millis, "resumed": r.resumed, "on_front": on_front);
+        });
+        o.items("front", outcome.front.iter().map(|r| r.id));
+        o.objects("failures", &outcome.failures, |o, f| {
+            members!(o, "id": f.id, "message": &f.message);
+        });
+        o.obj("stats", |st| {
+            point_counts(st, outcome);
+            members!(st, "journal_malformed": s.journal_malformed,
+                "journal_torn_tail": s.journal_torn_tail);
+            replay_counts(st, outcome);
+            let (t, e, x) = (&s.testability, &s.eval, &s.txn);
+            members!(st, "workers": s.workers, "wall_millis": s.wall_millis,
+                "compute_millis": s.compute_millis,
+                "testability": {"hits": t.hits, "misses": t.misses,
+                    "incremental": t.incremental, "full": t.full},
+                "eval": {"state_hits": e.state_hits, "state_misses": e.state_misses},
+                "txn": {"begun": x.begun, "committed": x.committed,
+                    "rolled_back": x.rolled_back});
+        });
+    })
 }
 
-fn output_json(output: &JobOutput) -> String {
+/// A job output's members: a run's [`run_fields`] (plus `coverage`
+/// when graded), an explore summary, or a generated DFG. The
+/// `front_signature` is the workspace's canonical bit-identity witness
+/// (equal strings ⇔ bit-identical fronts).
+fn output_fields(o: &mut Obj<'_>, output: &JobOutput) {
     match output {
-        JobOutput::Run(r) => run_output_json(r),
-        JobOutput::Explore(o) => explore_result_json(o),
-        JobOutput::Gen(text) => format!("{{\"dfg\": {}}}", json_string(text)),
+        JobOutput::Run(run) => {
+            run_fields(o, &run.result);
+            if let Some(report) = &run.coverage {
+                o.obj("coverage", |c| coverage_fields(c, report));
+            }
+        }
+        JobOutput::Explore(outcome) => {
+            members!(o, "front_signature": outcome.front_signature(),
+                "front_size": outcome.front.len());
+            point_counts(o, outcome);
+            replay_counts(o, outcome);
+        }
+        JobOutput::Gen(text) => members!(o, "dfg": text),
     }
 }
 
 /// One job event as a single-line JSON object.
 #[must_use]
 pub fn render_event(job: JobId, event: &JobEvent<'_>) -> String {
-    match event {
-        JobEvent::Started => format!("{{\"event\": \"started\", \"job\": {job}}}"),
-        JobEvent::Progress(p) => match *p {
-            ProgressEvent::Iteration { iteration, merges } => format!(
-                "{{\"event\": \"iteration\", \"job\": {job}, \
-                 \"iteration\": {iteration}, \"merges\": {merges}}}"
-            ),
-            ProgressEvent::PointDone {
-                id,
-                completed,
-                total,
-            } => format!(
-                "{{\"event\": \"point_done\", \"job\": {job}, \"point\": {id}, \
-                 \"completed\": {completed}, \"total\": {total}}}"
-            ),
-            // `ProgressEvent` is non_exhaustive; unknown future events
-            // must not break the protocol stream.
-            _ => format!("{{\"event\": \"progress\", \"job\": {job}}}"),
-        },
-        JobEvent::Done(output) => format!(
-            "{{\"event\": \"done\", \"job\": {job}, \"result\": {}}}",
-            output_json(output)
-        ),
-        JobEvent::Failed(message) => format!(
-            "{{\"event\": \"failed\", \"job\": {job}, \"error\": {}}}",
-            json_string(message)
-        ),
-        JobEvent::Cancelled(partial) => match partial {
-            Some(output) => format!(
-                "{{\"event\": \"cancelled\", \"job\": {job}, \"partial\": {}}}",
-                output_json(output)
-            ),
-            None => format!("{{\"event\": \"cancelled\", \"job\": {job}}}"),
-        },
-    }
+    json::object(|o| match *event {
+        JobEvent::Started => members!(o, "event": "started", "job": job),
+        JobEvent::Progress(ProgressEvent::Iteration { iteration, merges }) => {
+            members!(o, "event": "iteration", "job": job, "iteration": iteration, "merges": merges);
+        }
+        JobEvent::Progress(ProgressEvent::PointDone {
+            id,
+            completed,
+            total,
+        }) => {
+            members!(o, "event": "point_done", "job": job, "point": id, "completed": completed,
+                "total": total);
+        }
+        // `ProgressEvent` is non_exhaustive; unknown future events
+        // must not break the protocol stream.
+        JobEvent::Progress(_) => members!(o, "event": "progress", "job": job),
+        JobEvent::Done(output) => {
+            members!(o, "event": "done", "job": job);
+            o.obj("result", |r| output_fields(r, output));
+        }
+        JobEvent::Failed(message) => members!(o, "event": "failed", "job": job, "error": message),
+        JobEvent::Cancelled(partial) => {
+            members!(o, "event": "cancelled", "job": job);
+            if let Some(partial) = partial {
+                o.obj("partial", |r| output_fields(r, partial));
+            }
+        }
+    })
 }
 
 #[cfg(test)]

@@ -59,13 +59,13 @@
 
 use std::process::ExitCode;
 
-use hlts::core::{DesignState, RunCtl, SynthesisResult};
-use hlts::dse::{self, Flow};
+use hlts::core::{DesignState, RunCtl};
+use hlts::dse;
 use hlts::jobs::proto::{self, ExploreRequest, JobRequest, RunRequest, SourceRef};
 use hlts::jobs::{
-    execute, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, ServeConfig, WarmPool,
+    execute, json, members, submit_once, AtpgRequest, ClientEnd, JobOutput, JobSpec, ServeConfig,
+    WarmPool,
 };
-use hlts::tcov::CoverageReport;
 
 /// Ctrl-C wiring: SIGINT fires the process-wide [`CancelToken`], so a
 /// one-shot `hlts run`/`hlts explore` stops at the next clean boundary
@@ -401,39 +401,6 @@ fn parse_explore_args(mut args: impl Iterator<Item = String>) -> Result<ExploreO
     })
 }
 
-/// Hand-rolled machine-readable report of one synthesis run. The
-/// `metrics` object is rendered by the daemon protocol's
-/// [`proto::metrics_json`], so a served result and `hlts run --json`
-/// agree byte-for-byte on that fragment.
-fn run_json(
-    source: &str,
-    flow: Flow,
-    result: &SynthesisResult,
-    atpg: Option<&CoverageReport>,
-) -> String {
-    let mut out = format!(
-        "{{\n  \"source\": {}, \"flow\": {},\n  \"metrics\": {},\n  \"merges\": [{}]",
-        dse::json_string(source),
-        dse::json_string(flow.name()),
-        proto::metrics_json(&result.metrics),
-        result
-            .merge_log
-            .iter()
-            .map(|s| dse::json_string(s))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    if let Some(report) = atpg {
-        // The daemon protocol's coverage object verbatim, so a served
-        // graded result and `hlts run --atpg --json` agree
-        // byte-for-byte on this fragment. `faults_graded` vs
-        // `total_collapsed` makes a sampled estimate explicit.
-        out.push_str(&format!(",\n  \"atpg\": {}", proto::coverage_json(report)));
-    }
-    out.push_str("\n}");
-    out
-}
-
 /// One-shot synthesis: the run job resolves exactly as a daemon
 /// submission does (same parameter policy) and runs through the same
 /// [`execute`] path as the daemon's workers (same cancellation
@@ -450,7 +417,7 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         Ok(_) => return Err("error: internal: run job produced a non-run output".into()),
         Err(e) => return Err(format!("error: {e}")),
     };
-    let result = out.result;
+    let result = &out.result;
     if opts.audit {
         let state = DesignState::from_parts(
             &result.dfg,
@@ -466,10 +433,15 @@ fn run_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         }
     }
     if opts.json {
-        println!(
-            "{}",
-            run_json(&opts.source, opts.job.flow, &result, out.coverage.as_ref())
-        );
+        // The protocol's own run and coverage members, byte for byte.
+        let report = json::object_lines(|o| {
+            members!(o, "source": &opts.source, "flow": opts.job.flow.name());
+            proto::run_fields(o, result);
+            if let Some(coverage) = &out.coverage {
+                o.obj("atpg", |a| proto::coverage_fields(a, coverage));
+            }
+        });
+        println!("{report}");
         return Ok(());
     }
     if !opts.quiet {
@@ -569,7 +541,7 @@ fn explore_main(args: impl Iterator<Item = String>) -> Result<(), String> {
         eprintln!("warning: point {} failed: {}", f.id, f.message);
     }
     if opts.json {
-        print!("{}", outcome.render_json());
+        println!("{}", proto::explore_report_json(&outcome));
         return Ok(());
     }
     if opts.quiet {

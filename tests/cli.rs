@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use hlts::jobs::json::{self, Json};
+
 fn hlts() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hlts"))
 }
@@ -126,26 +128,68 @@ fn unknown_flag_error_lists_the_valid_flags() {
     }
 }
 
+/// Run `hlts` and parse its stdout as one JSON document.
+fn json_output(args: &[&str]) -> Json {
+    let out = hlts().args(args).output().expect("binary runs");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf8 output");
+    json::parse(&text).unwrap_or_else(|e| panic!("{args:?}: {e}: {text}"))
+}
+
+/// The top-level keys of an object, in order.
+fn keys(doc: &Json) -> Vec<&str> {
+    match doc {
+        Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// A DFG file whose name holds a `"` and a `\`, which the reports must
+/// escape (`tag` keeps concurrent tests apart).
+fn awkward_source(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("hlts-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join(format!("we\"ird\\name-{tag}-{}.dfg", std::process::id()));
+    std::fs::write(
+        &path,
+        "dfg mini { input a, b; N1: s = a + b; N2: p = s * b; output p; }",
+    )
+    .expect("write dfg");
+    path
+}
+
 #[test]
 fn run_json_is_machine_readable() {
-    let out = hlts()
-        .args(["run", "bench:ex", "--json"])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.trim_start().starts_with('{'), "{text}");
-    assert!(text.trim_end().ends_with('}'), "{text}");
-    for key in [
-        "\"source\"",
-        "\"metrics\"",
-        "\"execution_time\"",
-        "\"merges\"",
-    ] {
-        assert!(text.contains(key), "missing {key} in: {text}");
-    }
-    // JSON mode replaces the human report entirely.
-    assert!(!text.contains("E = "), "{text}");
+    let plain = json_output(&["run", "bench:ex", "--json"]);
+    assert_eq!(keys(&plain), ["source", "flow", "metrics", "merges"]);
+    assert_eq!(plain.get("source").and_then(Json::as_str), Some("bench:ex"));
+    assert!(plain
+        .get("metrics")
+        .and_then(|m| m.get("execution_time"))
+        .and_then(Json::as_u64)
+        .is_some());
+
+    let graded = json_output(&[
+        "run",
+        "bench:ex",
+        "--atpg",
+        "--fault-sample",
+        "300",
+        "--json",
+    ]);
+    assert_eq!(
+        keys(&graded),
+        ["source", "flow", "metrics", "merges", "atpg"]
+    );
+    let atpg = graded.get("atpg").expect("atpg object");
+    assert_eq!(atpg.get("faults_graded").and_then(Json::as_u64), Some(300));
+
+    let path = awkward_source("run");
+    let name = path.to_str().expect("utf8 path");
+    let doc = json_output(&["run", name, "--json"]);
+    assert_eq!(keys(&doc), ["source", "flow", "metrics", "merges"]);
+    assert_eq!(doc.get("source").and_then(Json::as_str), Some(name));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -171,23 +215,63 @@ fn explore_reports_a_pareto_front() {
 
 #[test]
 fn explore_json_is_machine_readable() {
-    let out = hlts()
-        .args([
-            "explore",
-            "bench:ex",
-            "--k",
-            "1",
-            "--weights",
-            "2:1",
-            "--json",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success(), "{out:?}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    for key in ["\"points\"", "\"front\"", "\"stats\"", "\"points_total\""] {
-        assert!(text.contains(key), "missing {key} in: {text}");
-    }
+    let sweep = [
+        "explore",
+        "bench:ex",
+        "--k",
+        "1,2",
+        "--weights",
+        "2:1,1:10",
+        "--bits",
+        "4",
+    ];
+    let point_keys = |doc: &Json| {
+        let points = doc.get("points").and_then(Json::as_arr).expect("points");
+        assert_eq!(points.len(), 4);
+        keys(&points[0])
+            .into_iter()
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let stats_keys = |doc: &Json| {
+        keys(doc.get("stats").expect("stats"))
+            .into_iter()
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+
+    let plain = json_output(&[&sweep[..], &["--json"]].concat());
+    assert_eq!(keys(&plain), ["points", "front", "failures", "stats"]);
+    let base = point_keys(&plain);
+    assert!(
+        !base.iter().any(|k| k == "coverage" || k == "replayed"),
+        "{base:?}"
+    );
+    assert!(!stats_keys(&plain).iter().any(|k| k == "merges_replayed"));
+
+    let graded =
+        json_output(&[&sweep[..], &["--atpg", "--fault-sample", "300", "--json"]].concat());
+    assert_eq!(keys(&graded), ["points", "front", "failures", "stats"]);
+    let with_test = point_keys(&graded);
+    assert!(with_test.iter().any(|k| k == "coverage"), "{with_test:?}");
+    assert!(
+        with_test.iter().any(|k| k == "test_cycles"),
+        "{with_test:?}"
+    );
+
+    let warm = json_output(&[&sweep[..], &["--warm-start", "on", "--json"]].concat());
+    assert_eq!(keys(&warm), ["points", "front", "failures", "stats"]);
+    assert!(point_keys(&warm).iter().any(|k| k == "replayed"));
+    assert!(stats_keys(&warm).iter().any(|k| k == "merges_replayed"));
+
+    let path = awkward_source("explore");
+    let name = path.to_str().expect("utf8 path");
+    let doc = json_output(&["explore", name, "--k", "1", "--weights", "2:1", "--json"]);
+    assert_eq!(keys(&doc), ["points", "front", "failures", "stats"]);
+    let points = doc.get("points").and_then(Json::as_arr).expect("points");
+    let stem = path.file_stem().and_then(|s| s.to_str()).expect("stem");
+    assert_eq!(points[0].get("bench").and_then(Json::as_str), Some(stem));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
