@@ -78,7 +78,7 @@ echo "==> perf benchmark smoke: builds against the library APIs, every workload 
 # workspace build above never compiles it.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 
-echo "==> bench smoke: testability solvers + speedup gate"
+echo "==> bench smoke: testability solvers (dense == worklist, bit for bit)"
 cargo bench -q --bench testability --offline
 
 echo "==> bench smoke: merge-loop txn-vs-clone + arena speedup gates"

@@ -54,11 +54,10 @@ fn main() {
     let (par_secs, par) = timed_sweep(&spec, 4);
     println!(
         "dse/explore/{name}  {points} points: sequential {:.2}s, 4 workers {:.2}s \
-         (front {} points, testability cache {} hits / {} misses)",
+         (front {} points, {} testability analyses)",
         seq_secs,
         par_secs,
         par.front.len(),
-        par.stats.testability.hits,
         par.stats.testability.misses,
     );
 

@@ -3,7 +3,7 @@
 //! The `hlts serve` daemon keeps a [`WarmPool`] of per-behavior
 //! contexts — base design state plus the shared incremental (E, H)
 //! evaluator — so a repeat request for the same behavior skips the
-//! initial schedule/allocation/testability construction and hits the
+//! initial schedule/allocation construction and hits the
 //! evaluator's content-keyed cache throughout the merge loop. This
 //! gate measures both paths on the **largest** bundled benchmark
 //! through the same [`execute`] entry point the daemon's workers use:

@@ -1,34 +1,20 @@
-//! Criterion bench: the CC/SC/CO/SO fixpoint analysis — the inner loop
-//! of Algorithm 1 (it runs once per candidate evaluation).
+//! Criterion bench: the CC/SC/CO/SO fixpoint analysis — step 2 of
+//! Algorithm 1, run once per iteration on the current data path.
 //!
-//! Beyond the one-to-one baseline, the paper benchmarks are measured on
-//! a merged variant (one committed module merger, as the ΔC loop
-//! produces) through three solvers:
+//! Beyond the one-to-one baseline, three paper benchmarks and generated
+//! graphs of 48/96/192 ops are measured on a merged variant (one
+//! committed module merger, as the ΔC loop produces) through both
+//! solvers:
 //!
-//! * `dense`       — [`TestabilityAnalysis::analyze_dense`]: full
-//!   Gauss–Seidel sweeps (the seed behavior, the "before" number);
-//! * `worklist`    — [`TestabilityAnalysis::analyze`]: the indexed
-//!   worklist fixpoint (what a cold cache miss costs now);
-//! * `incremental` — [`TestabilityAnalysis::reanalyze`]: dirty-region
-//!   replay from the pre-merge solution (what a per-candidate
-//!   re-analysis costs with the engine's anchor set).
+//! * `dense`    — [`TestabilityAnalysis::analyze_dense`]: full
+//!   Gauss–Seidel sweeps (the reference);
+//! * `worklist` — [`TestabilityAnalysis::analyze`]: the indexed
+//!   worklist fixpoint the product runs.
 //!
-//! The run **asserts** the acceptance criterion: incremental
-//! re-analysis is ≥ 2× faster than the dense fixpoint on generated
-//! graphs of 48/96/192 ops, and all solvers agree bit-for-bit on
-//! every graph measured (paper benchmarks included).
-//!
-//! Why generated graphs and not EX/DCT/DIFFEQ? The original gate was
-//! pinned on the paper benchmarks, but the arena refactor (CSR
-//! adjacency, allocation-free accessors) sped up the *dense* sweeps
-//! themselves by ~2.5× — the same slice accessors serve every solver.
-//! On 10–34-op graphs the dense fixpoint now finishes in a handful of
-//! microseconds and the incremental engine's fixed replay bookkeeping
-//! dominates, so the ratio there is ~1× and no longer measures
-//! anything. The asymptotic advantage the PR 2 engine was built for is
-//! a function of graph size, so that is what the gate measures:
-//! measured ratios at re-pin time were 3.2×/4.9×/8.1× at 48/96/192
-//! ops.
+//! The run **asserts** that the two agree bit for bit on every graph
+//! measured (values, sweep and update counts) and prints the dense /
+//! worklist ratio. The ratio is informational: it depends on the host,
+//! so no speed gate rests on it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlts_alloc::Allocation;
@@ -38,22 +24,22 @@ use hlts_gen::{generate, GenConfig};
 use hlts_sched::{list_schedule, ListPriority};
 use hlts_testability::{total_co_depth, TestabilityAnalysis};
 
-/// Sizes (op counts) of the generated graphs the speedup gate runs on.
-const GATE_SIZES: [usize; 3] = [48, 96, 192];
+/// Sizes (op counts) of the generated graphs the solvers run on.
+const GEN_SIZES: [usize; 3] = [48, 96, 192];
 
-/// Seed for the gate graphs — fixed so the gate is deterministic.
-const GATE_SEED: u64 = 7;
+/// Seed for the generated graphs — fixed so the bench is deterministic.
+const GEN_SEED: u64 = 7;
 
-/// The generated graph the speedup gate measures at `ops` operations:
-/// the balanced preset, widened to 8 primary inputs.
-fn gate_graph(ops: usize) -> hlts_dfg::Dfg {
+/// The generated graph measured at `ops` operations: the balanced
+/// preset, widened to 8 primary inputs.
+fn gen_graph(ops: usize) -> hlts_dfg::Dfg {
     let cfg = GenConfig {
-        name: format!("gate{ops}"),
+        name: format!("gen{ops}"),
         ops,
         inputs: 8,
         ..GenConfig::default()
     };
-    generate(GATE_SEED, &cfg).expect("gate graph generates")
+    generate(GEN_SEED, &cfg).expect("generated graph")
 }
 
 fn testability(c: &mut Criterion) {
@@ -92,117 +78,91 @@ fn merged_variant(state: &DesignState) -> DesignState {
     panic!("no module pair merges");
 }
 
-/// The (anchor analysis, pre-merge path, post-merge path) triple the
-/// solver benches measure.
-fn solver_inputs(dfg: &hlts_dfg::Dfg) -> (TestabilityAnalysis, DataPath, DataPath) {
+/// The post-merge data path the solver benches measure.
+fn merged_path(dfg: &hlts_dfg::Dfg) -> DataPath {
     let base = DesignState::initial(dfg).expect("initial state");
-    let dp0: DataPath = base.lower().expect("lowerable").data_path().clone();
-    let prev = TestabilityAnalysis::analyze(&dp0);
     let merged = merged_variant(&base);
-    let dp1: DataPath = merged.lower().expect("lowerable").data_path().clone();
-    (prev, dp0, dp1)
+    merged.lower().expect("lowerable").data_path().clone()
 }
 
-fn solvers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("testability");
-    for (name, dfg) in [
+/// Panics unless both solvers give `dp` the same analysis, bit for bit,
+/// with the same sweep and update counts.
+fn assert_bit_identical(name: &str, dp: &DataPath) {
+    let dense = TestabilityAnalysis::analyze_dense(dp);
+    let worklist = TestabilityAnalysis::analyze(dp);
+    for node in dp.nodes() {
+        let (a, b) = (
+            dense.output_controllability(node.id()),
+            worklist.output_controllability(node.id()),
+        );
+        assert!(
+            a.cc.to_bits() == b.cc.to_bits() && a.sc.to_bits() == b.sc.to_bits(),
+            "{name}: solvers disagree on the controllability of {}",
+            node.label()
+        );
+    }
+    for arc in dp.arcs() {
+        let (a, b) = (
+            dense.arc_observability(arc.id()),
+            worklist.arc_observability(arc.id()),
+        );
+        assert!(
+            a.co.to_bits() == b.co.to_bits() && a.so.to_bits() == b.so.to_bits(),
+            "{name}: solvers disagree on the observability of arc {}",
+            arc.id()
+        );
+    }
+    assert_eq!(dense.sweeps_used(), worklist.sweeps_used(), "{name}");
+    assert_eq!(
+        dense.updates_propagated(),
+        worklist.updates_propagated(),
+        "{name}"
+    );
+}
+
+/// The graphs the solvers run on: three paper benchmarks, then the
+/// generated sizes.
+fn solver_graphs() -> impl Iterator<Item = (String, hlts_dfg::Dfg)> {
+    [
         ("ex".to_owned(), hlts_benchmarks::ex()),
         ("dct".to_owned(), hlts_benchmarks::dct()),
         ("diffeq".to_owned(), hlts_benchmarks::diffeq()),
     ]
     .into_iter()
-    .chain(GATE_SIZES.map(|ops| (format!("gen{ops}"), gate_graph(ops))))
-    {
+    .chain(GEN_SIZES.map(|ops| (format!("gen{ops}"), gen_graph(ops))))
+}
+
+fn solvers(c: &mut Criterion) {
+    let mut group = c.benchmark_group("testability");
+    for (name, dfg) in solver_graphs() {
         let name = name.as_str();
-        let (prev, dp0, dp1) = solver_inputs(&dfg);
-
-        let dense = TestabilityAnalysis::analyze_dense(&dp1);
-        let worklist = TestabilityAnalysis::analyze(&dp1);
-        let incremental = prev.reanalyze(&dp0, &dp1, &[]);
-        assert!(
-            dense == worklist && dense == incremental,
-            "{name}: solvers disagree on the merged data path"
-        );
-
-        group.bench_with_input(BenchmarkId::new("dense", name), &dp1, |b, dp| {
+        let dp = merged_path(&dfg);
+        assert_bit_identical(name, &dp);
+        group.bench_with_input(BenchmarkId::new("dense", name), &dp, |b, dp| {
             b.iter(|| TestabilityAnalysis::analyze_dense(dp))
         });
-        group.bench_with_input(BenchmarkId::new("worklist", name), &dp1, |b, dp| {
+        group.bench_with_input(BenchmarkId::new("worklist", name), &dp, |b, dp| {
             b.iter(|| TestabilityAnalysis::analyze(dp))
         });
-        let pair = (dp0, dp1);
-        group.bench_with_input(
-            BenchmarkId::new("incremental", name),
-            &pair,
-            |b, (d0, d1)| b.iter(|| prev.reanalyze(d0, d1, &[])),
-        );
     }
     group.finish();
 }
 
-/// Noise guard: the recorded medians come from one measurement pass
-/// each, so a scheduler hiccup can sink the ratio below the gate even
-/// when the steady-state speedup clears it comfortably. Re-time both
-/// solvers with interleaved batches and take the median ratio.
-fn remeasure(ops: usize) -> f64 {
-    let dfg = gate_graph(ops);
-    let (prev, dp0, dp1) = solver_inputs(&dfg);
-    let batch = |f: &mut dyn FnMut()| {
-        let t = std::time::Instant::now();
-        for _ in 0..64 {
-            f();
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let mut ratios: Vec<f64> = (0..9)
-        .map(|_| {
-            let d = batch(&mut || drop(TestabilityAnalysis::analyze_dense(&dp1)));
-            let i = batch(&mut || drop(prev.reanalyze(&dp0, &dp1, &[])));
-            d / i
-        })
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ratios[ratios.len() / 2]
-}
-
-fn verify_speedup(c: &mut Criterion) {
+/// Print each graph's dense / worklist median ratio (informational).
+fn report_ratios(c: &mut Criterion) {
     println!();
-    // Informational only: on the tiny paper benchmarks the dense sweep
-    // is now so cheap (arena accessors) that the ratio hovers near 1×.
-    for name in ["ex", "dct", "diffeq"] {
+    for (name, _) in solver_graphs() {
         let dense = c
             .median_ns(&format!("testability/dense/{name}"))
             .expect("dense ran");
-        let incremental = c
-            .median_ns(&format!("testability/incremental/{name}"))
-            .expect("incremental ran");
-        let s = dense / incremental;
-        println!("speedup {name:<28} incremental vs dense {s:6.1}x (informational)");
+        let worklist = c
+            .median_ns(&format!("testability/worklist/{name}"))
+            .expect("worklist ran");
+        let s = dense / worklist;
+        println!("ratio {name:<28} dense / worklist {s:6.1}x (informational)");
     }
-    let mut worst = f64::INFINITY;
-    for ops in GATE_SIZES {
-        let name = format!("gen{ops}");
-        let dense = c
-            .median_ns(&format!("testability/dense/{name}"))
-            .expect("dense ran");
-        let incremental = c
-            .median_ns(&format!("testability/incremental/{name}"))
-            .expect("incremental ran");
-        let mut s = dense / incremental;
-        println!("speedup {name:<28} incremental vs dense {s:6.1}x");
-        if s < 2.0 {
-            s = remeasure(ops);
-            println!("speedup {name:<28} re-measured {s:6.1}x");
-        }
-        worst = worst.min(s);
-    }
-    assert!(
-        worst >= 2.0,
-        "acceptance criterion violated: incremental re-analysis is only {worst:.2}x \
-         the dense fixpoint (need >= 2x on 48/96/192-op generated graphs)"
-    );
-    println!("acceptance: incremental >= 2x dense on gen48/gen96/gen192 — OK (worst {worst:.1}x)");
+    println!("solvers: dense == worklist, bit for bit, on every graph — OK");
 }
 
-criterion_group!(benches, testability, solvers, verify_speedup);
+criterion_group!(benches, testability, solvers, report_ratios);
 criterion_main!(benches);

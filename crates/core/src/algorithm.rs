@@ -2,6 +2,7 @@
 
 use hlts_cost::ModuleLibrary;
 use hlts_dfg::Dfg;
+use hlts_testability::{TestabilityAnalysis, TestabilityCacheStats};
 
 use crate::candidates::{enumerate_candidates, MergeCandidate, MergeKind};
 use crate::delta_eval::DeltaEvaluator;
@@ -189,15 +190,13 @@ impl IntegratedSynthesizer {
     /// Run Algorithm 1 from a caller-owned base state under an external
     /// [`RunCtl`]: the batch and job-engine entry point.
     ///
-    /// The base is forked, not mutated: the run shares its graph core,
-    /// [`TestabilityEngine`](hlts_testability::TestabilityEngine) and
-    /// transaction counters, plus the given evaluator's (E, H) cache.
-    /// A design-space sweep builds one base state and one evaluator per
-    /// behavior and runs every parameter point through them. Sharing
-    /// never changes a result: both caches are keyed on content
-    /// (structure / schedule+binding+width), and the engine's anchor only
-    /// steers *how* misses are computed. The evaluator must not have been
-    /// used with a different graph or library.
+    /// The base is forked, not mutated: the run shares its graph core
+    /// and transaction counters, plus the given evaluator's (E, H)
+    /// cache. A design-space sweep builds one base state and one
+    /// evaluator per behavior and runs every parameter point through
+    /// them. Sharing never changes a result: the cache is keyed on
+    /// content (schedule + binding + width). The evaluator must not have
+    /// been used with a different graph or library.
     ///
     /// The cancel token is checked once per iteration, between
     /// transactions, so a fired token surfaces as
@@ -259,6 +258,7 @@ impl IntegratedSynthesizer {
         let mut merge_log: Vec<String> = Vec::new();
         let mut trace = MergeTrace::default();
         let mut replay = ReplayStats::default();
+        let mut testability = TestabilityCacheStats::default();
         // Replay cursor into the seed; `live` drops to false at the
         // first divergence (or exhaustion) and never recovers — the
         // scratch loop owns every later iteration.
@@ -298,17 +298,12 @@ impl IntegratedSynthesizer {
                 }
             }
 
-            // Scratch path. The baseline analysis goes through the shared
-            // engine (a hit after iteration 1: the committed trial of
-            // iteration i is re-lowered as the baseline of i+1) and
-            // becomes the anchor that candidate misses re-analyze
-            // incrementally from — each candidate differs from it by one
-            // merge cone.
+            // Scratch path: step 2 of Algorithm 1, one testability
+            // analysis of the current data path. Candidate pricing needs
+            // no other (SR2 probes compare `E` alone).
             let etpn = state.lower()?;
-            let analysis = state.testability_engine().analyze(etpn.data_path());
-            state
-                .testability_engine()
-                .set_anchor(etpn.data_path(), &analysis);
+            let analysis = TestabilityAnalysis::analyze(etpn.data_path());
+            testability.record(&analysis);
             let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
             if candidates.is_empty() {
                 trace.entries.push(TraceEntry {
@@ -355,9 +350,8 @@ impl IntegratedSynthesizer {
             };
             // Re-apply the winning trial and commit it. The merge
             // machinery is deterministic, so this reproduces the priced
-            // trial bit for bit — and cheaply: the reschedule and the
-            // testability / ΔC analyses all resolve from caches warmed by
-            // the trial itself.
+            // trial bit for bit — and cheaply: the SR2 probes' critical
+            // paths resolve from the cache warmed by the trial itself.
             let kind = candidates[index].kind;
             let (sym_a, sym_b) = merge_symbols(&state, kind);
             let mut txn = StateTxn::begin(&mut state);
@@ -383,8 +377,13 @@ impl IntegratedSynthesizer {
         }
 
         debug_assert!(state.validate().is_ok());
-        let result =
-            SynthesisResult::from_state(state, self.params.bits, &self.params.library, merge_log)?;
+        let result = SynthesisResult::from_state(
+            state,
+            self.params.bits,
+            &self.params.library,
+            merge_log,
+            testability,
+        )?;
         Ok(WarmSynthesis {
             result,
             trace,

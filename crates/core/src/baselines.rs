@@ -21,6 +21,7 @@ use hlts_alloc::{
 use hlts_cost::estimate_cost;
 use hlts_dfg::{Dfg, FuClass};
 use hlts_sched::{fds_schedule, mobility_path_schedule, FuLimits, Lifetimes};
+use hlts_testability::TestabilityCacheStats;
 
 use crate::candidates::MergeKind;
 use crate::resched::{merge_modules_with_resched, merge_registers_with_resched};
@@ -161,7 +162,13 @@ pub fn camad_ctl(
             break;
         }
     }
-    SynthesisResult::from_state(state, params.bits, &params.library, merge_log)
+    SynthesisResult::from_state(
+        state,
+        params.bits,
+        &params.library,
+        merge_log,
+        TestabilityCacheStats::default(),
+    )
 }
 
 /// Approach 1: force-directed scheduling at the critical-path latency
@@ -180,7 +187,13 @@ pub fn approach1(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult,
     let allocation = Allocation::from_groups(dfg, &module_groups, &register_groups)?;
     let state = DesignState::from_parts(dfg, schedule, allocation);
     state.validate()?;
-    SynthesisResult::from_state(state, params.bits, &params.library, Vec::new())
+    SynthesisResult::from_state(
+        state,
+        params.bits,
+        &params.library,
+        Vec::new(),
+        TestabilityCacheStats::default(),
+    )
 }
 
 /// Approach 2: mobility-path scheduling for testability (Lee, Wolf &
@@ -217,7 +230,13 @@ pub fn approach2(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult,
     let allocation = Allocation::from_groups(dfg, &module_groups, &register_groups)?;
     let state = DesignState::from_parts(dfg, schedule, allocation);
     state.validate()?;
-    SynthesisResult::from_state(state, params.bits, &params.library, Vec::new())
+    SynthesisResult::from_state(
+        state,
+        params.bits,
+        &params.library,
+        Vec::new(),
+        TestabilityCacheStats::default(),
+    )
 }
 
 #[cfg(test)]

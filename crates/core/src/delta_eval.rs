@@ -24,12 +24,9 @@
 //! The evaluator is `Sync`: a design-space sweep runs its points on
 //! several workers that share one evaluator per behavior.
 //!
-//! The testability side of candidate evaluation has a twin of this
-//! design: the [`TestabilityEngine`](hlts_testability::TestabilityEngine)
-//! carried by [`DesignState`] memoizes the CC/SC/CO/SO fixpoint keyed by
-//! the data path's structural hash (which is schedule-independent, so
-//! SR2's reschedule variants share entries) and resolves misses
-//! incrementally from the current iteration's anchored baseline.
+//! Testability has no such cache: candidate pricing needs no analysis
+//! (SR2 probes compare `E` alone), so Algorithm 1 runs one CC/SC/CO/SO
+//! fixpoint per iteration, on the current data path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -71,10 +71,9 @@ pub use state::DesignState;
 pub use trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWinner};
 pub use txn::{trial_merge, StateTxn, TxnSavepoint, TxnStats};
 
-// The shared testability engine lives in `hlts-testability`; re-export
-// the pieces `SynthesisResult` and `DesignState` expose so downstream
-// users don't need a direct dependency for them.
-pub use hlts_testability::{TestabilityCacheStats, TestabilityEngine};
+// Re-export the testability counters `SynthesisResult` exposes so
+// downstream users don't need a direct dependency for them.
+pub use hlts_testability::TestabilityCacheStats;
 
 // The invariant auditor lives in `hlts-check`; re-export the report
 // types [`DesignState::audit`] returns so callers can inspect

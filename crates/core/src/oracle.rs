@@ -20,7 +20,7 @@
 
 use hlts_alloc::{ModuleId, RegisterId};
 use hlts_dfg::{Dfg, OpId, ValueId};
-use hlts_testability::total_co_depth;
+use hlts_testability::{total_co_depth, TestabilityAnalysis, TestabilityCacheStats};
 
 use crate::algorithm::merge_description;
 use crate::candidates::{enumerate_candidates, MergeCandidate, MergeKind};
@@ -34,7 +34,7 @@ use crate::{CoreError, DesignState, SelectionPolicy, SynthesisParams, SynthesisR
 /// this reference still compares the depth first.
 fn sr1_merit(state: &DesignState) -> Result<(f64, usize), CoreError> {
     let etpn = state.lower()?;
-    let analysis = state.testability_engine().analyze(etpn.data_path());
+    let analysis = TestabilityAnalysis::analyze(etpn.data_path());
     Ok((
         total_co_depth(etpn.data_path(), &analysis),
         etpn.execution_time(),
@@ -334,13 +334,12 @@ pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult
     let evaluator = DeltaEvaluator::new();
     let mut state = DesignState::initial(dfg)?;
     let mut merge_log: Vec<String> = Vec::new();
+    let mut testability = TestabilityCacheStats::default();
 
     for _ in 0..params.max_merges {
         let etpn = state.lower()?;
-        let analysis = state.testability_engine().analyze(etpn.data_path());
-        state
-            .testability_engine()
-            .set_anchor(etpn.data_path(), &analysis);
+        let analysis = TestabilityAnalysis::analyze(etpn.data_path());
+        testability.record(&analysis);
         let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
         if candidates.is_empty() {
             break;
@@ -383,5 +382,5 @@ pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult
     }
 
     debug_assert!(state.validate().is_ok());
-    SynthesisResult::from_state(state, params.bits, &params.library, merge_log)
+    SynthesisResult::from_state(state, params.bits, &params.library, merge_log, testability)
 }

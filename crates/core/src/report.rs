@@ -4,7 +4,7 @@ use hlts_alloc::Allocation;
 use hlts_cost::{estimate_cost, CostBreakdown, ModuleLibrary};
 use hlts_dfg::Dfg;
 use hlts_sched::Schedule;
-use hlts_testability::{total_co_depth, NodeProfile, TestabilityCacheStats};
+use hlts_testability::{total_co_depth, NodeProfile, TestabilityAnalysis, TestabilityCacheStats};
 
 use crate::{CoreError, DesignState, TxnStats};
 
@@ -40,9 +40,21 @@ impl DesignMetrics {
     ///
     /// Fails when the state cannot be lowered to ETPN.
     pub fn of(state: &DesignState, bits: u32, library: &ModuleLibrary) -> Result<Self, CoreError> {
+        DesignMetrics::counted(state, bits, library, &mut TestabilityCacheStats::default())
+    }
+
+    /// [`DesignMetrics::of`], counting its testability analysis into
+    /// `testability`.
+    fn counted(
+        state: &DesignState,
+        bits: u32,
+        library: &ModuleLibrary,
+        testability: &mut TestabilityCacheStats,
+    ) -> Result<Self, CoreError> {
         let etpn = state.lower()?;
         let dp = etpn.data_path();
-        let analysis = state.testability_engine().analyze(dp);
+        let analysis = TestabilityAnalysis::analyze(dp);
+        testability.record(&analysis);
         let mut c_sum = 0.0;
         let mut o_sum = 0.0;
         let mut n = 0usize;
@@ -81,11 +93,10 @@ pub struct SynthesisResult {
     pub metrics: DesignMetrics,
     /// Human-readable record of each committed merger.
     pub merge_log: Vec<String>,
-    /// How the run's shared testability engine resolved its queries.
-    /// Diagnostics only: sweep workers sharing one engine can race to
-    /// the same cache miss, so these counters (unlike every synthesis
-    /// outcome) are not deterministic — which is why they are excluded
-    /// from equality.
+    /// The testability analyses this run computed: one per scratch
+    /// iteration of Algorithm 1 plus one for [`DesignMetrics`].
+    /// Diagnostics only, excluded from equality: a warm-start replay
+    /// reaches the same result with fewer analyses.
     pub testability_stats: TestabilityCacheStats,
     /// How the run exercised the transaction layer: trials begun,
     /// rolled back and committed, and journal undo operations recorded
@@ -95,8 +106,8 @@ pub struct SynthesisResult {
 }
 
 /// Everything except `testability_stats`/`txn_stats`: results compare
-/// by what was synthesized, not by how the caches and journals happened
-/// to be exercised.
+/// by what was synthesized, not by how much analysis and journaling it
+/// took.
 impl PartialEq for SynthesisResult {
     fn eq(&self, other: &Self) -> bool {
         self.dfg == other.dfg
@@ -108,14 +119,16 @@ impl PartialEq for SynthesisResult {
 }
 
 impl SynthesisResult {
+    /// Measure the final `state`; `testability_stats` holds the
+    /// analyses the run computed before it, and gains the metrics' own.
     pub(crate) fn from_state(
         state: DesignState,
         bits: u32,
         library: &ModuleLibrary,
         merge_log: Vec<String>,
+        mut testability_stats: TestabilityCacheStats,
     ) -> Result<Self, CoreError> {
-        let metrics = DesignMetrics::of(&state, bits, library)?;
-        let testability_stats = state.testability_engine().stats();
+        let metrics = DesignMetrics::counted(&state, bits, library, &mut testability_stats)?;
         let txn_stats = state.txn_stats();
         Ok(SynthesisResult {
             dfg: state.dfg,
@@ -146,14 +159,8 @@ impl SynthesisResult {
         ));
         let t = &self.testability_stats;
         out.push_str(&format!(
-            "testability cache: {} hits / {} misses ({} incremental, {} full), \
-             {} updates propagated, hit rate {:.1}%\n",
-            t.hits,
-            t.misses,
-            t.incremental,
-            t.full,
-            t.updates_propagated,
-            t.hit_rate() * 100.0,
+            "testability: {} analyses, {} updates propagated\n",
+            t.misses, t.updates_propagated,
         ));
         let x = &self.txn_stats;
         out.push_str(&format!(

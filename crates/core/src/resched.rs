@@ -31,7 +31,7 @@ use std::mem;
 use hlts_alloc::{ModuleId, RegisterId};
 use hlts_dfg::{Dfg, OpId, ValueId};
 use hlts_etpn::Etpn;
-use hlts_testability::total_co_depth;
+use hlts_testability::{total_co_depth, TestabilityAnalysis};
 
 use crate::candidates::MergeKind;
 use crate::txn::StateTxn;
@@ -160,7 +160,7 @@ fn sr2_merit(state: &DesignState, with_depth: bool) -> Result<(usize, Option<f64
         e,
         "control-part E differs from the full lowering's"
     );
-    let analysis = state.testability_engine().analyze(etpn.data_path());
+    let analysis = TestabilityAnalysis::analyze(etpn.data_path());
     Ok((e, Some(total_co_depth(etpn.data_path(), &analysis))))
 }
 

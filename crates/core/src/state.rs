@@ -6,7 +6,6 @@ use hlts_alloc::Allocation;
 use hlts_dfg::Dfg;
 use hlts_etpn::Etpn;
 use hlts_sched::{list_schedule, reschedule_in_place, Lifetimes, ListPriority, Schedule};
-use hlts_testability::TestabilityEngine;
 
 use crate::txn::{StateTxn, TxnCounters, TxnStats};
 use crate::CoreError;
@@ -20,7 +19,7 @@ use crate::CoreError;
 /// nothing on the candidate hot path clones the state. Each synthesis
 /// run starts from a [`DesignState::fork`] of its base — a cheap copy
 /// whose graph shares the immutable [`Dfg`] core via [`Arc`] and which
-/// shares the base's [`TestabilityEngine`] and transaction counters.
+/// shares the base's transaction counters.
 #[derive(Debug, Clone)]
 pub struct DesignState {
     /// The behavioral graph, including accumulated scheduling-constraint
@@ -30,8 +29,6 @@ pub struct DesignState {
     pub schedule: Schedule,
     /// The current binding.
     pub allocation: Allocation,
-    /// Shared testability-analysis cache (see [`DesignState::testability_engine`]).
-    testability: Arc<TestabilityEngine>,
     /// Shared transaction-layer counters (see [`DesignState::txn_stats`]).
     txn_counters: Arc<TxnCounters>,
 }
@@ -50,8 +47,8 @@ impl DesignState {
         Ok(DesignState::from_parts(dfg, schedule, allocation))
     }
 
-    /// Assemble a state from an explicit triple, with a fresh
-    /// testability engine. The graph is shared, not deep-copied: the
+    /// Assemble a state from an explicit triple, with fresh transaction
+    /// counters. The graph is shared, not deep-copied: the
     /// state's copy references the same immutable core.
     #[must_use]
     pub fn from_parts(dfg: &Dfg, schedule: Schedule, allocation: Allocation) -> Self {
@@ -59,18 +56,8 @@ impl DesignState {
             dfg: dfg.clone(),
             schedule,
             allocation,
-            testability: Arc::new(TestabilityEngine::new()),
             txn_counters: Arc::new(TxnCounters::default()),
         }
-    }
-
-    /// The shared testability-analysis engine. All forks of a state
-    /// (the runs a sweep starts from one base) reference the same
-    /// engine, so memoized analyses are pooled across candidates, runs
-    /// and sweep workers.
-    #[must_use]
-    pub fn testability_engine(&self) -> &TestabilityEngine {
-        &self.testability
     }
 
     /// Open a transaction on this state (see [`StateTxn`]): edits apply
@@ -82,8 +69,8 @@ impl DesignState {
 
     /// A cheap copy for one synthesis run: the schedule and binding are
     /// copied (the run's transactions must not touch the base state),
-    /// while the graph's immutable core, the testability engine and the
-    /// transaction counters are shared with every other fork.
+    /// while the graph's immutable core and the transaction counters are
+    /// shared with every other fork.
     #[must_use]
     pub fn fork(&self) -> DesignState {
         self.clone()
@@ -99,15 +86,13 @@ impl DesignState {
     /// A trial clone that deep-copies the graph (no shared core) — the
     /// cost profile every per-candidate clone had before the
     /// transaction layer existed. Used only by the clone oracle
-    /// (`crate::oracle`) and its benchmark; the engine and counters stay
-    /// shared, as they were then.
+    /// (`crate::oracle`) and its benchmark; the counters stay shared.
     #[must_use]
     pub fn deep_trial_clone(&self) -> DesignState {
         DesignState {
             dfg: self.dfg.deep_clone(),
             schedule: self.schedule.clone(),
             allocation: self.allocation.clone(),
-            testability: Arc::clone(&self.testability),
             txn_counters: Arc::clone(&self.txn_counters),
         }
     }

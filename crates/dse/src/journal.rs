@@ -42,7 +42,7 @@
 
 use std::path::Path;
 
-use hlts_core::{MergeTrace, TraceEntry, TraceMergeKind, TraceWinner};
+use hlts_core::{MergeTrace, TestabilityCacheStats, TraceEntry, TraceMergeKind, TraceWinner};
 
 use crate::pareto::{Objectives, PointResult};
 use crate::spec::{Flow, PointParams};
@@ -223,6 +223,7 @@ fn parse_point(rest: &str, line: &str) -> Result<PointResult, DseError> {
         millis: parse_num(field(&pairs, "ms", line)?, "ms", line)?,
         resumed: true,
         replay,
+        testability: TestabilityCacheStats::default(),
     })
 }
 
@@ -481,6 +482,7 @@ mod tests {
             millis: 312,
             resumed: false,
             replay: None,
+            testability: TestabilityCacheStats::default(),
         }
     }
 

@@ -9,19 +9,17 @@
 //!   weights × bits, plus an explicit point list) with stable point
 //!   IDs;
 //! * [`explore`] — a worker pool that synthesizes the points, sharing
-//!   each behavior's [`TestabilityEngine`], critical-path and (E, H)
-//!   caches across points by forking one base
-//!   [`DesignState`](hlts_core::DesignState) per behavior;
+//!   each behavior's critical-path and (E, H) caches across points by
+//!   forking one base [`DesignState`](hlts_core::DesignState) per
+//!   behavior;
 //! * [`ParetoArchive`] — an incremental dominance-checked front over
 //!   (E, H, avg C, avg O, C→O depth), merged in point-ID order so the
 //!   result is **bit-identical for any worker count**;
 //! * [`journal`] — a plain-text checkpoint of completed points, so an
 //!   interrupted sweep resumes without recomputing anything
 //!   ([`load_journal`] + [`ExploreConfig::resume`]);
-//! * [`ExploreStats`] — point accounting, timing and the shared
-//!   caches' hit counters.
-//!
-//! [`TestabilityEngine`]: hlts_core::TestabilityEngine
+//! * [`ExploreStats`] — point accounting, timing, the points'
+//!   testability analyses and the shared caches' hit counters.
 //!
 //! # Example
 //!
@@ -271,12 +269,9 @@ impl ExploreOutcome {
             ));
         }
         out.push_str(&format!(
-            "testability cache: {} hits / {} misses ({} incremental, {} full); \
+            "testability: {} analyses; \
              (E,H) cache: {} hits / {} misses; txn: {} trials, {} undo ops\n",
-            s.testability.hits,
             s.testability.misses,
-            s.testability.incremental,
-            s.testability.full,
             s.eval.state_hits,
             s.eval.state_misses,
             s.txn.begun,

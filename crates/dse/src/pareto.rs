@@ -15,6 +15,8 @@
 //! — and therefore every rendering of the front — is bit-identical
 //! regardless of worker count or completion order.
 
+use hlts_core::TestabilityCacheStats;
+
 use crate::spec::PointParams;
 
 /// Measured test objectives of one design, present when the sweep ran
@@ -124,6 +126,9 @@ pub struct PointResult {
     /// loop. Diagnostics only — replay changes work, never results, so
     /// the pair is excluded from equality like `millis`/`resumed`.
     pub replay: Option<(usize, usize)>,
+    /// The testability analyses the point's synthesis computed (zero
+    /// when resumed). Diagnostics only, excluded from equality.
+    pub testability: TestabilityCacheStats,
 }
 
 impl PartialEq for PointResult {
@@ -222,6 +227,7 @@ mod tests {
             millis: 0,
             resumed: false,
             replay: None,
+            testability: TestabilityCacheStats::default(),
         }
     }
 

@@ -4,9 +4,9 @@
 //! Every behavior in the sweep gets **one** base [`DesignState`] and
 //! **one** [`DeltaEvaluator`]; each point forks the base (an
 //! `Arc`-sharing copy, not a deep clone) and runs Algorithm 1 through
-//! [`IntegratedSynthesizer::run_on_warm`], so the testability fixpoints,
-//! critical-path extractions and (E, H) measurements that different
-//! parameter points happen to share resolve from the common caches.
+//! [`IntegratedSynthesizer::run_on_warm`], so the critical-path
+//! extractions and (E, H) measurements that different parameter points
+//! happen to share resolve from the common caches.
 //! Under `--jobs N` the points are pulled off one atomic counter by `N`
 //! scoped threads; each point runs on one thread.
 //!
@@ -109,7 +109,8 @@ pub struct ExploreStats {
     /// `wall_millis` under parallel execution — the parallelism
     /// payoff is their ratio).
     pub compute_millis: u64,
-    /// Shared testability-engine counters, summed over behaviors.
+    /// Testability analyses, summed over the points this call
+    /// synthesized.
     pub testability: TestabilityCacheStats,
     /// Shared (E, H) evaluator counters, summed over behaviors.
     pub eval: EvalStats,
@@ -362,6 +363,7 @@ fn run_point(
             millis: t0.elapsed().as_millis() as u64,
             resumed: false,
             replay,
+            testability: run.testability_stats,
         },
         trace_line,
     ))
@@ -703,12 +705,9 @@ pub fn explore_ctl(
             stats.merges_replayed += rep;
             stats.merges_recomputed += rec;
         }
+        stats.testability.add(r.testability);
     }
     for ctx in &contexts {
-        add_testability(
-            &mut stats.testability,
-            ctx.base.testability_engine().stats(),
-        );
         add_eval(&mut stats.eval, ctx.evaluator.stats());
         add_txn(&mut stats.txn, ctx.base.txn_stats());
     }
@@ -791,14 +790,6 @@ fn run_pool(
     for (point, slot) in pending.iter().zip(out) {
         slots[point.id] = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
     }
-}
-
-fn add_testability(into: &mut TestabilityCacheStats, s: TestabilityCacheStats) {
-    into.hits += s.hits;
-    into.misses += s.misses;
-    into.incremental += s.incremental;
-    into.full += s.full;
-    into.updates_propagated += s.updates_propagated;
 }
 
 fn add_eval(into: &mut EvalStats, s: EvalStats) {

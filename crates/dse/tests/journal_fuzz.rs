@@ -2,7 +2,7 @@
 //! input may panic it, and damaging one line may lose at most that
 //! line's point.
 
-use hlts_core::{MergeTrace, TraceEntry, TraceMergeKind, TraceWinner};
+use hlts_core::{MergeTrace, TestabilityCacheStats, TraceEntry, TraceMergeKind, TraceWinner};
 use hlts_dse::journal::{parse, render_header, render_point, render_trace};
 use hlts_dse::{Flow, Objectives, PointParams, PointResult};
 use rand::{Rng, RngCore, SeedableRng};
@@ -32,6 +32,7 @@ fn sample(id: usize) -> PointResult {
         millis: 312,
         resumed: false,
         replay: None,
+        testability: TestabilityCacheStats::default(),
     }
 }
 

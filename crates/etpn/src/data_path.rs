@@ -377,72 +377,6 @@ impl DataPath {
             .any(|&a| is_pred(self.arcs[a.index()].to))
     }
 
-    /// A 64-bit structural fingerprint of the graph: node kinds (with
-    /// their binding identities) and arc wiring `(from, to, port)`.
-    /// Arc **guards** and node labels are excluded on purpose: the
-    /// testability fixpoint never reads them, and guards are the only
-    /// part of the data path the schedule influences — so two lowerings
-    /// that differ only in scheduling share a fingerprint (and hence a
-    /// [`TestabilityEngine`] cache entry).
-    ///
-    /// [`TestabilityEngine`]:
-    /// ../hlts_testability/struct.TestabilityEngine.html
-    #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        // FNV-1a over a canonical byte walk, as ControlNet does.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.nodes.len() as u64);
-        for node in &self.nodes {
-            match &node.kind {
-                DpNodeKind::PrimaryInput(v) => {
-                    mix(0);
-                    mix(v.index() as u64);
-                }
-                DpNodeKind::PrimaryOutput(v) => {
-                    mix(1);
-                    mix(v.index() as u64);
-                }
-                DpNodeKind::Register(r) => {
-                    mix(2);
-                    mix(r.index() as u64);
-                }
-                DpNodeKind::Module { id, kinds } => {
-                    mix(3);
-                    mix(id.index() as u64);
-                    mix(kinds.len() as u64);
-                    for k in kinds {
-                        // OpKind is non_exhaustive upstream; its symbol
-                        // is unique per kind and stable.
-                        for b in k.symbol().bytes() {
-                            mix(u64::from(b));
-                        }
-                    }
-                }
-                DpNodeKind::Const(v) => {
-                    mix(4);
-                    mix(v.index() as u64);
-                }
-                DpNodeKind::ConditionOut(v) => {
-                    mix(5);
-                    mix(v.index() as u64);
-                }
-            }
-        }
-        mix(self.arcs.len() as u64);
-        for arc in &self.arcs {
-            mix(u64::from(arc.from.0));
-            mix(u64::from(arc.to.0));
-            mix(arc.port as u64);
-        }
-        h
-    }
-
     /// Render the graph as `from -> to.port [guards]` lines for debugging
     /// and golden tests.
     #[must_use]
@@ -549,31 +483,6 @@ mod tests {
         dp.add_arc(m, r, 0, [place(0)]);
         assert!(dp.on_self_loop(r));
         assert!(dp.on_self_loop(m));
-    }
-
-    #[test]
-    fn structural_hash_ignores_guards_and_labels_only() {
-        let build = |label: &str, guard: usize, port: usize| {
-            let mut dp = DataPath::new();
-            let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), label);
-            let m = dp.add_node(
-                DpNodeKind::Module {
-                    id: ModuleId::from_index(0),
-                    kinds: BTreeSet::from([OpKind::Add]),
-                },
-                "FU0",
-            );
-            dp.add_arc(r, m, port, [place(guard)]);
-            dp
-        };
-        let a = build("R0", 0, 0);
-        let b = build("other", 7, 0); // label + guard differ: same hash
-        let c = build("R0", 0, 1); // port differs: different hash
-        assert_eq!(a.structural_hash(), b.structural_hash());
-        assert_ne!(a.structural_hash(), c.structural_hash());
-        let mut d = build("R0", 0, 0);
-        d.add_node(DpNodeKind::Const(hlts_dfg::ValueId::from_index(3)), "k");
-        assert_ne!(a.structural_hash(), d.structural_hash());
     }
 
     #[test]

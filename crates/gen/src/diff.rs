@@ -14,7 +14,7 @@
 //! | check               | pair                                      |
 //! |---------------------|-------------------------------------------|
 //! | `structure`         | generator output vs. `Dfg` invariants (validate, ASAP, ETPN lowering) |
-//! | `testability-dense` | incremental worklist vs. dense Gauss–Seidel solver, pre- and post-synthesis |
+//! | `testability-dense` | worklist vs. dense Gauss–Seidel solver, pre- and post-synthesis |
 //! | `txn-oracle`        | journaled trial-merge/rollback loop vs. clone-per-trial oracle |
 //! | `audit`             | final design vs. the from-scratch invariant auditor |
 //! | `dse-front`         | multi-worker vs. serial Pareto sweep over a small grid |

@@ -55,12 +55,12 @@ pub enum JobSpec {
         /// the end-to-end benchmark still names it (see [`EvalMode`]).
         mode: EvalMode,
         /// Warm-context key: jobs submitting the same key (and bits)
-        /// share one [`WarmCtx`] — base state, testability engine and
-        /// (E, H) cache — via the engine's [`WarmPool`]. The key must
-        /// uniquely identify the *graph and module library*
-        /// (`JobRequest::resolve` hashes the canonical emitted text;
-        /// [`WarmPool::new(0)`](WarmPool::new) ignores it); `None` builds a
-        /// fresh context. Sharing never changes results.
+        /// share one [`WarmCtx`] — base state and (E, H) cache — via
+        /// the engine's [`WarmPool`]. The key must uniquely identify the
+        /// *graph and module library* (`JobRequest::resolve` hashes the
+        /// canonical emitted text; [`WarmPool::new(0)`](WarmPool::new)
+        /// ignores it); `None` builds a fresh context. Sharing never
+        /// changes results.
         warm: Option<u64>,
         /// When set, grade the synthesized design's fault coverage
         /// after synthesis (through the engine's [`TcovPool`] memo)
@@ -364,13 +364,12 @@ pub struct EngineCounts {
 
 /// A reusable per-behavior synthesis context, warm at two levels:
 ///
-/// * the base state (graph core + shared
-///   [`TestabilityEngine`](hlts_core::TestabilityEngine)) and a
-///   [`DeltaEvaluator`] whose (E, H) cache accumulates across jobs —
-///   forking the base per run skips the initial
-///   schedule/allocation/testability construction, and the evaluator
-///   cache carries over even when the *parameters* differ (its
-///   entries are keyed on design content, which α/β/k never touch);
+/// * the base state (graph core, initial schedule and allocation) and
+///   a [`DeltaEvaluator`] whose (E, H) cache accumulates across jobs —
+///   forking the base per run skips the initial schedule/allocation
+///   construction, and the evaluator cache carries over even when the
+///   *parameters* differ (its entries are keyed on design content,
+///   which α/β/k never touch);
 /// * a bounded result memo for exact repeats: synthesis is
 ///   deterministic, so a keyed request whose full parameter set
 ///   matches an earlier one on this context is answered with that
@@ -674,7 +673,11 @@ struct JobEntry {
     spec: Option<JobSpec>,
     state: JobState,
     cancel: CancelToken,
-    sink: SharedSink,
+    /// Held while the job is queued; the claiming worker takes it and
+    /// drops it after the terminal event, as do a dequeuing cancel and
+    /// shutdown. A sink can own a client connection, which must not
+    /// outlive its jobs.
+    sink: Option<SharedSink>,
     /// Whether the terminal output is kept for
     /// [`JobEngine::take_output`] (see [`JobEngine::submit_streaming`]).
     keep_output: bool,
@@ -840,7 +843,7 @@ impl JobEngine {
                 spec: Some(spec),
                 state: JobState::Queued,
                 cancel: CancelToken::new(),
-                sink,
+                sink: Some(sink),
                 keep_output,
                 output: None,
                 error: None,
@@ -901,11 +904,13 @@ impl JobEngine {
                 entry.state = JobState::Cancelled;
                 entry.cancel.cancel();
                 entry.spec = None;
-                let sink = Arc::clone(&entry.sink);
+                let sink = entry.sink.take();
                 st.queue.retain(|&q| q != id);
                 drop(st);
                 self.inner.done.notify_all();
-                sink.event(id, &JobEvent::Cancelled(None));
+                if let Some(sink) = sink {
+                    sink.event(id, &JobEvent::Cancelled(None));
+                }
                 CancelOutcome::Dequeued
             }
             JobState::Running => {
@@ -955,7 +960,9 @@ impl JobEngine {
                 entry.state = JobState::Cancelled;
                 entry.cancel.cancel();
                 entry.spec = None;
-                dropped.push((id, Arc::clone(&entry.sink)));
+                if let Some(sink) = entry.sink.take() {
+                    dropped.push((id, sink));
+                }
             }
         }
         drop(st);
@@ -1005,8 +1012,8 @@ fn worker_loop(inner: &Arc<Inner>) {
                     entry.state = JobState::Running;
                     let spec = entry.spec.take();
                     let cancel = entry.cancel.clone();
-                    let sink = Arc::clone(&entry.sink);
-                    let Some(spec) = spec else {
+                    let sink = entry.sink.take();
+                    let (Some(spec), Some(sink)) = (spec, sink) else {
                         // Cancelled between queue pop and entry lookup
                         // cannot happen (cancel dequeues under the same
                         // lock), but stay defensive.
@@ -1033,7 +1040,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 JobState::Failed,
                 None,
                 Some("worker killed by injected fault".to_owned()),
-                &sink,
+                sink,
             );
             return;
         }
@@ -1064,13 +1071,13 @@ fn worker_loop(inner: &Arc<Inner>) {
                 } else {
                     JobState::Done
                 };
-                finish(inner, id, state, Some(output), None, &sink);
+                finish(inner, id, state, Some(output), None, sink);
             }
             Ok(Err(ExecError::Cancelled)) => {
-                finish(inner, id, JobState::Cancelled, None, None, &sink);
+                finish(inner, id, JobState::Cancelled, None, None, sink);
             }
             Ok(Err(ExecError::Failed(msg))) => {
-                finish(inner, id, JobState::Failed, None, Some(msg), &sink);
+                finish(inner, id, JobState::Failed, None, Some(msg), sink);
             }
             Err(panic) => {
                 let msg = panic_message(&panic);
@@ -1080,7 +1087,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                     JobState::Failed,
                     None,
                     Some(format!("job panicked: {msg}")),
-                    &sink,
+                    sink,
                 );
             }
         }
@@ -1097,8 +1104,8 @@ fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Record a terminal transition: emit the matching event, then
-/// publish state + output into the table.
+/// Record a terminal transition: emit the matching event, release the
+/// sink, then publish state + output into the table.
 ///
 /// The event goes out *first*, borrowing the still-local output, so no
 /// sink ever runs under the state lock (sinks may block on I/O and may
@@ -1113,7 +1120,7 @@ fn finish(
     state: JobState,
     output: Option<JobOutput>,
     error: Option<String>,
-    sink: &SharedSink,
+    sink: SharedSink,
 ) {
     if let Some(JobOutput::Explore(o)) = &output {
         inner
@@ -1136,6 +1143,9 @@ fn finish(
         ),
         JobState::Queued | JobState::Running => {}
     }
+    // Released before the publish, so a waiter never sees a finished
+    // job still holding its sink.
+    drop(sink);
     {
         let mut st = inner.lock();
         if let Some(entry) = st.jobs.get_mut(&id) {

@@ -10,7 +10,7 @@
 //!   pool, with backpressure ([`SubmitError::QueueFull`]), per-job
 //!   [`CancelToken`](hlts_core::CancelToken)s, per-job event sinks,
 //!   and a [`WarmPool`] of shared per-behavior synthesis contexts
-//!   (base state + testability engine + (E, H) cache) that makes
+//!   (base state + (E, H) cache) that makes
 //!   repeat requests warm;
 //! * [`proto`] — the daemon protocol and [`proto::JobRequest`], the
 //!   one description of a job: the CLI fills one from its flags, the

@@ -791,8 +791,7 @@ pub fn explore_report_json(outcome: &ExploreOutcome) -> String {
             let (t, e, x) = (&s.testability, &s.eval, &s.txn);
             members!(st, "workers": s.workers, "wall_millis": s.wall_millis,
                 "compute_millis": s.compute_millis,
-                "testability": {"hits": t.hits, "misses": t.misses,
-                    "incremental": t.incremental, "full": t.full},
+                "testability": {"hits": t.hits, "misses": t.misses},
                 "eval": {"state_hits": e.state_hits, "state_misses": e.state_misses},
                 "txn": {"begun": x.begun, "committed": x.committed,
                     "rolled_back": x.rolled_back});

@@ -312,3 +312,44 @@ fn shutdown_finishes_running_work_and_cancels_the_queue() {
     );
     assert_eq!(engine.status(queued).unwrap().state, JobState::Cancelled);
 }
+
+/// The job table lets go of a job's sink at every terminal transition:
+/// a sink can own a client connection, which must not stay open for the
+/// engine's lifetime once its jobs are over.
+#[test]
+fn terminal_jobs_release_their_sinks() {
+    let engine = JobEngine::start(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    let done = Arc::new(Probe::default());
+    let id = engine
+        .submit(run_spec("ex", None), Some(Arc::clone(&done) as _))
+        .unwrap();
+    assert_eq!(engine.wait(id).unwrap().state, JobState::Done);
+    assert_eq!(Arc::strong_count(&done), 1, "done job kept its sink");
+
+    let failed = Arc::new(Probe::default());
+    let mut spec = run_spec("ex", None);
+    if let JobSpec::Run { params, .. } = &mut spec {
+        params.k = 0; // rejected by parameter validation
+    }
+    let id = engine.submit(spec, Some(Arc::clone(&failed) as _)).unwrap();
+    assert_eq!(engine.wait(id).unwrap().state, JobState::Failed);
+    assert_eq!(Arc::strong_count(&failed), 1, "failed job kept its sink");
+    engine.shutdown();
+
+    // A paused engine keeps the job queued until the cancel dequeues it.
+    let paused = JobEngine::new(EngineConfig::default());
+    let cancelled = Arc::new(Probe::default());
+    let id = paused
+        .submit(run_spec("ex", None), Some(Arc::clone(&cancelled) as _))
+        .unwrap();
+    assert_eq!(paused.cancel(id), CancelOutcome::Dequeued);
+    assert!(cancelled.terminal.load(Ordering::SeqCst));
+    assert_eq!(
+        Arc::strong_count(&cancelled),
+        1,
+        "dequeued job kept its sink"
+    );
+}

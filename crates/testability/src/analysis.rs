@@ -6,10 +6,7 @@
 //!   **worklist** that seeds every evaluable element once and afterwards
 //!   only re-evaluates elements whose inputs actually changed, so cost
 //!   scales with the number of propagated updates instead of
-//!   `MAX_SWEEPS × |nodes|`. It also records a per-element *history* of
-//!   accepted updates (which sweep produced which value), the raw
-//!   material of the incremental re-analysis in
-//!   [`TestabilityAnalysis::reanalyze`](crate::TestabilityAnalysis::reanalyze).
+//!   `MAX_SWEEPS × |nodes|`.
 //! * [`TestabilityAnalysis::analyze_dense`] — the original dense
 //!   Gauss–Seidel reference: up to [`MAX_SWEEPS`] full passes over every
 //!   node, then every arc. Kept as the oracle the worklist is
@@ -33,13 +30,13 @@ use crate::factors::{ctf, otf};
 use crate::worklist::Worklist;
 
 /// Sequential-cost sentinel for "not yet reachable".
-pub(crate) const UNREACHED: f64 = 1.0e9;
+const UNREACHED: f64 = 1.0e9;
 /// Weight of the sequential factor when scalarizing a measure for
 /// comparisons (one extra time frame ≈ 5% combinational quality).
 const SEQ_WEIGHT: f64 = 0.05;
 /// Fixpoint iteration cap (loops converge geometrically; this bounds
 /// pathological inputs).
-pub(crate) const MAX_SWEEPS: usize = 64;
+const MAX_SWEEPS: usize = 64;
 const EPS: f64 = 1.0e-9;
 
 /// Controllability of a line or node: combinational factor `cc ∈ [0, 1]`
@@ -82,7 +79,7 @@ impl Controllability {
         self.cc - SEQ_WEIGHT * self.sc
     }
 
-    pub(crate) fn better_than(self, other: Controllability) -> bool {
+    fn better_than(self, other: Controllability) -> bool {
         self.rank() > other.rank() + EPS
     }
 }
@@ -125,76 +122,8 @@ impl Observability {
         self.co - SEQ_WEIGHT * self.so
     }
 
-    pub(crate) fn better_than(self, other: Observability) -> bool {
+    fn better_than(self, other: Observability) -> bool {
         self.rank() > other.rank() + EPS
-    }
-}
-
-/// An accepted-update history: the sweep-stamped sequence of values an
-/// element took during the fixpoint, starting with its seed at sweep 0.
-/// Sweeps are 1-indexed and an element changes at most once per sweep,
-/// so the stamps are strictly increasing.
-pub(crate) type History<T> = Vec<(u32, T)>;
-
-/// Arena-packed per-element histories: one flat event buffer plus a
-/// `(start, len)` range per element. Building a result this way costs
-/// O(1) allocations instead of one `Vec` per element — which matters
-/// because the incremental path copies every boundary element's history
-/// into its result.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Histories<T> {
-    data: Vec<(u32, T)>,
-    range: Vec<(u32, u32)>,
-}
-
-impl<T: Copy> Histories<T> {
-    /// The no-histories marker (dense results).
-    pub(crate) fn none() -> Self {
-        Histories {
-            data: Vec::new(),
-            range: Vec::new(),
-        }
-    }
-
-    /// Number of elements with a recorded history.
-    pub(crate) fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Total recorded events, across all elements.
-    pub(crate) fn events(&self) -> usize {
-        self.data.len()
-    }
-
-    /// The history of element `i`, seed first.
-    pub(crate) fn slice(&self, i: usize) -> &[(u32, T)] {
-        let (s, l) = self.range[i];
-        &self.data[s as usize..(s + l) as usize]
-    }
-
-    /// An empty arena with capacity hints.
-    pub(crate) fn with_capacity(elems: usize, events: usize) -> Self {
-        Histories {
-            data: Vec::with_capacity(events),
-            range: Vec::with_capacity(elems),
-        }
-    }
-
-    /// Append the next element's full history.
-    pub(crate) fn push_slice(&mut self, h: &[(u32, T)]) {
-        self.range.push((self.data.len() as u32, h.len() as u32));
-        self.data.extend_from_slice(h);
-    }
-
-    /// Pack per-element event lists (each starting with its sweep-0
-    /// seed) into an arena.
-    pub(crate) fn pack(events: Vec<History<T>>) -> Self {
-        let total = events.iter().map(Vec::len).sum();
-        let mut packed = Histories::with_capacity(events.len(), total);
-        for h in &events {
-            packed.push_slice(h);
-        }
-        packed
     }
 }
 
@@ -202,27 +131,53 @@ impl<T: Copy> Histories<T> {
 /// per-arc observability, plus the node summaries of the paper's §3.
 ///
 /// Equality compares the **values** only (`out_ctrl`, `arc_obs`,
-/// exactly, bit for bit) — diagnostics such as sweep counts and update
-/// histories are excluded, so a worklist, dense or incremental result
-/// for the same data path compares equal.
+/// exactly, bit for bit) — diagnostics such as sweep and update counts
+/// are excluded.
 #[derive(Debug, Clone)]
 pub struct TestabilityAnalysis {
     /// Controllability of each node's output line.
-    pub(crate) out_ctrl: Vec<Controllability>,
+    out_ctrl: Vec<Controllability>,
     /// Observability of each arc (a line into its sink).
-    pub(crate) arc_obs: Vec<Observability>,
-    pub(crate) sweeps_used: usize,
+    arc_obs: Vec<Observability>,
+    sweeps_used: usize,
     /// Accepted worklist updates beyond the seeds (diagnostics).
-    pub(crate) updates: u64,
-    /// Per-node accepted-update histories (empty for dense results).
-    pub(crate) ctrl_hist: Histories<Controllability>,
-    /// Per-arc accepted-update histories (empty for dense results).
-    pub(crate) obs_hist: Histories<Observability>,
+    updates: u64,
 }
 
 impl PartialEq for TestabilityAnalysis {
     fn eq(&self, other: &Self) -> bool {
         self.out_ctrl == other.out_ctrl && self.arc_obs == other.arc_obs
+    }
+}
+
+/// What a run's testability analyses cost: one per Algorithm 1
+/// iteration plus one for the final metrics. The run that computes the
+/// analyses counts them itself ([`TestabilityCacheStats::record`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TestabilityCacheStats {
+    /// Always 0: there is no analysis cache. The field stays only while
+    /// the benchmark under `perf/` names it.
+    pub hits: u64,
+    /// Analyses computed.
+    pub misses: u64,
+    /// Accepted value updates, summed over the computed analyses — the
+    /// work the worklist actually did (a dense solver would pay
+    /// `sweeps × (nodes + arcs)` evaluations instead).
+    pub updates_propagated: u64,
+}
+
+impl TestabilityCacheStats {
+    /// Count one computed analysis.
+    pub fn record(&mut self, analysis: &TestabilityAnalysis) {
+        self.misses += 1;
+        self.updates_propagated += analysis.updates_propagated();
+    }
+
+    /// Add another run's counts.
+    pub fn add(&mut self, other: TestabilityCacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.updates_propagated += other.updates_propagated;
     }
 }
 
@@ -232,7 +187,7 @@ impl PartialEq for TestabilityAnalysis {
 /// zeros to SCs for all primary inputs in the data path". A constant
 /// drives one fixed value: usable, but useless for justifying arbitrary
 /// patterns.
-pub(crate) fn ctrl_seed(kind: &DpNodeKind) -> Controllability {
+fn ctrl_seed(kind: &DpNodeKind) -> Controllability {
     match kind {
         DpNodeKind::PrimaryInput(_) => Controllability { cc: 1.0, sc: 0.0 },
         DpNodeKind::Const(_) => Controllability { cc: 0.5, sc: 0.0 },
@@ -242,18 +197,14 @@ pub(crate) fn ctrl_seed(kind: &DpNodeKind) -> Controllability {
 
 /// Whether the forward pass re-evaluates this node kind (sources keep
 /// their seeds; ports and conditions produce nothing further).
-pub(crate) fn forward_evaluable(kind: &DpNodeKind) -> bool {
+fn forward_evaluable(kind: &DpNodeKind) -> bool {
     matches!(kind, DpNodeKind::Register(_) | DpNodeKind::Module { .. })
 }
 
 /// The forward transfer function: the candidate output controllability
 /// of `node` given its predecessors' current values. `None` for kinds
 /// the forward pass does not evaluate.
-pub(crate) fn ctrl_candidate<F>(
-    dp: &DataPath,
-    node: DpNodeId,
-    ctrl_of: &F,
-) -> Option<Controllability>
+fn ctrl_candidate<F>(dp: &DataPath, node: DpNodeId, ctrl_of: &F) -> Option<Controllability>
 where
     F: Fn(DpNodeId) -> Controllability,
 {
@@ -280,12 +231,7 @@ where
 /// The backward transfer function: the candidate observability of `arc`
 /// given the sink's out-arcs' current observabilities and the final
 /// controllability solution.
-pub(crate) fn obs_candidate<F, G>(
-    dp: &DataPath,
-    arc: &DpArc,
-    ctrl_of: &F,
-    obs_of: &G,
-) -> Observability
+fn obs_candidate<F, G>(dp: &DataPath, arc: &DpArc, ctrl_of: &F, obs_of: &G) -> Observability
 where
     F: Fn(DpNodeId) -> Controllability,
     G: Fn(DpArcId) -> Observability,
@@ -345,17 +291,13 @@ impl TestabilityAnalysis {
     /// Bit-identical to [`TestabilityAnalysis::analyze_dense`] (see the
     /// module docs for the argument, and the crate's property tests for
     /// the evidence), but only elements whose inputs changed are
-    /// re-evaluated, and accepted-update histories are recorded for
-    /// [`TestabilityAnalysis::reanalyze`](Self::reanalyze).
+    /// re-evaluated.
     #[must_use]
     pub fn analyze(dp: &DataPath) -> Self {
         let n = dp.num_nodes();
         let mut out_ctrl = vec![Controllability::none(); n];
-        let mut ctrl_hist: Vec<History<Controllability>> = vec![Vec::new(); n];
         for node in dp.nodes() {
-            let seed = ctrl_seed(node.kind());
-            out_ctrl[node.id().index()] = seed;
-            ctrl_hist[node.id().index()].push((0, seed));
+            out_ctrl[node.id().index()] = ctrl_seed(node.kind());
         }
 
         let mut updates = 0u64;
@@ -377,7 +319,6 @@ impl TestabilityAnalysis {
             };
             if new.better_than(out_ctrl[i]) {
                 out_ctrl[i] = new;
-                ctrl_hist[i].push((sweep, new));
                 last_change = sweep;
                 updates += 1;
                 for &out in dp.out_arc_ids(id) {
@@ -396,7 +337,6 @@ impl TestabilityAnalysis {
         // change of arc b = (v → w) invalidates every arc *into* v.
         let m = dp.num_arcs();
         let mut arc_obs = vec![Observability::none(); m];
-        let mut obs_hist: Vec<History<Observability>> = vec![vec![(0, Observability::none())]; m];
         let ctrl_final = |p: DpNodeId| out_ctrl[p.index()];
         let mut wl = Worklist::new(MAX_SWEEPS as u32);
         for i in 0..m {
@@ -407,7 +347,6 @@ impl TestabilityAnalysis {
             let new = obs_candidate(dp, arc, &ctrl_final, &|a: DpArcId| arc_obs[a.index()]);
             if new.better_than(arc_obs[i]) {
                 arc_obs[i] = new;
-                obs_hist[i].push((sweep, new));
                 updates += 1;
                 for &dep in dp.in_arc_ids(arc.from()) {
                     wl.push_after(sweep, i, dep.index());
@@ -420,16 +359,11 @@ impl TestabilityAnalysis {
             arc_obs,
             sweeps_used,
             updates,
-            ctrl_hist: Histories::pack(ctrl_hist),
-            obs_hist: Histories::pack(obs_hist),
         }
     }
 
     /// Run the analysis to fixpoint with dense Gauss–Seidel sweeps — the
-    /// original reference solver the worklist and incremental paths are
-    /// verified against. Records no update histories, so a result from
-    /// here cannot seed [`TestabilityAnalysis::reanalyze`](Self::reanalyze)
-    /// incrementally (it falls back to a full analysis).
+    /// original reference solver the worklist is verified against.
     #[must_use]
     pub fn analyze_dense(dp: &DataPath) -> Self {
         let n = dp.num_nodes();
@@ -491,17 +425,7 @@ impl TestabilityAnalysis {
             arc_obs,
             sweeps_used,
             updates,
-            ctrl_hist: Histories::none(),
-            obs_hist: Histories::none(),
         }
-    }
-
-    /// Whether this result carries the update histories the incremental
-    /// re-analysis needs (worklist and incremental results do; dense
-    /// results do not).
-    #[must_use]
-    pub fn has_history(&self) -> bool {
-        self.ctrl_hist.len() == self.out_ctrl.len() && self.obs_hist.len() == self.arc_obs.len()
     }
 
     /// Controllability of a node's output line.
@@ -852,24 +776,11 @@ mod tests {
             let dense = TestabilityAnalysis::analyze_dense(dp);
             assert!(wl == dense, "len={len}: worklist diverged from dense");
             assert_eq!(wl.sweeps_used(), dense.sweeps_used(), "len={len}");
-            assert!(wl.has_history());
-            assert!(!dense.has_history());
-        }
-    }
-
-    #[test]
-    fn histories_start_at_seed_and_are_monotone_in_sweep() {
-        let d = chain(3);
-        let (e, _, _) = lower(&d);
-        let dp = e.data_path();
-        let ta = TestabilityAnalysis::analyze(dp);
-        assert_eq!(ta.ctrl_hist.len(), dp.num_nodes());
-        for i in 0..ta.ctrl_hist.len() {
-            let h = ta.ctrl_hist.slice(i);
-            assert_eq!(h.first().map(|&(s, _)| s), Some(0), "node {i} seed");
-            assert!(h.windows(2).all(|w| w[0].0 < w[1].0), "node {i} stamps");
-            let last = h.last().expect("seeded").1;
-            assert_eq!(last, ta.out_ctrl[i], "node {i} final");
+            assert_eq!(
+                wl.updates_propagated(),
+                dense.updates_propagated(),
+                "len={len}"
+            );
         }
     }
 }

@@ -22,15 +22,13 @@
 //!   register sequential-depth metrics behind Lee et al.'s rule SR1 and
 //!   the paper's rescheduling strategy SR2.
 //!
-//! The analysis itself comes in three flavors sharing one transfer
-//! function: the production **worklist** solver
-//! ([`TestabilityAnalysis::analyze`]), the dense Gauss–Seidel
-//! **reference** ([`TestabilityAnalysis::analyze_dense`]) it is
-//! property-tested bit-identical to, and the **incremental** replay
-//! ([`TestabilityAnalysis::reanalyze`]) that re-solves only the dirty
-//! cone of a structurally close data path. [`TestabilityEngine`] caches
-//! all of it behind a structural hash so a synthesis run's candidate
-//! evaluations — including parallel ones — share results.
+//! The analysis comes in two solvers sharing one transfer function:
+//! the production **worklist** ([`TestabilityAnalysis::analyze`]) and
+//! the dense Gauss–Seidel **reference**
+//! ([`TestabilityAnalysis::analyze_dense`]) it is property-tested
+//! bit-identical to. Algorithm 1 runs one analysis per iteration, on
+//! the current data path, so nothing is cached; a run counts its
+//! analyses in a [`TestabilityCacheStats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,13 +36,10 @@
 mod analysis;
 mod balance;
 mod depth;
-mod engine;
 mod factors;
-mod incremental;
 mod worklist;
 
-pub use analysis::{Controllability, Observability, TestabilityAnalysis};
+pub use analysis::{Controllability, Observability, TestabilityAnalysis, TestabilityCacheStats};
 pub use balance::{balance_score, balance_score_profiles, NodeProfile};
 pub use depth::{register_adjacency, sequential_depth, total_co_depth};
-pub use engine::{TestabilityCacheStats, TestabilityEngine};
 pub use factors::{ctf, otf};

@@ -5,7 +5,7 @@
 
 use hlts_alloc::Allocation;
 use hlts_dfg::{Dfg, DfgBuilder, OpKind};
-use hlts_etpn::Etpn;
+use hlts_etpn::{DataPath, Etpn};
 use hlts_sched::{list_schedule, Lifetimes, ListPriority};
 use hlts_testability::{balance_score_profiles, NodeProfile, TestabilityAnalysis};
 use proptest::prelude::*;
@@ -39,6 +39,28 @@ fn analyzed(spec: &[(u8, u8, u8)]) -> (Dfg, Etpn, TestabilityAnalysis) {
     let e = Etpn::from_parts(&d, &s, &a).expect("lowerable");
     let ta = TestabilityAnalysis::analyze(e.data_path());
     (d, e, ta)
+}
+
+/// The worklist analysis of `dp` equals the dense reference bit for
+/// bit (`to_bits`), with the same sweep and update counts.
+fn assert_matches_dense(dp: &DataPath) {
+    let ta = TestabilityAnalysis::analyze(dp);
+    let dense = TestabilityAnalysis::analyze_dense(dp);
+    prop_assert!(ta == dense);
+    prop_assert_eq!(ta.sweeps_used(), dense.sweeps_used());
+    prop_assert_eq!(ta.updates_propagated(), dense.updates_propagated());
+    for node in dp.nodes() {
+        let a = ta.output_controllability(node.id());
+        let b = dense.output_controllability(node.id());
+        prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {}", node.label());
+        prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {}", node.label());
+    }
+    for arc in dp.arcs() {
+        let a = ta.arc_observability(arc.id());
+        let b = dense.arc_observability(arc.id());
+        prop_assert_eq!(a.co.to_bits(), b.co.to_bits(), "co of {}", arc.id());
+        prop_assert_eq!(a.so.to_bits(), b.so.to_bits(), "so of {}", arc.id());
+    }
 }
 
 proptest! {
@@ -104,31 +126,15 @@ proptest! {
     /// exactly (`to_bits`), and so do the diagnostics.
     #[test]
     fn worklist_is_bit_identical_to_dense(spec in spec_strategy()) {
-        let (_d, e, ta) = analyzed(&spec);
-        let dp = e.data_path();
-        let dense = TestabilityAnalysis::analyze_dense(dp);
-        prop_assert!(ta == dense);
-        prop_assert_eq!(ta.sweeps_used(), dense.sweeps_used());
-        prop_assert_eq!(ta.updates_propagated(), dense.updates_propagated());
-        for node in dp.nodes() {
-            let a = ta.output_controllability(node.id());
-            let b = dense.output_controllability(node.id());
-            prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {}", node.label());
-            prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {}", node.label());
-        }
-        for arc in dp.arcs() {
-            let a = ta.arc_observability(arc.id());
-            let b = dense.arc_observability(arc.id());
-            prop_assert_eq!(a.co.to_bits(), b.co.to_bits(), "co of {}", arc.id());
-            prop_assert_eq!(a.so.to_bits(), b.so.to_bits(), "so of {}", arc.id());
-        }
+        let (_d, e, _ta) = analyzed(&spec);
+        assert_matches_dense(e.data_path());
     }
 
-    /// Incremental re-analysis stays bit-identical to a dense run at
-    /// every state along a random merge sequence, with each incremental
-    /// result seeding the next step (histories must chain).
+    /// The worklist stays bit-identical to a dense run at every state
+    /// along a random merge sequence, where each step's data path
+    /// differs from the last by one merge cone.
     #[test]
-    fn reanalysis_tracks_random_merge_sequences(
+    fn worklist_tracks_random_merge_sequences(
         spec in spec_strategy(),
         merges in prop::collection::vec(
             (any::<u8>(), any::<u8>(), any::<bool>()), 1..6),
@@ -137,8 +143,8 @@ proptest! {
         let s = list_schedule(&d, &[], ListPriority::CriticalPath).expect("schedulable");
         let lt = Lifetimes::compute(&d, &s);
         let mut alloc = Allocation::one_to_one(&d);
-        let mut prev_e = Etpn::from_parts(&d, &s, &alloc).expect("lowerable");
-        let mut prev_ta = TestabilityAnalysis::analyze(prev_e.data_path());
+        let e = Etpn::from_parts(&d, &s, &alloc).expect("lowerable");
+        assert_matches_dense(e.data_path());
         for (x, y, on_registers) in merges {
             let mut trial = alloc.clone();
             let merged = if on_registers {
@@ -156,26 +162,9 @@ proptest! {
             };
             if !merged { continue; }
             let Ok(e) = Etpn::from_parts(&d, &s, &trial) else { continue; };
-            let re = prev_ta.reanalyze(prev_e.data_path(), e.data_path(), &[]);
-            let dense = TestabilityAnalysis::analyze_dense(e.data_path());
-            prop_assert!(re == dense, "incremental diverged from dense");
-            prop_assert_eq!(re.sweeps_used(), dense.sweeps_used());
+            assert_matches_dense(e.data_path());
             alloc = trial;
-            prev_ta = re;
-            prev_e = e;
         }
-    }
-
-    /// Marking arbitrary extra nodes dirty forces re-evaluation but can
-    /// never change the result.
-    #[test]
-    fn extra_dirty_is_result_neutral(spec in spec_strategy(), pick in any::<u8>()) {
-        let (_d, e, ta) = analyzed(&spec);
-        let dp = e.data_path();
-        let node = dp.nodes()[pick as usize % dp.num_nodes()].id();
-        let re = ta.reanalyze(dp, dp, &[node]);
-        prop_assert!(re == ta);
-        prop_assert_eq!(re.sweeps_used(), ta.sweeps_used());
     }
 
     /// The balance score is symmetric over random profiles and maximal

@@ -3,7 +3,7 @@
 //! area weighting) shape the synthesized design.
 //!
 //! Built on the `hlts-dse` engine: the 20-point grid runs on a worker
-//! pool with shared testability/critical-path caches, and the Pareto
+//! pool with shared critical-path and (E, H) caches, and the Pareto
 //! front over (E, H, avg C, avg O, C→O depth) falls out of the sweep.
 //!
 //! Run with `cargo run --release --example dct_design_space`.

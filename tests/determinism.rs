@@ -27,8 +27,8 @@ fn repeated_runs_are_identical() {
 }
 
 /// Runs from one shared base state and evaluator — the batch path a
-/// sweep takes, where every run after the first meets warm testability
-/// and (E, H) caches — agree with a cold `run`.
+/// sweep takes, where every run after the first meets warm
+/// critical-path and (E, H) caches — agree with a cold `run`.
 #[test]
 fn warm_cache_runs_match_cold_runs() {
     for (name, dfg) in benchmarks() {
