@@ -67,6 +67,9 @@ cargo test -q --release --offline --test podem_reference -- --ignored
 echo "==> floorplan reference matrix: 6 paper benchmarks + 32 generated graphs, every committed state (release)"
 cargo test -q --release --offline -p hlts-cost --test floorplan_reference -- --ignored
 
+echo "==> structural data path matrix: equals the full lowering on every committed state and pair trial (release)"
+cargo test -q --release --offline --test structural_path -- --ignored
+
 echo "==> SR2 equivalence matrix: the merge loop agrees with the full-merit oracle (release)"
 cargo test -q --release --offline -p hlts-core --test sr2_equivalence -- --ignored
 

@@ -97,8 +97,8 @@ fn assert_bit_identical(name: &str, dp: &DataPath) {
         );
         assert!(
             a.cc.to_bits() == b.cc.to_bits() && a.sc.to_bits() == b.sc.to_bits(),
-            "{name}: solvers disagree on the controllability of {}",
-            node.label()
+            "{name}: solvers disagree on the controllability of {:?}",
+            node.kind()
         );
     }
     for arc in dp.arcs() {

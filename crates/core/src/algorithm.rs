@@ -299,12 +299,12 @@ impl IntegratedSynthesizer {
             }
 
             // Scratch path: step 2 of Algorithm 1, one testability
-            // analysis of the current data path. Candidate pricing needs
-            // no other (SR2 probes compare `E` alone).
-            let etpn = state.lower()?;
-            let analysis = TestabilityAnalysis::analyze(etpn.data_path());
+            // analysis of the current structural data path. Candidate
+            // pricing needs no other (SR2 probes compare `E` alone).
+            let dp = state.data_path()?;
+            let analysis = TestabilityAnalysis::analyze(&dp);
             testability.record(&analysis);
-            let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
+            let mut candidates = enumerate_candidates(&state, &dp, &analysis);
             if candidates.is_empty() {
                 trace.entries.push(TraceEntry {
                     winner: None,

@@ -20,6 +20,7 @@ use hlts_alloc::{
 };
 use hlts_cost::estimate_cost;
 use hlts_dfg::{Dfg, FuClass};
+use hlts_etpn::Etpn;
 use hlts_sched::{fds_schedule, mobility_path_schedule, FuLimits, Lifetimes};
 use hlts_testability::TestabilityCacheStats;
 
@@ -123,19 +124,19 @@ pub fn camad_ctl(
             break;
         }
 
-        let etpn = state.lower()?;
-        let e0 = etpn.execution_time() as f64;
-        let h0 = estimate_cost(etpn.data_path(), params.bits, &params.library).total();
+        let dp = state.data_path()?;
+        let e0 = Etpn::execution_time_of(&state.dfg, &state.schedule) as f64;
+        let h0 = estimate_cost(&dp, params.bits, &params.library).total();
         let mut committed = false;
         for chunk in cands.chunks(params.k.max(1)) {
             // Apply → price → rollback, like the integrated loop; only
-            // the pricing differs (direct lower + estimate, no ΔC cache).
+            // the pricing differs (direct estimate, no ΔC cache).
             let mut best: Option<(f64, MergeKind)> = None;
             for &(_, kind) in chunk {
                 let dc = trial_merge(&mut state, kind, |trial| {
-                    let etpn1 = trial.lower().ok()?;
-                    let e1 = etpn1.execution_time() as f64;
-                    let h1 = estimate_cost(etpn1.data_path(), params.bits, &params.library).total();
+                    let dp1 = trial.data_path().ok()?;
+                    let e1 = Etpn::execution_time_of(&trial.dfg, &trial.schedule) as f64;
+                    let h1 = estimate_cost(&dp1, params.bits, &params.library).total();
                     Some(params.alpha * (e1 - e0) + params.beta * (h1 - h0))
                 });
                 let Some(dc) = dc else { continue };

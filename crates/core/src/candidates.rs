@@ -23,7 +23,7 @@ use std::cmp::Reverse;
 
 use hlts_alloc::{ModuleId, RegisterId};
 use hlts_dfg::Dfg;
-use hlts_etpn::{DpNodeKind, Etpn};
+use hlts_etpn::{DataPath, DpNodeKind};
 use hlts_testability::{balance_score_profiles, NodeProfile, TestabilityAnalysis};
 
 use crate::DesignState;
@@ -63,10 +63,9 @@ const SELF_LOOP_PENALTY: f64 = 0.5;
 #[must_use]
 pub fn enumerate_candidates(
     state: &DesignState,
-    etpn: &Etpn,
+    dp: &DataPath,
     analysis: &TestabilityAnalysis,
 ) -> Vec<MergeCandidate> {
-    let dp = etpn.data_path();
     let dfg = &state.dfg;
     let alloc = &state.allocation;
     let sets = BindingSets::of(state);
@@ -338,9 +337,9 @@ mod tests {
     #[test]
     fn candidates_are_sorted_and_legal() {
         let s = state();
-        let e = s.lower().unwrap();
-        let an = TestabilityAnalysis::analyze(e.data_path());
-        let cands = enumerate_candidates(&s, &e, &an);
+        let dp = s.data_path().unwrap();
+        let an = TestabilityAnalysis::analyze(&dp);
+        let cands = enumerate_candidates(&s, &dp, &an);
         assert!(!cands.is_empty());
         for w in cands.windows(2) {
             assert!(w[0].balance >= w[1].balance - 1e-12);
@@ -358,9 +357,9 @@ mod tests {
     #[test]
     fn common_consumer_pairs_filtered() {
         let s = state();
-        let e = s.lower().unwrap();
-        let an = TestabilityAnalysis::analyze(e.data_path());
-        let cands = enumerate_candidates(&s, &e, &an);
+        let dp = s.data_path().unwrap();
+        let an = TestabilityAnalysis::analyze(&dp);
+        let cands = enumerate_candidates(&s, &dp, &an);
         // t2 and t3 both feed N4: never a candidate pair
         let r2 = s
             .allocation
@@ -381,9 +380,9 @@ mod tests {
         // y's register merged with t3's register: N4 consumes t3 and
         // produces y -> module self-loop.
         let s = state();
-        let e = s.lower().unwrap();
-        let an = TestabilityAnalysis::analyze(e.data_path());
-        let cands = enumerate_candidates(&s, &e, &an);
+        let dp = s.data_path().unwrap();
+        let an = TestabilityAnalysis::analyze(&dp);
+        let cands = enumerate_candidates(&s, &dp, &an);
         let ry = s
             .allocation
             .register_of(s.dfg.value_by_name("y").unwrap())
@@ -411,10 +410,9 @@ mod tests {
     /// ranking ties by the kinds' `Debug` strings.
     fn reference_enumerate(
         state: &DesignState,
-        etpn: &Etpn,
+        dp: &DataPath,
         analysis: &TestabilityAnalysis,
     ) -> Vec<MergeCandidate> {
-        let dp = etpn.data_path();
         let dfg = &state.dfg;
         let alloc = &state.allocation;
         let mut out = Vec::new();
@@ -540,10 +538,11 @@ mod tests {
         for (name, dfg) in hlts_benchmarks::all() {
             let mut s = DesignState::initial(&dfg).unwrap();
             for step in 0..6 {
+                let dp = s.data_path().unwrap();
+                let got = enumerate_candidates(&s, &dp, &TestabilityAnalysis::analyze(&dp));
                 let e = s.lower().unwrap();
                 let an = TestabilityAnalysis::analyze(e.data_path());
-                let got = enumerate_candidates(&s, &e, &an);
-                let want = reference_enumerate(&s, &e, &an);
+                let want = reference_enumerate(&s, e.data_path(), &an);
                 assert_eq!(got.len(), want.len(), "{name} step {step}");
                 for (g, w) in got.iter().zip(&want) {
                     assert_eq!(g.kind, w.kind, "{name} step {step}");

@@ -3,12 +3,16 @@
 //!
 //! Every candidate evaluation in Algorithm 1 needs the execution time
 //! `E` (critical path of the control Petri net) and hardware cost `H`
-//! (floorplanned area) of a tentatively merged design. Both are pure
-//! functions of the **(schedule, binding)** pair: ETPN lowering reads
-//! only the graph's data edges (fixed for the whole run — merges add
-//! precedence arcs, which only constrain *scheduling*), the step
-//! assignment and the binding partition — plus the bit width, which
-//! scales `H`. [`DeltaEvaluator`] therefore memoizes (E, H) keyed by
+//! (floorplanned area) of a tentatively merged design. Neither needs
+//! the full ETPN. `E` is the critical path of the control part alone
+//! ([`Etpn::control_of`]), which reads only the schedule's length and
+//! the graph's loop shape. `H` floorplans the structural data path
+//! ([`Etpn::data_path_of`]: nodes and `(from, to, port)` arcs, no
+//! guards), which reads only the graph's data edges (fixed for the
+//! whole run — merges add precedence arcs, which only constrain
+//! *scheduling*) and the binding partition — plus the bit width, which
+//! scales `H`. Both are pure functions of the **(schedule, binding)**
+//! pair, so [`DeltaEvaluator`] memoizes (E, H) keyed by
 //! [`Schedule::content_hash`](hlts_sched::Schedule::content_hash) ⊕
 //! [`Allocation::content_hash`](hlts_alloc::Allocation::content_hash)
 //! ⊕ bit width, so one evaluator can serve every width of a sweep,
@@ -26,14 +30,14 @@
 //!
 //! Testability has no such cache: candidate pricing needs no analysis
 //! (SR2 probes compare `E` alone), so Algorithm 1 runs one CC/SC/CO/SO
-//! fixpoint per iteration, on the current data path.
+//! fixpoint per iteration, on the current structural data path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use hlts_cost::{estimate_cost, ModuleLibrary};
-use hlts_etpn::{CacheStats, CriticalPathEngine};
+use hlts_etpn::{CacheStats, CriticalPathEngine, Etpn};
 
 use crate::{CoreError, DesignState};
 
@@ -86,9 +90,11 @@ impl DeltaEvaluator {
 
     /// (execution time, hardware cost) of `state`, memoized.
     ///
-    /// On a miss this lowers the state to ETPN, extracts the critical
-    /// path through the shared engine and floorplans the data path; on
-    /// a hit it is two hash lookups.
+    /// On a miss this builds the structural data path
+    /// ([`DesignState::data_path`], which checks the state exactly as a
+    /// full lowering does) and floorplans it for `H`, and takes `E` from
+    /// the control part alone through the shared critical-path engine;
+    /// no full ETPN is built. On a hit it is two hash lookups.
     ///
     /// # Errors
     ///
@@ -113,9 +119,11 @@ impl DeltaEvaluator {
             return Ok(hit);
         }
         self.state_misses.fetch_add(1, Ordering::Relaxed);
-        let etpn = state.lower()?;
-        let e = etpn.execution_time_with(&self.engine);
-        let h = estimate_cost(etpn.data_path(), bits, library).total();
+        let dp = state.data_path()?;
+        let e = self
+            .engine
+            .critical_path(&Etpn::control_of(&state.dfg, &state.schedule));
+        let h = estimate_cost(&dp, bits, library).total();
         self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

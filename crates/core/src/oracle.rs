@@ -19,12 +19,13 @@
 //!   (trials must run at least 2× faster than these clone trials).
 
 use hlts_alloc::{ModuleId, RegisterId};
+use hlts_cost::estimate_cost;
 use hlts_dfg::{Dfg, OpId, ValueId};
+use hlts_etpn::Etpn;
 use hlts_testability::{total_co_depth, TestabilityAnalysis, TestabilityCacheStats};
 
 use crate::algorithm::merge_description;
 use crate::candidates::{enumerate_candidates, MergeCandidate, MergeKind};
-use crate::delta_eval::DeltaEvaluator;
 use crate::resched::{disjointness_arcs, PrecArc};
 use crate::{CoreError, DesignState, SelectionPolicy, SynthesisParams, SynthesisResult};
 
@@ -298,6 +299,17 @@ pub fn merge_registers_cloned(
     Ok(())
 }
 
+/// (E, H) of `etpn` from the full lowering: the reachability-tree
+/// critical path and the floorplan of the guarded data path. The
+/// transactional loop prices through [`DeltaEvaluator`] (control part
+/// alone, structural data path); this reference shares neither.
+///
+/// [`DeltaEvaluator`]: crate::DeltaEvaluator
+fn full_eh(etpn: &Etpn, params: &SynthesisParams) -> (f64, f64) {
+    let h = estimate_cost(etpn.data_path(), params.bits, &params.library).total();
+    (etpn.execution_time() as f64, h)
+}
+
 /// One clone-based candidate trial: deep-copy the state, merge, price.
 /// The seed's `eval_candidate`, kept verbatim in shape.
 fn eval_candidate_cloned(
@@ -306,7 +318,6 @@ fn eval_candidate_cloned(
     cand: &MergeCandidate,
     e0: f64,
     h0: f64,
-    evaluator: &DeltaEvaluator,
 ) -> Option<(f64, DesignState)> {
     let mut trial = state.deep_trial_clone();
     match cand.kind {
@@ -317,8 +328,8 @@ fn eval_candidate_cloned(
             merge_registers_cloned(&mut trial, a, b).ok()?;
         }
     }
-    let (e1, h1) = evaluator.eval(&trial, params.bits, &params.library).ok()?;
-    let dc = params.alpha * (e1 as f64 - e0) + params.beta * (h1 - h0);
+    let (e1, h1) = full_eh(&trial.lower().ok()?, params);
+    let dc = params.alpha * (e1 - e0) + params.beta * (h1 - h0);
     Some((dc, trial))
 }
 
@@ -331,7 +342,6 @@ fn eval_candidate_cloned(
 ///
 /// As [`IntegratedSynthesizer::run`](crate::IntegratedSynthesizer::run).
 pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult, CoreError> {
-    let evaluator = DeltaEvaluator::new();
     let mut state = DesignState::initial(dfg)?;
     let mut merge_log: Vec<String> = Vec::new();
     let mut testability = TestabilityCacheStats::default();
@@ -340,7 +350,7 @@ pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult
         let etpn = state.lower()?;
         let analysis = TestabilityAnalysis::analyze(etpn.data_path());
         testability.record(&analysis);
-        let mut candidates = enumerate_candidates(&state, &etpn, &analysis);
+        let mut candidates = enumerate_candidates(&state, etpn.data_path(), &analysis);
         if candidates.is_empty() {
             break;
         }
@@ -350,16 +360,13 @@ pub fn synthesize(dfg: &Dfg, params: &SynthesisParams) -> Result<SynthesisResult
                 MergeKind::Registers(a, b) => (1u8, a.index(), b.index()),
             });
         }
-        let (e0_steps, h0) = evaluator.eval(&state, params.bits, &params.library)?;
-        let e0 = e0_steps as f64;
+        let (e0, h0) = full_eh(&etpn, params);
 
         let mut committed = false;
         for chunk in candidates.chunks(params.k.max(1)) {
             let mut best: Option<(f64, DesignState, MergeKind)> = None;
             for cand in chunk {
-                let Some((dc, trial)) =
-                    eval_candidate_cloned(params, &state, cand, e0, h0, &evaluator)
-                else {
+                let Some((dc, trial)) = eval_candidate_cloned(params, &state, cand, e0, h0) else {
                     continue;
                 };
                 if best.as_ref().is_none_or(|(b, _, _)| dc < *b) {

@@ -3,6 +3,7 @@
 use hlts_alloc::Allocation;
 use hlts_cost::{estimate_cost, CostBreakdown, ModuleLibrary};
 use hlts_dfg::Dfg;
+use hlts_etpn::Etpn;
 use hlts_sched::Schedule;
 use hlts_testability::{total_co_depth, NodeProfile, TestabilityAnalysis, TestabilityCacheStats};
 
@@ -34,7 +35,8 @@ pub struct DesignMetrics {
 }
 
 impl DesignMetrics {
-    /// Measure a design state.
+    /// Measure a design state: `E` from its control part, the rest from
+    /// its structural data path ([`DesignState::data_path`]).
     ///
     /// # Errors
     ///
@@ -51,8 +53,7 @@ impl DesignMetrics {
         library: &ModuleLibrary,
         testability: &mut TestabilityCacheStats,
     ) -> Result<Self, CoreError> {
-        let etpn = state.lower()?;
-        let dp = etpn.data_path();
+        let dp = &state.data_path()?;
         let analysis = TestabilityAnalysis::analyze(dp);
         testability.record(&analysis);
         let mut c_sum = 0.0;
@@ -66,7 +67,7 @@ impl DesignMetrics {
         }
         let n = n.max(1) as f64;
         Ok(DesignMetrics {
-            execution_time: etpn.execution_time(),
+            execution_time: Etpn::execution_time_of(&state.dfg, &state.schedule),
             num_modules: state.allocation.num_modules(),
             num_registers: state.allocation.num_registers(),
             mux_count: state.allocation.mux_count(&state.dfg),

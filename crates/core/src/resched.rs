@@ -31,7 +31,6 @@ use std::mem;
 use hlts_alloc::{ModuleId, RegisterId};
 use hlts_dfg::{Dfg, OpId, ValueId};
 use hlts_etpn::Etpn;
-use hlts_testability::{total_co_depth, TestabilityAnalysis};
 
 use crate::candidates::MergeKind;
 use crate::txn::StateTxn;
@@ -136,32 +135,23 @@ pub fn disjointness_arcs_into(
 }
 
 /// The figure of merit of a tentative SR2 state: its execution time
-/// `E`, and — only when `with_depth` — the SR1 depth
-/// `total_co_depth` the paper's SR2 compares first.
+/// `E`.
 ///
 /// `E` comes from the control part alone
 /// ([`Etpn::execution_time_of`]); [`Etpn::check_parts`] keeps the
-/// failure cases those of a full lowering. The depth needs the whole
-/// ETPN and a testability analysis, but a probe never changes the
-/// binding — it adds precedence arcs and reschedules — and the data
-/// path's structure depends only on the graph's data edges and the
-/// binding, so both probes of one decision always see the same depth.
-/// [`sr2_choose`] therefore computes it only to check exactly that, in
-/// debug builds, where it also checks `E` against the full lowering.
-fn sr2_merit(state: &DesignState, with_depth: bool) -> Result<(usize, Option<f64>), CoreError> {
+/// failure cases those of a full lowering. Debug builds also check `E`
+/// against the full lowering.
+fn sr2_merit(state: &DesignState) -> Result<usize, CoreError> {
     Etpn::check_parts(&state.dfg, &state.schedule, &state.allocation)?;
     let e = Etpn::execution_time_of(&state.dfg, &state.schedule);
-    if !with_depth {
-        return Ok((e, None));
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            state.lower()?.execution_time(),
+            e,
+            "control-part E differs from the full lowering's"
+        );
     }
-    let etpn = state.lower()?;
-    assert_eq!(
-        etpn.execution_time(),
-        e,
-        "control-part E differs from the full lowering's"
-    );
-    let analysis = TestabilityAnalysis::analyze(etpn.data_path());
-    Ok((e, Some(total_co_depth(etpn.data_path(), &analysis))))
+    Ok(e)
 }
 
 /// Apply `arcs` inside the open transaction and reschedule; `false`
@@ -206,14 +196,10 @@ fn arcs_feasible(txn: &mut StateTxn<'_>, arcs: &[PrecArc]) -> bool {
 /// Probe `arcs` and measure the resulting state's SR2 merit, rolling
 /// back afterwards. `None` when the arcs are infeasible; `Some(Err)`
 /// when they apply but the state does not lower.
-fn probe_merit(
-    txn: &mut StateTxn<'_>,
-    arcs: &[PrecArc],
-    with_depth: bool,
-) -> Option<Result<(usize, Option<f64>), CoreError>> {
+fn probe_merit(txn: &mut StateTxn<'_>, arcs: &[PrecArc]) -> Option<Result<usize, CoreError>> {
     let sp = txn.savepoint();
     let out = if probe_arcs(txn, arcs) {
-        Some(sr2_merit(txn.state(), with_depth))
+        Some(sr2_merit(txn.state()))
     } else {
         None
     };
@@ -278,29 +264,24 @@ fn reject_lifetime_order(dfg: &Dfg, a: ValueId, b: ValueId) -> CoreError {
 /// merit is a pure function of the probed state, the choice is
 /// bit-identical to evaluating both sets on independent clones.
 ///
-/// The depth term cannot discriminate: both probes share the binding,
-/// hence the data path and its depth (see [`sr2_merit`]). So SR2 always
-/// falls through to its `E` tie-break and decides by `E` alone. Debug
-/// builds still measure the depth of every probe and assert the tie.
+/// The depth term cannot discriminate, so it is never measured. A probe
+/// never changes the binding: it adds precedence arcs and reschedules.
+/// The structural data path is a function of the graph's data edges
+/// and the binding alone ([`Etpn::data_path_of`] reads the schedule only
+/// to check it), and the testability analysis and `total_co_depth` read
+/// nothing else, so both probes of one decision tie on depth by
+/// construction. The root `tests/structural_path.rs` backs the premise:
+/// one binding under two legal schedules lowers to equal paths. SR2
+/// therefore falls through to its `E` tie-break and decides by `E`
+/// alone.
 fn sr2_choose(txn: &mut StateTxn<'_>, first: &[PrecArc], second: &[PrecArc]) -> Option<bool> {
-    let with_depth = cfg!(debug_assertions);
-    let m1 = probe_merit(txn, first, with_depth);
-    let m2 = probe_merit(txn, second, with_depth);
+    let m1 = probe_merit(txn, first);
+    let m2 = probe_merit(txn, second);
     match (m1, m2) {
         (None, None) => None,
         (Some(_), None) => Some(true),
         (None, Some(_)) => Some(false),
-        (Some(ra), Some(rb)) => {
-            let (ea, da) = ra.ok()?;
-            let (eb, db) = rb.ok()?;
-            if let (Some(da), Some(db)) = (da, db) {
-                assert!(
-                    (da - db).abs() <= 1e-9,
-                    "SR2 probes differ in SR1 depth ({da} vs {db}) under one binding"
-                );
-            }
-            Some(ea <= eb)
-        }
+        (Some(ra), Some(rb)) => Some(ra.ok()? <= rb.ok()?),
     }
 }
 
@@ -616,7 +597,7 @@ fn register_merge_body(
 mod tests {
     use super::*;
     use hlts_dfg::{DfgBuilder, OpKind};
-    use hlts_testability::TestabilityAnalysis;
+    use hlts_testability::{total_co_depth, TestabilityAnalysis};
 
     /// Two independent adds in one step; merging their modules must order
     /// them into two steps.

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use hlts_alloc::Allocation;
 use hlts_dfg::Dfg;
-use hlts_etpn::Etpn;
+use hlts_etpn::{DataPath, Etpn};
 use hlts_sched::{list_schedule, reschedule_in_place, Lifetimes, ListPriority, Schedule};
 
 use crate::txn::{StateTxn, TxnCounters, TxnStats};
@@ -122,13 +122,33 @@ impl DesignState {
         Ok(())
     }
 
-    /// Lower the current state to ETPN.
+    /// Lower the current state to ETPN: data path with guarded
+    /// transfers, and control part. Reports, netlist elaboration and
+    /// the clone oracle read it; Algorithm 1's pricing and analysis
+    /// read [`DesignState::data_path`] instead.
     ///
     /// # Errors
     ///
     /// Propagates lowering failures (inconsistent state).
     pub fn lower(&self) -> Result<Etpn, CoreError> {
         Ok(Etpn::from_parts(
+            &self.dfg,
+            &self.schedule,
+            &self.allocation,
+        )?)
+    }
+
+    /// The structural data path of the current state
+    /// ([`Etpn::data_path_of`]): the nodes and arcs of
+    /// [`lower`](DesignState::lower)'s data path without guards, built
+    /// from the graph's data edges and the binding alone. It is all
+    /// the hardware cost `H` and the testability analysis read.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`lower`](DesignState::lower).
+    pub fn data_path(&self) -> Result<DataPath, CoreError> {
+        Ok(Etpn::data_path_of(
             &self.dfg,
             &self.schedule,
             &self.allocation,

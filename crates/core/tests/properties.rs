@@ -42,8 +42,8 @@ fn assert_matches_dense(dp: &hlts_etpn::DataPath) {
             worklist.output_controllability(node.id()),
             dense.output_controllability(node.id()),
         );
-        prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {}", node.label());
-        prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {}", node.label());
+        prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {:?}", node.kind());
+        prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {:?}", node.kind());
     }
     for arc in dp.arcs() {
         let (a, b) = (

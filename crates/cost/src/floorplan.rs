@@ -464,7 +464,7 @@ mod tests {
         let ids: Vec<DpNodeId> = (0..n)
             .map(|i| {
                 let v = hlts_dfg::ValueId::from_index(i);
-                dp.add_node(hlts_etpn::DpNodeKind::PrimaryInput(v), format!("n{i}"))
+                dp.add_node(hlts_etpn::DpNodeKind::PrimaryInput(v))
             })
             .collect();
         for (port, &(a, b)) in arcs.iter().enumerate() {

@@ -194,7 +194,7 @@ fn check_state(tag: &str, state: &DesignState, bits: u32, lib: &ModuleLibrary) {
             want[node.id().index()],
             "{tag}: node {} `{}` placed differently",
             node.id(),
-            node.label()
+            node.label(&state.dfg, &state.allocation)
         );
     }
     let c = estimate_cost(dp, bits, lib);
@@ -284,7 +284,7 @@ fn wired(n: usize, arcs: &[(usize, usize)]) -> DataPath {
     let ids: Vec<_> = (0..n)
         .map(|i| {
             let v = hlts_dfg::ValueId::from_index(i);
-            dp.add_node(DpNodeKind::PrimaryInput(v), format!("n{i}"))
+            dp.add_node(DpNodeKind::PrimaryInput(v))
         })
         .collect();
     for (port, &(a, b)) in arcs.iter().enumerate() {

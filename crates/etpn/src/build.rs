@@ -18,13 +18,23 @@
 //!   behavior has loop-carried values and produces a condition flag, a
 //!   condition-guarded loop-back transition is added (the Diffeq
 //!   pattern).
+//!
+//! One function, [`data_path`], writes the data path for both of the
+//! crate's lowerings. [`Etpn::from_parts`] hands it the control part, so
+//! each arc records its guards. [`Etpn::data_path_of`] hands it none: the
+//! result is the **structural** data path — the same nodes and
+//! `(from, to, port)` arcs in the same order, no guards, the schedule
+//! never read — which is all the cost estimate and the testability
+//! analysis need. Registers and modules map to nodes through dense
+//! vectors indexed by binding id. No lowering stores node labels;
+//! [`DpNode::label`](crate::DpNode::label) builds one from the graph and
+//! the binding where a label is read.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use hlts_alloc::Allocation;
-use hlts_dfg::{Dfg, ValueId};
+use hlts_alloc::{Allocation, RegisterId};
+use hlts_dfg::{Dfg, OpId, ValueId};
 use hlts_sched::Schedule;
 
 use crate::{ControlNet, DataPath, DpNodeId, DpNodeKind, Etpn, PlaceId};
@@ -72,7 +82,7 @@ pub(crate) fn build(
 ) -> Result<Etpn, EtpnBuildError> {
     check(dfg, schedule, allocation)?;
     let control = control_part(dfg, schedule);
-    let dp = data_path(dfg, schedule, allocation, &control);
+    let dp = data_path(dfg, allocation, Some((schedule, &control)));
     Ok(Etpn::new(dp, control.net))
 }
 
@@ -157,59 +167,44 @@ pub(crate) fn control_part(dfg: &Dfg, schedule: &Schedule) -> ControlPart {
     }
 }
 
-/// Lower the data path, its transfers guarded by `control`'s places.
-/// The parts must have passed [`check`].
-fn data_path(
+/// Lower the data path. With `guarded`, each transfer arc records the
+/// places of `guarded`'s control part that enable it; without, arcs
+/// carry no guards and the schedule is never read. Either way the
+/// nodes, and the `(from, to, port)` arcs, come out in the same order:
+/// they depend on the graph's data edges and the binding alone. The
+/// parts must have passed [`check`].
+pub(crate) fn data_path(
     dfg: &Dfg,
-    schedule: &Schedule,
     allocation: &Allocation,
-    control: &ControlPart,
+    guarded: Option<(&Schedule, &ControlPart)>,
 ) -> DataPath {
     const CHECKED: &str = "lowering inputs passed `check`";
-    let (steps, final_place) = (&control.steps, control.final_place);
-    let last_guard = steps.last().copied().unwrap_or(final_place);
-
     let mut dp = DataPath::new();
-    let mut reg_node: HashMap<usize, DpNodeId> = HashMap::new();
-    let mut mod_node: HashMap<usize, DpNodeId> = HashMap::new();
-    let mut const_node: HashMap<ValueId, DpNodeId> = HashMap::new();
-    let mut cond_node: HashMap<ValueId, DpNodeId> = HashMap::new();
+    let slots = |max: Option<usize>| max.map_or(0, |i| i + 1);
+    let mut reg_node = vec![None; slots(allocation.registers().map(|r| r.id().index()).max())];
+    let mut mod_node = vec![None; slots(allocation.modules().map(|m| m.id().index()).max())];
+    // Constants and condition flags get one node each, at first use.
+    let mut value_node: Vec<Option<DpNodeId>> = vec![None; dfg.num_values()];
 
     for r in allocation.registers() {
-        let names: Vec<&str> = r.values().iter().map(|&v| dfg.value(v).name()).collect();
-        let id = dp.add_node(
-            DpNodeKind::Register(r.id()),
-            format!("R{{{}}}", names.join(",")),
-        );
-        reg_node.insert(r.id().index(), id);
+        reg_node[r.id().index()] = Some(dp.add_node(DpNodeKind::Register(r.id())));
     }
     for m in allocation.modules() {
         let kinds = m.kinds(dfg);
-        let syms: Vec<&str> = kinds.iter().map(|k| k.symbol()).collect();
-        let names: Vec<&str> = m.ops().iter().map(|&o| dfg.op(o).name()).collect();
-        let id = dp.add_node(
-            DpNodeKind::Module { id: m.id(), kinds },
-            format!("FU({}){{{}}}", syms.join(""), names.join(",")),
-        );
-        mod_node.insert(m.id().index(), id);
+        mod_node[m.id().index()] = Some(dp.add_node(DpNodeKind::Module { id: m.id(), kinds }));
     }
+    let reg = |r: RegisterId| reg_node[r.index()].expect(CHECKED);
+    let module = |op: OpId| mod_node[allocation.module_of(op).index()].expect(CHECKED);
+    let register_of = |v: ValueId| reg(allocation.register_of(v).expect(CHECKED));
 
-    // Source node for a value feeding a module port.
-    let source_of =
-        |dp: &mut DataPath, const_node: &mut HashMap<ValueId, DpNodeId>, v: ValueId| -> DpNodeId {
-            if let Some(r) = allocation.register_of(v) {
-                return reg_node[&r.index()];
-            }
-            let val = dfg.value(v);
-            if val.kind().is_const() {
-                return *const_node.entry(v).or_insert_with(|| {
-                    dp.add_node(DpNodeKind::Const(v), format!("C({})", val.name()))
-                });
-            }
-            // a condition consumed as data: feed from its producing module
-            let op = dfg.def_of(v).expect(CHECKED);
-            mod_node[&allocation.module_of(op).index()]
-        };
+    // Each transfer's guard is `None` without a control part.
+    let step_place = |control: &ControlPart, step: usize| {
+        control
+            .steps
+            .get(step)
+            .copied()
+            .unwrap_or(control.final_place)
+    };
 
     // Primary inputs are latched from their ports at the end of the step
     // *before* their first consumer reads them (on-demand loading; see
@@ -217,76 +212,61 @@ fn data_path(
     // step 0 latches during the setup state — the final place, which
     // doubles as the setup state of the next run.
     for v in dfg.inputs() {
-        let port = dp.add_node(
-            DpNodeKind::PrimaryInput(v),
-            format!("in({})", dfg.value(v).name()),
-        );
-        let r = allocation.register_of(v).expect(CHECKED);
-        let load_guard = dfg
-            .uses_of(v)
-            .iter()
-            .map(|&o| schedule.step_of(o))
-            .min()
-            .map(|s| {
-                if s == 0 {
-                    final_place
-                } else {
-                    steps.get(s - 1).copied().unwrap_or(final_place)
-                }
-            })
-            .unwrap_or(final_place);
-        dp.add_arc(port, reg_node[&r.index()], 0, [load_guard]);
+        let port = dp.add_node(DpNodeKind::PrimaryInput(v));
+        let load_guard = guarded.map(|(schedule, control)| {
+            match dfg.uses_of(v).iter().map(|&o| schedule.step_of(o)).min() {
+                Some(s) if s > 0 => step_place(control, s - 1),
+                _ => control.final_place,
+            }
+        });
+        dp.add_arc(port, register_of(v), 0, load_guard);
     }
 
     // Operation transfers.
     for op in dfg.ops() {
-        let step = schedule.step_of(op.id());
-        let guard = steps.get(step).copied().unwrap_or(final_place);
-        let m = mod_node[&allocation.module_of(op.id()).index()];
+        let guard =
+            guarded.map(|(schedule, control)| step_place(control, schedule.step_of(op.id())));
+        let m = module(op.id());
         for (port, &v) in op.inputs().iter().enumerate() {
-            let src = source_of(&mut dp, &mut const_node, v);
-            dp.add_arc(src, m, port, [guard]);
+            let src = if let Some(r) = allocation.register_of(v) {
+                reg(r)
+            } else if dfg.value(v).kind().is_const() {
+                *value_node[v.index()].get_or_insert_with(|| dp.add_node(DpNodeKind::Const(v)))
+            } else {
+                // a condition consumed as data: feed from its producing module
+                module(dfg.def_of(v).expect(CHECKED))
+            };
+            dp.add_arc(src, m, port, guard);
         }
         if let Some(out) = op.output() {
-            if dfg.value(out).is_condition() {
-                let c = *cond_node.entry(out).or_insert_with(|| {
-                    dp.add_node(
-                        DpNodeKind::ConditionOut(out),
-                        format!("cond({})", dfg.value(out).name()),
-                    )
-                });
-                dp.add_arc(m, c, 0, [guard]);
+            let sink = if dfg.value(out).is_condition() {
+                *value_node[out.index()]
+                    .get_or_insert_with(|| dp.add_node(DpNodeKind::ConditionOut(out)))
             } else {
-                let r = allocation.register_of(out).expect(CHECKED);
-                dp.add_arc(m, reg_node[&r.index()], 0, [guard]);
-            }
+                register_of(out)
+            };
+            dp.add_arc(m, sink, 0, guard);
         }
     }
 
     // Primary outputs observed at the final state.
     for v in dfg.outputs() {
-        let port = dp.add_node(
-            DpNodeKind::PrimaryOutput(v),
-            format!("out({})", dfg.value(v).name()),
-        );
-        let r = allocation.register_of(v).expect(CHECKED);
-        dp.add_arc(reg_node[&r.index()], port, 0, [final_place]);
+        let port = dp.add_node(DpNodeKind::PrimaryOutput(v));
+        let guard = guarded.map(|(_, control)| control.final_place);
+        dp.add_arc(register_of(v), port, 0, guard);
     }
 
     // Loop-carried copies at the last step (register-to-register when the
     // pair is split across registers; free when they share one).
+    let last_guard =
+        guarded.map(|(_, control)| control.steps.last().copied().unwrap_or(control.final_place));
     for &(src, dst) in dfg.loop_carried() {
         let (Some(rs), Some(rd)) = (allocation.register_of(src), allocation.register_of(dst))
         else {
             continue;
         };
         if rs != rd {
-            dp.add_arc(
-                reg_node[&rs.index()],
-                reg_node[&rd.index()],
-                0,
-                [last_guard],
-            );
+            dp.add_arc(reg(rs), reg(rd), 0, last_guard);
         }
     }
 

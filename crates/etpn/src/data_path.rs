@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use hlts_alloc::{ModuleId, RegisterId};
-use hlts_dfg::{OpKind, ValueId};
+use hlts_alloc::{Allocation, ModuleId, RegisterId};
+use hlts_dfg::{Dfg, OpKind, ValueId};
 
 use crate::PlaceId;
 
@@ -116,7 +116,6 @@ impl DpNodeKind {
 pub struct DpNode {
     pub(crate) id: DpNodeId,
     pub(crate) kind: DpNodeKind,
-    pub(crate) label: String,
 }
 
 impl DpNode {
@@ -132,10 +131,31 @@ impl DpNode {
         &self.kind
     }
 
-    /// Human-readable label, e.g. `"R{a,c,x}"` or `"FU(*){N21,N24}"`.
+    /// Human-readable label of the node in the data path lowered from
+    /// `dfg` and `allocation`, e.g. `"R{a,c,x}"`, `"FU(*){N21,N24}"`,
+    /// `"in(a)"` or `"C(c3)"`. Lowering stores no labels; DOT export,
+    /// [`DataPath::render`] and netlist elaboration errors build them
+    /// here, from the parts the path was lowered from.
     #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
+    pub fn label(&self, dfg: &Dfg, allocation: &Allocation) -> String {
+        let name = |v: ValueId| dfg.value(v).name();
+        match &self.kind {
+            DpNodeKind::PrimaryInput(v) => format!("in({})", name(*v)),
+            DpNodeKind::PrimaryOutput(v) => format!("out({})", name(*v)),
+            DpNodeKind::Const(v) => format!("C({})", name(*v)),
+            DpNodeKind::ConditionOut(v) => format!("cond({})", name(*v)),
+            DpNodeKind::Register(r) => {
+                let values = allocation.register(*r).map_or(&[][..], |r| r.values());
+                let names: Vec<&str> = values.iter().map(|&v| name(v)).collect();
+                format!("R{{{}}}", names.join(","))
+            }
+            DpNodeKind::Module { id, kinds } => {
+                let syms: Vec<&str> = kinds.iter().map(|k| k.symbol()).collect();
+                let ops = allocation.module(*id).map_or(&[][..], |m| m.ops());
+                let names: Vec<&str> = ops.iter().map(|&o| dfg.op(o).name()).collect();
+                format!("FU({}){{{}}}", syms.join(""), names.join(","))
+            }
+        }
     }
 }
 
@@ -201,13 +221,9 @@ impl DataPath {
     }
 
     /// Add a node, returning its id.
-    pub fn add_node(&mut self, kind: DpNodeKind, label: impl Into<String>) -> DpNodeId {
+    pub fn add_node(&mut self, kind: DpNodeKind) -> DpNodeId {
         let id = DpNodeId::from_index(self.nodes.len());
-        self.nodes.push(DpNode {
-            id,
-            kind,
-            label: label.into(),
-        });
+        self.nodes.push(DpNode { id, kind });
         self.in_arcs.push(Vec::new());
         self.out_arcs.push(Vec::new());
         id
@@ -337,24 +353,27 @@ impl DataPath {
     }
 
     /// Count multiplexer 2-to-1 equivalents: for every (node, port) sink
-    /// with `s > 1` incoming arcs, `s - 1` muxes.
+    /// with `s > 1` incoming arcs, `s - 1` muxes. One pass over each
+    /// node's in-arcs: a node with `k` in-arcs on `p` distinct ports
+    /// needs `k - p`.
     #[must_use]
     pub fn mux_count(&self) -> usize {
         let mut total = 0;
-        for (i, arcs) in self.in_arcs.iter().enumerate() {
-            let max_port = arcs
-                .iter()
-                .map(|&a| self.arcs[a.index()].port)
-                .max()
-                .unwrap_or(0);
-            for port in 0..=max_port {
-                let fanin = arcs
-                    .iter()
-                    .filter(|&&a| self.arcs[a.index()].port == port)
-                    .count();
-                total += fanin.saturating_sub(1);
+        for arcs in &self.in_arcs {
+            let mut seen = 0u64; // bit p: port p < 64 already has an arc
+            let mut ports = 0;
+            for (i, &a) in arcs.iter().enumerate() {
+                let port = self.arcs[a.index()].port;
+                let first = if port < 64 {
+                    let fresh = seen & (1 << port) == 0;
+                    seen |= 1 << port;
+                    fresh
+                } else {
+                    arcs[..i].iter().all(|&b| self.arcs[b.index()].port != port)
+                };
+                ports += usize::from(first);
             }
-            let _ = i;
+            total += arcs.len() - ports;
         }
         total
     }
@@ -378,16 +397,17 @@ impl DataPath {
     }
 
     /// Render the graph as `from -> to.port [guards]` lines for debugging
-    /// and golden tests.
+    /// and golden tests, labelling nodes from the `dfg` and `allocation`
+    /// the path was lowered from.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub fn render(&self, dfg: &Dfg, allocation: &Allocation) -> String {
         let mut out = String::new();
         for arc in &self.arcs {
             let guards: Vec<String> = arc.guards.iter().map(|p| p.to_string()).collect();
             out.push_str(&format!(
                 "{} -> {}.{} [{}]\n",
-                self.nodes[arc.from.index()].label,
-                self.nodes[arc.to.index()].label,
+                self.nodes[arc.from.index()].label(dfg, allocation),
+                self.nodes[arc.to.index()].label(dfg, allocation),
                 arc.port,
                 guards.join(",")
             ));
@@ -407,14 +427,11 @@ mod tests {
     #[test]
     fn add_and_query_nodes() {
         let mut dp = DataPath::new();
-        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), "R0");
-        let m = dp.add_node(
-            DpNodeKind::Module {
-                id: ModuleId::from_index(0),
-                kinds: BTreeSet::from([OpKind::Add]),
-            },
-            "FU0",
-        );
+        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)));
+        let m = dp.add_node(DpNodeKind::Module {
+            id: ModuleId::from_index(0),
+            kinds: BTreeSet::from([OpKind::Add]),
+        });
         assert_eq!(dp.num_nodes(), 2);
         assert!(dp.node(r).kind().is_register());
         assert!(dp.node(m).kind().is_module());
@@ -425,14 +442,11 @@ mod tests {
     #[test]
     fn duplicate_arc_merges_guards() {
         let mut dp = DataPath::new();
-        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), "R0");
-        let m = dp.add_node(
-            DpNodeKind::Module {
-                id: ModuleId::from_index(0),
-                kinds: BTreeSet::from([OpKind::Add]),
-            },
-            "FU0",
-        );
+        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)));
+        let m = dp.add_node(DpNodeKind::Module {
+            id: ModuleId::from_index(0),
+            kinds: BTreeSet::from([OpKind::Add]),
+        });
         let a1 = dp.add_arc(r, m, 0, [place(0)]);
         let a2 = dp.add_arc(r, m, 0, [place(1)]);
         assert_eq!(a1, a2);
@@ -447,16 +461,13 @@ mod tests {
     #[test]
     fn mux_counting() {
         let mut dp = DataPath::new();
-        let r0 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), "R0");
-        let r1 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(1)), "R1");
-        let r2 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(2)), "R2");
-        let m = dp.add_node(
-            DpNodeKind::Module {
-                id: ModuleId::from_index(0),
-                kinds: BTreeSet::from([OpKind::Add]),
-            },
-            "FU0",
-        );
+        let r0 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)));
+        let r1 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(1)));
+        let r2 = dp.add_node(DpNodeKind::Register(RegisterId::from_index(2)));
+        let m = dp.add_node(DpNodeKind::Module {
+            id: ModuleId::from_index(0),
+            kinds: BTreeSet::from([OpKind::Add]),
+        });
         dp.add_arc(r0, m, 0, [place(0)]);
         assert_eq!(dp.mux_count(), 0);
         dp.add_arc(r1, m, 0, [place(1)]);
@@ -465,19 +476,21 @@ mod tests {
         assert_eq!(dp.mux_count(), 2);
         dp.add_arc(r0, m, 1, [place(0)]);
         assert_eq!(dp.mux_count(), 2);
+        // ports past the 64-bit mask count the same way
+        dp.add_arc(r0, m, 70, [place(0)]);
+        assert_eq!(dp.mux_count(), 2);
+        dp.add_arc(r1, m, 70, [place(0)]);
+        assert_eq!(dp.mux_count(), 3);
     }
 
     #[test]
     fn self_loop_detection() {
         let mut dp = DataPath::new();
-        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), "R0");
-        let m = dp.add_node(
-            DpNodeKind::Module {
-                id: ModuleId::from_index(0),
-                kinds: BTreeSet::from([OpKind::Add]),
-            },
-            "FU0",
-        );
+        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)));
+        let m = dp.add_node(DpNodeKind::Module {
+            id: ModuleId::from_index(0),
+            kinds: BTreeSet::from([OpKind::Add]),
+        });
         dp.add_arc(r, m, 0, [place(0)]);
         assert!(!dp.on_self_loop(r));
         dp.add_arc(m, r, 0, [place(0)]);
@@ -488,14 +501,11 @@ mod tests {
     #[test]
     fn arc_id_accessors_track_insertion_order() {
         let mut dp = DataPath::new();
-        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)), "R0");
-        let m = dp.add_node(
-            DpNodeKind::Module {
-                id: ModuleId::from_index(0),
-                kinds: BTreeSet::from([OpKind::Add]),
-            },
-            "FU0",
-        );
+        let r = dp.add_node(DpNodeKind::Register(RegisterId::from_index(0)));
+        let m = dp.add_node(DpNodeKind::Module {
+            id: ModuleId::from_index(0),
+            kinds: BTreeSet::from([OpKind::Add]),
+        });
         let a0 = dp.add_arc(r, m, 0, [place(0)]);
         let a1 = dp.add_arc(r, m, 1, [place(0)]);
         assert_eq!(dp.in_arc_ids(m), [a0, a1]);

@@ -3,22 +3,30 @@
 
 use std::fmt::Write as _;
 
+use hlts_alloc::Allocation;
+use hlts_dfg::Dfg;
+
 use crate::{ControlNet, DataPath, DpNodeKind};
 
 /// Render the data path as a GraphViz digraph: registers as boxes,
 /// modules as trapezoid-ish records, ports as ellipses; each arc
-/// labeled with its guarding control places.
+/// labeled with its guarding control places. Node labels are built
+/// from the `dfg` and `allocation` the path was lowered from.
 ///
 /// # Example
 ///
 /// ```
+/// use hlts_alloc::Allocation;
+/// use hlts_dfg::parse;
 /// use hlts_etpn::{data_path_to_dot, DataPath};
 ///
-/// let dot = data_path_to_dot(&DataPath::new(), "empty");
+/// let dfg = parse("dfg t { input a, b; N1: s = a + b; output s; }").unwrap();
+/// let alloc = Allocation::one_to_one(&dfg);
+/// let dot = data_path_to_dot(&DataPath::new(), &dfg, &alloc, "empty");
 /// assert!(dot.starts_with("digraph empty"));
 /// ```
 #[must_use]
-pub fn data_path_to_dot(dp: &DataPath, name: &str) -> String {
+pub fn data_path_to_dot(dp: &DataPath, dfg: &Dfg, allocation: &Allocation, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph {name} {{");
     let _ = writeln!(out, "  rankdir=TB;");
@@ -37,7 +45,7 @@ pub fn data_path_to_dot(dp: &DataPath, name: &str) -> String {
             out,
             "  n{} [label=\"{}\", shape={shape}, style={style}];",
             node.id().index(),
-            node.label().replace('"', "'"),
+            node.label(dfg, allocation).replace('"', "'"),
         );
     }
     for arc in dp.arcs() {
@@ -109,7 +117,7 @@ mod tests {
         let s = list_schedule(&d, &[], ListPriority::CriticalPath).unwrap();
         let alloc = Allocation::one_to_one(&d);
         let e = crate::Etpn::from_parts(&d, &s, &alloc).unwrap();
-        let dot = data_path_to_dot(e.data_path(), "t");
+        let dot = data_path_to_dot(e.data_path(), &d, &alloc, "t");
         assert!(dot.contains("digraph t"));
         assert!(dot.contains("R{a}"));
         assert!(dot.contains("->"));

@@ -14,7 +14,11 @@
 //! [`Etpn::from_parts`] lowers a scheduled, allocated behavioral
 //! description into this representation; [`ControlNet::critical_path`]
 //! extracts the execution time `E` from the net's reachability tree — the
-//! quantity the synthesis algorithm uses for its ΔE estimates.
+//! quantity the synthesis algorithm uses for its ΔE estimates. The
+//! synthesis loop prices and analyzes designs without the full lowering:
+//! [`Etpn::control_of`] builds the control part alone, and
+//! [`Etpn::data_path_of`] the structural data path (no guards), through
+//! the same builder [`Etpn::from_parts`] uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,9 +106,58 @@ impl Etpn {
     /// ```
     #[must_use]
     pub fn execution_time_of(dfg: &Dfg, schedule: &Schedule) -> usize {
-        let net = build::control_part(dfg, schedule).net;
+        let net = Etpn::control_of(dfg, schedule);
         net.chain_critical_path()
             .unwrap_or_else(|| net.critical_path())
+    }
+
+    /// The control part `dfg` and `schedule` lower to, built alone: it
+    /// reads only the schedule's length, whether the graph has
+    /// loop-carried values, and its first condition value — never the
+    /// binding. Equal to [`control`](Etpn::control) of
+    /// [`from_parts`](Etpn::from_parts) whenever that lowering succeeds.
+    /// Route it through a [`CriticalPathEngine`] for a memoized `E`.
+    #[must_use]
+    pub fn control_of(dfg: &Dfg, schedule: &Schedule) -> ControlNet {
+        build::control_part(dfg, schedule).net
+    }
+
+    /// The structural data path of the design: the nodes and the
+    /// `(from, to, port)` arcs of [`data_path`](Etpn::data_path) of
+    /// [`from_parts`](Etpn::from_parts), in the same order, but with no
+    /// guards on the arcs and no control part built. It is a function
+    /// of the graph's data edges and the binding alone: `schedule` is
+    /// only checked ([`check_parts`](Etpn::check_parts)), so two legal
+    /// schedules of one binding give equal paths. This is all the cost
+    /// estimate and the testability analysis read.
+    ///
+    /// # Errors
+    ///
+    /// As for [`from_parts`](Etpn::from_parts).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use hlts_alloc::Allocation;
+    /// use hlts_dfg::parse;
+    /// use hlts_etpn::Etpn;
+    /// use hlts_sched::{list_schedule, ListPriority};
+    ///
+    /// let dfg = parse("dfg t { input a, b; N1: s = a + b; N2: p = s * b; output p; }").unwrap();
+    /// let schedule = list_schedule(&dfg, &[], ListPriority::CriticalPath).unwrap();
+    /// let alloc = Allocation::one_to_one(&dfg);
+    /// let dp = Etpn::data_path_of(&dfg, &schedule, &alloc).unwrap();
+    /// let full = Etpn::from_parts(&dfg, &schedule, &alloc).unwrap();
+    /// assert_eq!(dp.num_arcs(), full.data_path().num_arcs());
+    /// assert!(dp.arcs().iter().all(|arc| arc.guards().is_empty()));
+    /// ```
+    pub fn data_path_of(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        allocation: &Allocation,
+    ) -> Result<DataPath, EtpnBuildError> {
+        build::check(dfg, schedule, allocation)?;
+        Ok(build::data_path(dfg, allocation, None))
     }
 
     /// The structural data path.
@@ -121,22 +174,12 @@ impl Etpn {
 
     /// Execution time `E`: the critical-path length of the control part,
     /// in control steps, extracted from the reachability tree. This is
-    /// the from-scratch reference; the synthesis inner loop uses
-    /// [`execution_time_with`] instead.
-    ///
-    /// [`execution_time_with`]: Etpn::execution_time_with
+    /// the from-scratch reference; the synthesis inner loop routes
+    /// [`control_of`](Etpn::control_of) through a shared
+    /// [`CriticalPathEngine`] instead.
     #[must_use]
     pub fn execution_time(&self) -> usize {
         self.control.critical_path()
-    }
-
-    /// Execution time `E` via a shared [`CriticalPathEngine`]:
-    /// memoized across structurally identical control parts and using
-    /// the single-token shortcut where it applies. Result is identical
-    /// to [`execution_time`](Etpn::execution_time).
-    #[must_use]
-    pub fn execution_time_with(&self, engine: &CriticalPathEngine) -> usize {
-        engine.critical_path(&self.control)
     }
 
     pub(crate) fn new(data_path: DataPath, control: ControlNet) -> Self {

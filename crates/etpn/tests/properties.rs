@@ -93,7 +93,7 @@ proptest! {
             let max_arity = m.ops().iter().map(|&o| d.op(o).inputs().len()).max().unwrap_or(0);
             for port in 0..max_arity {
                 let fed = dp.in_arc_ids(mn).iter().any(|&a| dp.arc(a).port() == port);
-                prop_assert!(fed, "port {port} of {} unfed", dp.node(mn).label());
+                prop_assert!(fed, "port {port} of {} unfed", dp.node(mn).label(&d, &a));
             }
             for &o in m.ops() {
                 if let Some(out) = d.op(o).output() {

@@ -155,7 +155,7 @@ pub fn elaborate_with(
     while !remaining.is_empty() {
         rounds += 1;
         if rounds > modules.len() + 1 {
-            let stuck = dp.node(remaining[0]).label().to_owned();
+            let stuck = dp.node(remaining[0]).label(dfg, allocation);
             return Err(ElaborateError::CombinationalCycle(stuck));
         }
         remaining.retain(|&m| {
@@ -207,7 +207,7 @@ pub fn elaborate_with(
                         .map(|&c| expand_bit(&mut nl, c, bits))
                 })
                 .ok_or_else(|| {
-                    ElaborateError::MissingSource(dp.node(arc.from()).label().to_owned())
+                    ElaborateError::MissingSource(dp.node(arc.from()).label(dfg, allocation))
                 })?;
             let act = guard_act(&mut nl, arc);
             acts.push(act);
@@ -229,11 +229,11 @@ pub fn elaborate_with(
                     .in_arc_ids(node.id())
                     .first()
                     .map(|&a| dp.arc(a).from())
-                    .ok_or_else(|| ElaborateError::MissingSource(node.label().to_owned()))?;
+                    .ok_or_else(|| ElaborateError::MissingSource(node.label(dfg, allocation)))?;
                 let w = word
                     .get(&src)
                     .cloned()
-                    .ok_or_else(|| ElaborateError::MissingSource(node.label().to_owned()))?;
+                    .ok_or_else(|| ElaborateError::MissingSource(node.label(dfg, allocation)))?;
                 // The arc into the output port is guarded by the final
                 // place; under strobing, gate the observation with it.
                 let strobe = if strobe_outputs {
@@ -257,11 +257,11 @@ pub fn elaborate_with(
                     .in_arc_ids(node.id())
                     .first()
                     .map(|&a| dp.arc(a).from())
-                    .ok_or_else(|| ElaborateError::MissingSource(node.label().to_owned()))?;
+                    .ok_or_else(|| ElaborateError::MissingSource(node.label(dfg, allocation)))?;
                 let c = cond_bit
                     .get(&src)
                     .copied()
-                    .ok_or_else(|| ElaborateError::MissingSource(node.label().to_owned()))?;
+                    .ok_or_else(|| ElaborateError::MissingSource(node.label(dfg, allocation)))?;
                 nl.output(format!("cond_{}", dfg.value(*v).name()), c);
             }
             _ => {}

@@ -305,7 +305,7 @@ impl TestabilityAnalysis {
         // Forward worklist for controllability: sweep 1 evaluates every
         // register/module (exactly like the dense first sweep); later
         // sweeps only the elements an accepted change reached.
-        let mut wl = Worklist::new(MAX_SWEEPS as u32);
+        let mut wl = Worklist::new(MAX_SWEEPS as u32, n);
         for node in dp.nodes() {
             if forward_evaluable(node.kind()) {
                 wl.push(1, node.id().index());
@@ -338,7 +338,7 @@ impl TestabilityAnalysis {
         let m = dp.num_arcs();
         let mut arc_obs = vec![Observability::none(); m];
         let ctrl_final = |p: DpNodeId| out_ctrl[p.index()];
-        let mut wl = Worklist::new(MAX_SWEEPS as u32);
+        let mut wl = Worklist::new(MAX_SWEEPS as u32, m);
         for i in 0..m {
             wl.push(1, i);
         }

@@ -52,8 +52,8 @@ fn assert_matches_dense(dp: &DataPath) {
     for node in dp.nodes() {
         let a = ta.output_controllability(node.id());
         let b = dense.output_controllability(node.id());
-        prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {}", node.label());
-        prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {}", node.label());
+        prop_assert_eq!(a.cc.to_bits(), b.cc.to_bits(), "cc of {:?}", node.kind());
+        prop_assert_eq!(a.sc.to_bits(), b.sc.to_bits(), "sc of {:?}", node.kind());
     }
     for arc in dp.arcs() {
         let a = ta.arc_observability(arc.id());
@@ -97,7 +97,7 @@ proptest! {
             }
             if node.kind().is_register() {
                 let c = ta.output_controllability(node.id());
-                prop_assert!(c.cc > 0.0, "unreachable register {}", node.label());
+                prop_assert!(c.cc > 0.0, "unreachable register {:?}", node.kind());
                 // a register costs at least one time frame
                 prop_assert!(c.sc >= 1.0);
             }

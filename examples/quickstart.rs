@@ -50,7 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let p = NodeProfile::of(&analysis, etpn.data_path(), node);
         println!(
             "  {:24} C = {:.2}  O = {:.2}",
-            etpn.data_path().node(node).label(),
+            etpn.data_path()
+                .node(node)
+                .label(&result.dfg, &result.allocation),
             p.c,
             p.o
         );

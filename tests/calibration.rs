@@ -55,7 +55,7 @@ fn exporters_handle_a_full_design() {
     let r = baselines::approach2(&dfg, &p).expect("approach2");
     let etpn = Etpn::from_parts(&r.dfg, &r.schedule, &r.allocation).expect("lowerable");
 
-    let dot = data_path_to_dot(etpn.data_path(), "diffeq_dp");
+    let dot = data_path_to_dot(etpn.data_path(), &r.dfg, &r.allocation, "diffeq_dp");
     assert!(dot.starts_with("digraph diffeq_dp"));
     assert!(dot.matches("label=").count() >= etpn.data_path().num_nodes());
 
