@@ -64,7 +64,7 @@ cargo test -q --release --offline --test tcov_conformance -- --ignored
 echo "==> PODEM reference matrix: 4 paper benchmarks + 32 generated graphs at 2-4 bits + the graded-run corpus, free and every control preset (release)"
 cargo test -q --release --offline --test podem_reference -- --ignored
 
-echo "==> floorplan reference matrix: 6 paper benchmarks + 32 generated graphs, every committed state (release)"
+echo "==> floorplan reference matrix: 6 paper benchmarks + 32 generated graphs, every priced state and trial (release)"
 cargo test -q --release --offline -p hlts-cost --test floorplan_reference -- --ignored
 
 echo "==> structural data path matrix: equals the full lowering on every committed state and pair trial (release)"

@@ -81,7 +81,13 @@ impl Module {
     /// The set of operation kinds this unit must support.
     #[must_use]
     pub fn kinds(&self, dfg: &Dfg) -> BTreeSet<OpKind> {
-        self.ops.iter().map(|&o| dfg.op(o).kind()).collect()
+        // Inserted one by one: one allocation, where `collect` would
+        // first buffer the kinds in a `Vec`.
+        let mut kinds = BTreeSet::new();
+        for &o in &self.ops {
+            kinds.insert(dfg.op(o).kind());
+        }
+        kinds
     }
 }
 

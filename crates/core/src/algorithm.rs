@@ -442,7 +442,7 @@ impl IntegratedSynthesizer {
         dc: f64,
         entry: &TraceEntry,
     ) -> Option<ReplayStep> {
-        let kind = resolve_winner(state, winner)?;
+        let kind = winner.resolve(state)?;
         {
             let mut txn = StateTxn::begin(state);
             if apply_merge(&mut txn, kind).is_err() {
@@ -580,34 +580,6 @@ fn merge_symbols(state: &DesignState, kind: MergeKind) -> (String, String) {
     match kind {
         MergeKind::Modules(a, b) => (module_sym(a), module_sym(b)),
         MergeKind::Registers(a, b) => (register_sym(a), register_sym(b)),
-    }
-}
-
-/// Resolve a recorded winner's symbols against the current state. The
-/// replayed trajectory is bit-identical to the recorded one up to this
-/// entry, so the op/value named at capture time lives in exactly the
-/// module/register the recorder merged; `None` (unknown symbol, dead
-/// register, or both symbols landing in one unit) reports divergence.
-fn resolve_winner(state: &DesignState, winner: &TraceWinner) -> Option<MergeKind> {
-    match winner.kind {
-        TraceMergeKind::Modules => {
-            let a = state
-                .allocation
-                .module_of(state.dfg.op_by_name(&winner.sym_a)?);
-            let b = state
-                .allocation
-                .module_of(state.dfg.op_by_name(&winner.sym_b)?);
-            (a != b).then_some(MergeKind::Modules(a, b))
-        }
-        TraceMergeKind::Registers => {
-            let a = state
-                .allocation
-                .register_of(state.dfg.value_by_name(&winner.sym_a)?)?;
-            let b = state
-                .allocation
-                .register_of(state.dfg.value_by_name(&winner.sym_b)?)?;
-            (a != b).then_some(MergeKind::Registers(a, b))
-        }
     }
 }
 

@@ -54,7 +54,11 @@ pub struct MergeCandidate {
 const SELF_LOOP_PENALTY: f64 = 0.5;
 
 /// Enumerate every legal merge pair of the current design, scored by the
-/// C/O balance principle, best first.
+/// C/O balance principle, best first: the shortlist order in which
+/// Algorithm 1 prices candidates under [`SelectionPolicy::CoBalance`],
+/// given the state's structural data path and its analysis.
+///
+/// [`SelectionPolicy::CoBalance`]: crate::SelectionPolicy::CoBalance
 ///
 /// Legality here is the cheap structural filter (functional-unit
 /// compatibility for modules; no common consumer for registers); the

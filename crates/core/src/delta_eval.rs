@@ -32,12 +32,13 @@
 //! (SR2 probes compare `E` alone), so Algorithm 1 runs one CC/SC/CO/SO
 //! fixpoint per iteration, on the current structural data path.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use hlts_cost::{estimate_cost, ModuleLibrary};
-use hlts_etpn::{CacheStats, CriticalPathEngine, Etpn};
+use hlts_etpn::{CacheStats, CriticalPathEngine, DataPath, Etpn};
 
 use crate::{CoreError, DesignState};
 
@@ -91,10 +92,11 @@ impl DeltaEvaluator {
     /// (execution time, hardware cost) of `state`, memoized.
     ///
     /// On a miss this builds the structural data path
-    /// ([`DesignState::data_path`], which checks the state exactly as a
-    /// full lowering does) and floorplans it for `H`, and takes `E` from
-    /// the control part alone through the shared critical-path engine;
-    /// no full ETPN is built. On a hit it is two hash lookups.
+    /// ([`DesignState::data_path_into`], which checks the state exactly
+    /// as a full lowering does) into a per-thread buffer that keeps its
+    /// capacity from miss to miss, and floorplans it for `H`; it takes
+    /// `E` from the control part alone through the shared critical-path
+    /// engine. No full ETPN is built. On a hit it is two hash lookups.
     ///
     /// # Errors
     ///
@@ -119,11 +121,14 @@ impl DeltaEvaluator {
             return Ok(hit);
         }
         self.state_misses.fetch_add(1, Ordering::Relaxed);
-        let dp = state.data_path()?;
+        let h = PRICED_PATH.with(|dp| -> Result<f64, CoreError> {
+            let dp = &mut *dp.borrow_mut();
+            state.data_path_into(dp)?;
+            Ok(estimate_cost(dp, bits, library).total())
+        })?;
         let e = self
             .engine
             .critical_path(&Etpn::control_of(&state.dfg, &state.schedule));
-        let h = estimate_cost(&dp, bits, library).total();
         self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -146,6 +151,12 @@ impl DeltaEvaluator {
             critical_path: self.engine.stats(),
         }
     }
+}
+
+thread_local! {
+    /// The structural data path of the state being priced, rebuilt in
+    /// place on every miss (see [`DataPath::clear`]).
+    static PRICED_PATH: RefCell<DataPath> = RefCell::new(DataPath::new());
 }
 
 /// 64-bit mix of two halves (splitmix-style finalizer).

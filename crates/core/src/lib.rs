@@ -61,7 +61,7 @@ mod txn;
 pub use algorithm::{
     EvalMode, IntegratedSynthesizer, SelectionPolicy, SynthesisParams, WarmSynthesis,
 };
-pub use candidates::{MergeCandidate, MergeKind};
+pub use candidates::{enumerate_candidates, MergeCandidate, MergeKind};
 pub use delta_eval::{DeltaEvaluator, EvalStats};
 pub use error::CoreError;
 pub use progress::{CancelToken, NullSink, ProgressEvent, ProgressSink, RunCtl};

@@ -495,20 +495,20 @@ fn register_merge_body(
         return Err(CoreError::MergeRejected(format!("{a} or {b} is stale")));
     }
 
-    // Veto case 2: a common consumer needs both values at once.
+    // Veto case 2: a common consumer needs both values at once. Every
+    // op reading `x` is among its uses.
+    let dfg = &txn.state().dfg;
     for &x in seq_a.iter() {
         for &y in seq_b.iter() {
-            let clash = txn
-                .state()
-                .dfg
-                .ops()
+            let clash = dfg
+                .uses_of(x)
                 .iter()
-                .any(|op| op.inputs().contains(&x) && op.inputs().contains(&y));
+                .any(|&op| dfg.op(op).inputs().contains(&y));
             if clash {
                 return Err(CoreError::MergeRejected(format!(
                     "`{}` and `{}` feed one operation together",
-                    txn.state().dfg.value(x).name(),
-                    txn.state().dfg.value(y).name()
+                    dfg.value(x).name(),
+                    dfg.value(y).name()
                 )));
             }
         }
@@ -683,8 +683,24 @@ mod tests {
             s.allocation.register_of(t1).unwrap(),
             s.allocation.register_of(t2).unwrap(),
         );
+        let want = "`t1` and `t2` feed one operation together";
         let e = merge_registers_with_resched(&mut s, r1, r2).unwrap_err();
-        assert!(matches!(e, CoreError::MergeRejected(_)), "{e}");
+        assert!(
+            matches!(&e, CoreError::MergeRejected(m) if m == want),
+            "{e}"
+        );
+        // The full-scan formulation names the same first pair.
+        let e = crate::oracle::merge_registers_cloned(&mut s, r2, r1).unwrap_err();
+        let flipped = "`t2` and `t1` feed one operation together";
+        assert!(
+            matches!(&e, CoreError::MergeRejected(m) if m == flipped),
+            "{e}"
+        );
+        let e = merge_registers_with_resched(&mut s, r2, r1).unwrap_err();
+        assert!(
+            matches!(&e, CoreError::MergeRejected(m) if m == flipped),
+            "{e}"
+        );
     }
 
     #[test]

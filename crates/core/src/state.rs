@@ -155,6 +155,22 @@ impl DesignState {
         )?)
     }
 
+    /// [`data_path`](DesignState::data_path), written into `dp` in
+    /// place of what it held, keeping `dp`'s buffers
+    /// ([`Etpn::data_path_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`lower`](DesignState::lower).
+    pub fn data_path_into(&self, dp: &mut DataPath) -> Result<(), CoreError> {
+        Ok(Etpn::data_path_into(
+            &self.dfg,
+            &self.schedule,
+            &self.allocation,
+            dp,
+        )?)
+    }
+
     /// Lifetime analysis of the current schedule (the paper's step 13).
     #[must_use]
     pub fn lifetimes(&self) -> Lifetimes {

@@ -26,6 +26,8 @@
 //! [`IntegratedSynthesizer::run_on_warm`]:
 //!     crate::IntegratedSynthesizer::run_on_warm
 
+use crate::{DesignState, MergeKind};
+
 /// Which structure a recorded merge fused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMergeKind {
@@ -55,6 +57,38 @@ pub struct TraceWinner {
     /// [`DeltaEvaluator::fingerprint`]:
     ///     crate::DeltaEvaluator::fingerprint
     pub fingerprint: u64,
+}
+
+impl TraceWinner {
+    /// Resolve the recorded symbols against `state`, the state this
+    /// merge was committed on (or a replay of it): replayed up to this
+    /// entry, the op or value named at capture time lives in exactly
+    /// the module or register the recorder merged. `None` (unknown
+    /// symbol, dead register, or both symbols landing in one unit)
+    /// means the replay diverged.
+    #[must_use]
+    pub fn resolve(&self, state: &DesignState) -> Option<MergeKind> {
+        match self.kind {
+            TraceMergeKind::Modules => {
+                let a = state
+                    .allocation
+                    .module_of(state.dfg.op_by_name(&self.sym_a)?);
+                let b = state
+                    .allocation
+                    .module_of(state.dfg.op_by_name(&self.sym_b)?);
+                (a != b).then_some(MergeKind::Modules(a, b))
+            }
+            TraceMergeKind::Registers => {
+                let a = state
+                    .allocation
+                    .register_of(state.dfg.value_by_name(&self.sym_a)?)?;
+                let b = state
+                    .allocation
+                    .register_of(state.dfg.value_by_name(&self.sym_b)?)?;
+                (a != b).then_some(MergeKind::Registers(a, b))
+            }
+        }
+    }
 }
 
 /// One iteration of a recorded run: the evaluated price prefix plus the

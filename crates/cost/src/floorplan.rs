@@ -14,12 +14,13 @@
 //!
 //! # The search, and why it lives on a dense grid
 //!
-//! A node's cell is found by a spiral over square rings around the
-//! (truncated) centroid of its placed neighbours — its *anchors*. The
-//! result is the free cell minimizing `(cost, y, x)` among the rings
-//! scanned; the scan stops after the first ring `r` at which a cell is
-//! known and either `r` or the ring's distance bound
-//! `Σ max(0, r − |c − a|₁)` exceeds the best cost (or past ring 512).
+//! A node's cell is the free cell minimizing `(cost, y, x)` — `cost`
+//! being the total Manhattan distance to its placed neighbours, its
+//! *anchors* — among the square rings around the anchors' (truncated)
+//! centroid that the search visits. The search visits rings by radius
+//! and stops after the first ring `r` at which a cell is known and
+//! either `r` or the ring's distance bound `Σ max(0, r − |c − a|₁)`
+//! exceeds the best cost (or past ring 512).
 //!
 //! That rule never picks a cell outside `B + 1`, the bounding box of
 //! the cells placed so far grown by one. Take any cell `p` outside it
@@ -29,26 +30,51 @@
 //! is strictly closer to every anchor on the clamped axis, so it is
 //! strictly cheaper. Hence `p` can never be the best cell, nor change
 //! the best cost seen after any ring — which is all the stop rule
-//! reads. (Without anchors every cell costs 0 and the scan stops at the
-//! first ring holding a free cell, which `B + 1` contains.) By
+//! reads. (Without anchors every cell costs 0 and the search stops at
+//! the first ring holding a free cell, which `B + 1` contains.) By
 //! induction `n` nodes occupy `[−(n−1), n−1]²`, so the placer keeps its
 //! occupancy in a dense generation-stamped grid over `[−n−1, n+1]²`
-//! and scans each ring clipped to `B + 1`, with the anchor cost
-//! tabulated per axis (`Σ|x − aₓ| + Σ|y − a_y|`). A ring whose cheapest
-//! cell — free or not, from the convex axis tables — already costs more
-//! than the best so far is not scanned: none of its cells could win,
-//! not even on the `(y, x)` tie-break. The rings, the tie-break and the
-//! stop rule are the original ones, and since the result is the
-//! minimum of a total order, the order cells are visited in within a
-//! ring does not matter: every position is unchanged. The crate's
-//! reference test replays the original hash-map placement against this
-//! one.
+//! and searches each ring clipped to `B + 1`. Once a ring encloses
+//! `B + 1`, every later ring misses it, so the best cell is final and
+//! the search stops there: the stop rule could only return that cell.
 //!
-//! The adjacency is built once per placement in CSR form; the
-//! next-node choice is a maximum over packed per-node keys whose
-//! placed-neighbour counts are kept incrementally; and all working
-//! memory lives in a per-thread `Placer` reused across calls, so a
-//! warmed placement allocates nothing.
+//! # The outward line search, and why it is exact
+//!
+//! The cost splits per axis, `Σ|x − aₓ| + Σ|y − a_y|`, and each axis
+//! term is convex; the placer tabulates both over `B + 1` in one pass
+//! each, and with them the leftmost minimizer of each (a lower median
+//! of the anchors' coordinates). A clipped ring is four straight sides.
+//! Along a row side `y` is fixed, so the side's `(cost, y, x)` minimum
+//! over free cells is its `(cost, x)` minimum; the cost is the convex
+//! `x` term plus a constant. Let `p` be the `x` minimizer clamped onto
+//! the side. Left of the leftmost minimizer a convex function strictly
+//! decreases, and right of it it never decreases. So walking right
+//! from `p`, cells never get cheaper and `x` grows: the first free cell
+//! is the best one on that half. Walking left from `p − 1`, cells get
+//! strictly dearer: the first free cell is the best one on that half.
+//! Of the two, the cheaper wins, and on a tie the left one (smaller
+//! `x`). A plateau of minimizers is why `p` must start from the
+//! *leftmost* one: on a plateau only the rightward walk meets cells of
+//! equal cost, and it meets them in increasing `x`. Columns are the
+//! same with the axes swapped (ties to the smaller `y`). A walk also
+//! stops at the first cell dearer than the best so far, and a side
+//! whose cheapest cell — at `p`, free or not — already is dearer is not
+//! searched: no cell there could win, not even on the `(y, x)`
+//! tie-break. The rings, the tie-break and the stop rule are the
+//! original ones, and since the result is the minimum of a total order
+//! over the cells of the visited rings, every position is unchanged:
+//! the crate's reference test replays the original cell-by-cell scan
+//! over a hash map of taken cells against this search, on every
+//! committed and every priced trial state of Algorithm 1.
+//!
+//! The adjacency is built once per placement in CSR form. The next
+//! node is the maximum of packed per-node keys whose placed-neighbour
+//! counts are kept incrementally, taken over the *frontier* — the
+//! unplaced nodes with a placed neighbour, which outrank every other
+//! node — and over all nodes only when the frontier is empty (a new
+//! connected component). All working memory lives in a per-thread
+//! `Placer` reused across calls, so a warmed placement allocates
+//! nothing.
 
 use std::cell::RefCell;
 
@@ -88,13 +114,15 @@ impl Floorplan {
     /// indicator used in diagnostics).
     #[must_use]
     pub fn half_perimeter(&self) -> i32 {
-        if self.pos.is_empty() {
+        let Some(&(x, y)) = self.pos.first() else {
             return 0;
+        };
+        let (mut x0, mut x1, mut y0, mut y1) = (x, x, y, y);
+        for &(x, y) in &self.pos[1..] {
+            (x0, x1) = (x0.min(x), x1.max(x));
+            (y0, y1) = (y0.min(y), y1.max(y));
         }
-        let xs: Vec<i32> = self.pos.iter().map(|p| p.0).collect();
-        let ys: Vec<i32> = self.pos.iter().map(|p| p.1).collect();
-        (xs.iter().max().unwrap() - xs.iter().min().unwrap())
-            + (ys.iter().max().unwrap() - ys.iter().min().unwrap())
+        (x1 - x0) + (y1 - y0)
     }
 }
 
@@ -132,6 +160,9 @@ struct Placer {
     /// multiplicity, degree, `u32::MAX − index`) so the next node is the
     /// key maximum; 0 once placed.
     rank: Vec<u128>,
+    /// The unplaced nodes with at least one placed neighbour, in no
+    /// particular order: their keys exceed every other unplaced key.
+    frontier: Vec<u32>,
     placed: Vec<bool>,
     pos: Vec<(i32, i32)>,
     /// Occupancy: cell `(x, y)` is taken iff
@@ -147,6 +178,9 @@ struct Placer {
     cost_y: Vec<i64>,
 }
 
+/// The unplaced-neighbour increment of a selection key.
+const PLACED_NEIGHBOUR: u128 = 1 << 64;
+
 impl Placer {
     /// Place every node of `dp`; returns the positions by node index.
     fn place(&mut self, dp: &DataPath) -> &[(i32, i32)] {
@@ -160,6 +194,7 @@ impl Placer {
         self.pos.resize(n, (0, 0));
         self.placed.clear();
         self.placed.resize(n, false);
+        self.frontier.clear();
         self.rank.clear();
         for i in 0..n {
             let degree = self.start[i + 1] - self.start[i];
@@ -170,12 +205,13 @@ impl Placer {
 
         // seed: the most connected node at the origin (ties by id)
         let mut bbox = (0, 0, 0, 0);
-        self.put(self.top_ranked(), (0, 0));
+        let seed = self.take_top_ranked();
+        self.put(seed, (0, 0));
 
         for _ in 1..n {
             // next: unplaced node with most placed neighbors; ties by
             // total degree then id
-            let next = self.top_ranked();
+            let next = self.take_top_ranked();
             self.anchors.clear();
             for k in self.start[next]..self.start[next + 1] {
                 let j = self.nbrs[k as usize] as usize;
@@ -196,15 +232,28 @@ impl Placer {
         &self.pos
     }
 
-    /// The unplaced node of maximum rank (keys are distinct).
-    fn top_ranked(&self) -> usize {
-        let mut best = 0;
-        for (i, &r) in self.rank.iter().enumerate() {
-            if r > self.rank[best] {
-                best = i;
+    /// The unplaced node of maximum rank (keys are distinct), taken off
+    /// the frontier. Any frontier key outranks every key off it, so
+    /// only an empty frontier needs the scan over all nodes (placed
+    /// ones rank 0).
+    fn take_top_ranked(&mut self) -> usize {
+        let rank = &self.rank;
+        if self.frontier.is_empty() {
+            let mut best = 0;
+            for (i, &r) in rank.iter().enumerate() {
+                if r > rank[best] {
+                    best = i;
+                }
+            }
+            return best;
+        }
+        let mut at = 0;
+        for (k, &i) in self.frontier.iter().enumerate() {
+            if rank[i as usize] > rank[self.frontier[at] as usize] {
+                at = k;
             }
         }
-        best
+        self.frontier.swap_remove(at) as usize
     }
 
     /// Connection lists with multiplicity, self-loops skipped, in CSR.
@@ -260,6 +309,10 @@ impl Placer {
         (y + half) as usize * self.stride + (x + half) as usize
     }
 
+    fn is_free(&self, x: i32, y: i32) -> bool {
+        self.grid[self.cell(x, y)] != self.stamp
+    }
+
     fn put(&mut self, node: usize, at: (i32, i32)) {
         self.pos[node] = at;
         self.placed[node] = true;
@@ -269,14 +322,18 @@ impl Placer {
         for k in self.start[node]..self.start[node + 1] {
             let j = self.nbrs[k as usize] as usize;
             if !self.placed[j] {
-                self.rank[j] += 1 << 64;
+                if self.rank[j] < PLACED_NEIGHBOUR {
+                    self.frontier.push(j as u32);
+                }
+                self.rank[j] += PLACED_NEIGHBOUR;
             }
         }
     }
 
-    /// The free cell minimizing total Manhattan distance to the anchors
-    /// (spiral search around their centroid; origin when no anchor),
-    /// given the bounding box `(x0, x1, y0, y1)` of the placed cells.
+    /// The free cell minimizing `(Σ anchor distance, y, x)` over the
+    /// rings around the anchors' centroid (origin when no anchor) that
+    /// the stop rule visits, given the bounding box `(x0, x1, y0, y1)`
+    /// of the placed cells. See the module docs for the line search.
     fn best_free_cell(&mut self, (x0, x1, y0, y1): (i32, i32, i32, i32)) -> (i32, i32) {
         let anchors = &self.anchors;
         let (cx, cy) = if anchors.is_empty() {
@@ -289,20 +346,13 @@ impl Placer {
         };
         // The search region B + 1 (see the module docs).
         let (x_lo, x_hi, y_lo, y_hi) = (x0 - 1, x1 + 1, y0 - 1, y1 + 1);
-        tabulate(&mut self.cost_x, anchors.iter().map(|a| a.0), x_lo, x_hi);
-        tabulate(&mut self.cost_y, anchors.iter().map(|a| a.1), y_lo, y_hi);
+        let mx = tabulate(&mut self.cost_x, anchors.iter().map(|a| a.0), x_lo, x_hi);
+        let my = tabulate(&mut self.cost_y, anchors.iter().map(|a| a.1), y_lo, y_hi);
         self.anchor_dist.clear();
         self.anchor_dist.extend(
             anchors
                 .iter()
                 .map(|&(ax, ay)| i64::from((cx - ax).abs() + (cy - ay).abs())),
-        );
-
-        // The axis costs are convex, so their minimum over a span is at
-        // the span's point nearest a global minimizer.
-        let (mx, my) = (
-            argmin(&self.cost_x) as i32 + x_lo,
-            argmin(&self.cost_y) as i32 + y_lo,
         );
         let cost_x = |x: i32| self.cost_x[(x - x_lo) as usize];
         let cost_y = |y: i32| self.cost_y[(y - y_lo) as usize];
@@ -312,46 +362,34 @@ impl Placer {
         for radius in 0.. {
             // The square ring at `radius`, clipped to B + 1: its rows
             // span columns xa..=xb (never empty: the centroid lies in B),
-            // its columns rows ya..=yb. At radius 0 the two rows are the
-            // same cell, which the minimum does not mind.
+            // its columns rows ya..=yb. At radius 0 the ring is the
+            // centroid's cell, searched once as the top row.
             let (top, bottom) = (cy - radius, cy + radius);
             let (left, right) = (cx - radius, cx + radius);
             let (xa, xb) = (left.max(x_lo), right.min(x_hi));
             let (ya, yb) = ((top + 1).max(y_lo), (bottom - 1).min(y_hi));
-            let rows = [top, bottom]
-                .into_iter()
-                .filter(|y| (y_lo..=y_hi).contains(y));
-            let cols = [left, right]
-                .into_iter()
-                .filter(|x| ya <= yb && (x_lo..=x_hi).contains(x));
-            // A ring is skipped when even its cheapest cell, free or not,
-            // costs more than the best so far: it could not win, not even
-            // on the (y, x) tie-break.
-            let floor = rows
-                .clone()
-                .map(|y| cost_y(y) + cost_x(mx.clamp(xa, xb)))
-                .chain(cols.clone().map(|x| cost_x(x) + cost_y(my.clamp(ya, yb))))
-                .min();
-            if best.is_none_or(|(bc, _, _)| floor.is_some_and(|f| f <= bc)) {
-                let mut consider = |x: i32, y: i32| {
-                    if self.grid[self.cell(x, y)] == self.stamp {
-                        return;
-                    }
-                    let c = cost_x(x) + cost_y(y);
-                    if best.is_none_or(|b| (c, y, x) < b) {
-                        best = Some((c, y, x));
-                    }
-                };
-                for y in rows {
-                    for x in xa..=xb {
-                        consider(x, y);
+            let rows = if radius == 0 { 1 } else { 2 };
+            for y in [top, bottom].into_iter().take(rows) {
+                if (y_lo..=y_hi).contains(&y) {
+                    let bound = best.map_or(i64::MAX, |b| b.0) - cost_y(y);
+                    let hit = line_min(xa, xb, mx, bound, cost_x, |x| self.is_free(x, y));
+                    offer(&mut best, hit.map(|(c, x)| (c + cost_y(y), y, x)));
+                }
+            }
+            if ya <= yb {
+                for x in [left, right] {
+                    if (x_lo..=x_hi).contains(&x) {
+                        let bound = best.map_or(i64::MAX, |b| b.0) - cost_x(x);
+                        let hit = line_min(ya, yb, my, bound, cost_y, |y| self.is_free(x, y));
+                        offer(&mut best, hit.map(|(c, y)| (c + cost_x(x), y, x)));
                     }
                 }
-                for x in cols {
-                    for y in ya..=yb {
-                        consider(x, y);
-                    }
-                }
+            }
+            // Every later ring lies wholly outside B + 1 once this one
+            // encloses it: the best cell can no longer change, so the
+            // original stop rule would return it too.
+            if left <= x_lo && right >= x_hi && top <= y_lo && bottom >= y_hi {
+                break;
             }
             // Once a candidate exists and the ring is beyond any possible
             // improvement, stop: distance to centroid grows with radius.
@@ -375,26 +413,80 @@ impl Placer {
     }
 }
 
-/// Index of the first minimum of a non-empty table.
-fn argmin(table: &[i64]) -> usize {
-    let mut best = 0;
-    for (i, &v) in table.iter().enumerate() {
-        if v < table[best] {
-            best = i;
+/// The `(cost(t), t)` minimum over the free `t` in `lo..=hi` whose cost
+/// is at most `bound`, for a convex `cost` whose leftmost minimizer is
+/// `min_at`: the first free cell walking up from `min_at` (clamped onto
+/// the span) against the first walking down from below it, the lower
+/// one winning a tie (see the module docs).
+fn line_min(
+    lo: i32,
+    hi: i32,
+    min_at: i32,
+    bound: i64,
+    cost: impl Fn(i32) -> i64,
+    free: impl Fn(i32) -> bool,
+) -> Option<(i64, i32)> {
+    let p = min_at.clamp(lo, hi);
+    let mut up = None;
+    for t in p..=hi {
+        let c = cost(t);
+        if c > bound {
+            break;
+        }
+        if free(t) {
+            up = Some((c, t));
+            break;
         }
     }
-    best
+    // Below `p` every step is strictly dearer; a tie with `up` goes to
+    // the lower cell.
+    let bound = up.map_or(bound, |(c, _)| c);
+    for t in (lo..p).rev() {
+        let c = cost(t);
+        if c > bound {
+            break;
+        }
+        if free(t) {
+            return Some((c, t));
+        }
+    }
+    up
 }
 
-/// `table[v − lo] = Σ |v − a|` over `coords`, for `v` in `lo..=hi`.
-fn tabulate(table: &mut Vec<i64>, coords: impl Iterator<Item = i32> + Clone, lo: i32, hi: i32) {
+/// Keep the lexicographic minimum of `best` and `cand`.
+fn offer(best: &mut Option<(i64, i32, i32)>, cand: Option<(i64, i32, i32)>) {
+    if let Some(c) = cand {
+        if best.is_none_or(|b| c < b) {
+            *best = Some(c);
+        }
+    }
+}
+
+/// `table[v − lo] = Σ |v − a|` over `coords` (which lie in `lo..=hi`),
+/// for `v` in `lo..=hi`, in one pass; returns the index of the table's
+/// first minimum. The table first counts the coordinates at each `v`;
+/// from `v` to `v + 1` the sum grows by `2·#(a ≤ v) − k`, which turns
+/// non-negative first at the leftmost minimizer.
+fn tabulate(table: &mut Vec<i64>, coords: impl Iterator<Item = i32>, lo: i32, hi: i32) -> i32 {
     table.clear();
-    table.extend((lo..=hi).map(|v| {
-        coords
-            .clone()
-            .map(|a| i64::from((v - a).abs()))
-            .sum::<i64>()
-    }));
+    table.resize((hi - lo + 1) as usize, 0);
+    let (mut k, mut sum) = (0i64, 0i64);
+    for a in coords {
+        table[(a - lo) as usize] += 1;
+        k += 1;
+        sum += i64::from(a - lo);
+    }
+    let (mut below, mut argmin) = (0i64, None);
+    for (i, slot) in table.iter_mut().enumerate() {
+        below += *slot;
+        *slot = sum;
+        let slope = 2 * below - k;
+        if slope >= 0 && argmin.is_none() {
+            argmin = Some(i as i32);
+        }
+        sum += slope;
+    }
+    lo + argmin.expect("the slope is k ≥ 0 past every coordinate")
 }
 
 #[cfg(test)]
@@ -522,6 +614,32 @@ mod tests {
         for _ in 0..600 {
             assert_eq!(Floorplan::place(&small), want_small);
             assert_eq!(Floorplan::place(&big), want_big);
+        }
+    }
+
+    /// The one-pass table holds the summed distances, and its returned
+    /// minimizer is the table's first minimum: no coordinates (all 0),
+    /// one, repeated ones, and even counts whose sums have a plateau.
+    #[test]
+    fn tabulate_matches_summed_distances() {
+        let (lo, hi) = (-3, 6);
+        for coords in [
+            vec![],
+            vec![2],
+            vec![0, 3],
+            vec![1, 1, 4, 4],
+            vec![-2, 5, 5, 1, 0],
+            vec![6, -3],
+        ] {
+            let mut table = Vec::new();
+            let at = tabulate(&mut table, coords.iter().copied(), lo, hi);
+            let want: Vec<i64> = (lo..=hi)
+                .map(|v| coords.iter().map(|&a| i64::from((v - a).abs())).sum())
+                .collect();
+            assert_eq!(table, want, "{coords:?}");
+            let min = want.iter().min().copied();
+            let first = want.iter().position(|&c| Some(c) == min);
+            assert_eq!(Some(at), first.map(|i| i as i32 + lo), "{coords:?}");
         }
     }
 

@@ -30,6 +30,7 @@
 //! [`DpNode::label`](crate::DpNode::label) builds one from the graph and
 //! the binding where a label is read.
 
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -82,7 +83,8 @@ pub(crate) fn build(
 ) -> Result<Etpn, EtpnBuildError> {
     check(dfg, schedule, allocation)?;
     let control = control_part(dfg, schedule);
-    let dp = data_path(dfg, allocation, Some((schedule, &control)));
+    let mut dp = DataPath::new();
+    data_path(&mut dp, dfg, allocation, Some((schedule, &control)));
     Ok(Etpn::new(dp, control.net))
 }
 
@@ -167,24 +169,71 @@ pub(crate) fn control_part(dfg: &Dfg, schedule: &Schedule) -> ControlPart {
     }
 }
 
-/// Lower the data path. With `guarded`, each transfer arc records the
-/// places of `guarded`'s control part that enable it; without, arcs
-/// carry no guards and the schedule is never read. Either way the
-/// nodes, and the `(from, to, port)` arcs, come out in the same order:
-/// they depend on the graph's data edges and the binding alone. The
-/// parts must have passed [`check`].
+/// Binding-id → node tables of one [`data_path`] build, kept per
+/// thread so that a build into a reused path allocates nothing for
+/// them once warmed.
+#[derive(Default)]
+struct NodeTables {
+    /// Register node by register index.
+    reg: Vec<Option<DpNodeId>>,
+    /// Module node by module index.
+    module: Vec<Option<DpNodeId>>,
+    /// Constant or condition-flag node by value index.
+    value: Vec<Option<DpNodeId>>,
+}
+
+thread_local! {
+    static TABLES: RefCell<NodeTables> = RefCell::new(NodeTables::default());
+}
+
+/// Lower the data path into `dp`, replacing what it held (its buffers'
+/// capacity is kept, see [`DataPath::clear`]). With `guarded`, each
+/// transfer arc records the places of `guarded`'s control part that
+/// enable it; without, arcs carry no guards and the schedule is never
+/// read. Either way the nodes, and the `(from, to, port)` arcs, come
+/// out in the same order: they depend on the graph's data edges and the
+/// binding alone. The parts must have passed [`check`].
 pub(crate) fn data_path(
+    dp: &mut DataPath,
     dfg: &Dfg,
     allocation: &Allocation,
     guarded: Option<(&Schedule, &ControlPart)>,
-) -> DataPath {
+) {
+    TABLES.with(|tables| {
+        let tables = &mut *tables.borrow_mut();
+        data_path_with(dp, tables, dfg, allocation, guarded);
+    });
+}
+
+fn data_path_with(
+    dp: &mut DataPath,
+    tables: &mut NodeTables,
+    dfg: &Dfg,
+    allocation: &Allocation,
+    guarded: Option<(&Schedule, &ControlPart)>,
+) {
     const CHECKED: &str = "lowering inputs passed `check`";
-    let mut dp = DataPath::new();
+    dp.clear();
     let slots = |max: Option<usize>| max.map_or(0, |i| i + 1);
-    let mut reg_node = vec![None; slots(allocation.registers().map(|r| r.id().index()).max())];
-    let mut mod_node = vec![None; slots(allocation.modules().map(|m| m.id().index()).max())];
+    let NodeTables {
+        reg: reg_node,
+        module: mod_node,
+        value: value_node,
+    } = tables;
+    let refill = |table: &mut Vec<Option<DpNodeId>>, len: usize| {
+        table.clear();
+        table.resize(len, None);
+    };
+    refill(
+        reg_node,
+        slots(allocation.registers().map(|r| r.id().index()).max()),
+    );
+    refill(
+        mod_node,
+        slots(allocation.modules().map(|m| m.id().index()).max()),
+    );
     // Constants and condition flags get one node each, at first use.
-    let mut value_node: Vec<Option<DpNodeId>> = vec![None; dfg.num_values()];
+    refill(value_node, dfg.num_values());
 
     for r in allocation.registers() {
         reg_node[r.id().index()] = Some(dp.add_node(DpNodeKind::Register(r.id())));
@@ -269,8 +318,6 @@ pub(crate) fn data_path(
             dp.add_arc(reg(rs), reg(rd), 0, last_guard);
         }
     }
-
-    dp
 }
 
 #[cfg(test)]

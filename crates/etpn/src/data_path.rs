@@ -209,6 +209,8 @@ impl DpArc {
 pub struct DataPath {
     nodes: Vec<DpNode>,
     arcs: Vec<DpArc>,
+    /// Arc lists per node. Slots past `nodes.len()` are empty lists a
+    /// [`clear`](DataPath::clear) kept for their capacity.
     in_arcs: Vec<Vec<DpArcId>>,
     out_arcs: Vec<Vec<DpArcId>>,
 }
@@ -220,12 +222,27 @@ impl DataPath {
         DataPath::default()
     }
 
+    /// Remove every node and arc, keeping the capacity of every buffer
+    /// — the per-node arc lists included — so a path rebuilt into this
+    /// one allocates only past its earlier sizes (and for the kind sets
+    /// of its module nodes).
+    pub fn clear(&mut self) {
+        let n = self.nodes.len();
+        self.nodes.clear();
+        self.arcs.clear();
+        for list in self.in_arcs[..n].iter_mut().chain(&mut self.out_arcs[..n]) {
+            list.clear();
+        }
+    }
+
     /// Add a node, returning its id.
     pub fn add_node(&mut self, kind: DpNodeKind) -> DpNodeId {
         let id = DpNodeId::from_index(self.nodes.len());
         self.nodes.push(DpNode { id, kind });
-        self.in_arcs.push(Vec::new());
-        self.out_arcs.push(Vec::new());
+        if self.in_arcs.len() < self.nodes.len() {
+            self.in_arcs.push(Vec::new());
+            self.out_arcs.push(Vec::new());
+        }
         id
     }
 
@@ -359,7 +376,7 @@ impl DataPath {
     #[must_use]
     pub fn mux_count(&self) -> usize {
         let mut total = 0;
-        for arcs in &self.in_arcs {
+        for arcs in &self.in_arcs[..self.nodes.len()] {
             let mut seen = 0u64; // bit p: port p < 64 already has an arc
             let mut ports = 0;
             for (i, &a) in arcs.iter().enumerate() {
@@ -496,6 +513,35 @@ mod tests {
         dp.add_arc(m, r, 0, [place(0)]);
         assert!(dp.on_self_loop(r));
         assert!(dp.on_self_loop(m));
+    }
+
+    /// A cleared path rebuilt the same way equals a fresh build, node
+    /// lists included, whether it shrank or grew in between.
+    #[test]
+    fn cleared_path_rebuilds_like_a_fresh_one() {
+        let build = |dp: &mut DataPath, n: usize| {
+            let ids: Vec<_> = (0..n)
+                .map(|i| dp.add_node(DpNodeKind::Register(RegisterId::from_index(i))))
+                .collect();
+            for w in ids.windows(2) {
+                dp.add_arc(w[0], w[1], 0, [place(0)]);
+            }
+            dp.add_arc(ids[n - 1], ids[0], 1, []);
+        };
+        let mut reused = DataPath::new();
+        for n in [5, 2, 7, 3] {
+            reused.clear();
+            build(&mut reused, n);
+            let mut fresh = DataPath::new();
+            build(&mut fresh, n);
+            assert_eq!(reused.nodes(), fresh.nodes());
+            assert_eq!(reused.arcs(), fresh.arcs());
+            for node in fresh.nodes() {
+                assert_eq!(reused.in_arc_ids(node.id()), fresh.in_arc_ids(node.id()));
+                assert_eq!(reused.out_arc_ids(node.id()), fresh.out_arc_ids(node.id()));
+            }
+            assert_eq!(reused.mux_count(), fresh.mux_count());
+        }
     }
 
     #[test]

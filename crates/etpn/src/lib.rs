@@ -18,7 +18,8 @@
 //! synthesis loop prices and analyzes designs without the full lowering:
 //! [`Etpn::control_of`] builds the control part alone, and
 //! [`Etpn::data_path_of`] the structural data path (no guards), through
-//! the same builder [`Etpn::from_parts`] uses.
+//! the same builder [`Etpn::from_parts`] uses; [`Etpn::data_path_into`]
+//! writes it into a reused [`DataPath`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -156,8 +157,29 @@ impl Etpn {
         schedule: &Schedule,
         allocation: &Allocation,
     ) -> Result<DataPath, EtpnBuildError> {
+        let mut dp = DataPath::new();
+        Etpn::data_path_into(dfg, schedule, allocation, &mut dp)?;
+        Ok(dp)
+    }
+
+    /// [`data_path_of`](Etpn::data_path_of), written into `dp` in place
+    /// of what it held. `dp` keeps its buffers' capacity
+    /// ([`DataPath::clear`]), so rebuilding into one path allocates
+    /// only for the kind sets of its module nodes once the path has
+    /// been this large. On an error `dp` is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// As for [`from_parts`](Etpn::from_parts).
+    pub fn data_path_into(
+        dfg: &Dfg,
+        schedule: &Schedule,
+        allocation: &Allocation,
+        dp: &mut DataPath,
+    ) -> Result<(), EtpnBuildError> {
         build::check(dfg, schedule, allocation)?;
-        Ok(build::data_path(dfg, allocation, None))
+        build::data_path(dp, dfg, allocation, None);
+        Ok(())
     }
 
     /// The structural data path.

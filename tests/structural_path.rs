@@ -32,8 +32,7 @@
 
 use hlts::core::{
     merge_modules_with_resched, merge_registers_with_resched, trial_merge, DeltaEvaluator,
-    DesignState, IntegratedSynthesizer, MergeKind, RunCtl, SynthesisParams, TraceMergeKind,
-    TraceWinner,
+    DesignState, IntegratedSynthesizer, MergeKind, RunCtl, SynthesisParams, TraceWinner,
 };
 use hlts::cost::{estimate_cost, ModuleLibrary};
 use hlts::dfg::Dfg;
@@ -205,27 +204,6 @@ fn all_pairs(state: &DesignState) -> Vec<MergeKind> {
     pairs
 }
 
-/// Resolve a recorded winner on the replayed state (the trace names the
-/// first op or value of each side).
-fn resolve(state: &DesignState, w: &TraceWinner) -> MergeKind {
-    match w.kind {
-        TraceMergeKind::Modules => {
-            let op = |s: &str| state.dfg.op_by_name(s).expect("recorded op");
-            MergeKind::Modules(
-                state.allocation.module_of(op(&w.sym_a)),
-                state.allocation.module_of(op(&w.sym_b)),
-            )
-        }
-        TraceMergeKind::Registers => {
-            let reg = |s: &str| {
-                let v = state.dfg.value_by_name(s).expect("recorded value");
-                state.allocation.register_of(v).expect("registered value")
-            };
-            MergeKind::Registers(reg(&w.sym_a), reg(&w.sym_b))
-        }
-    }
-}
-
 /// Check the initial state, every state Algorithm 1 commits on `dfg` at
 /// `bits`, and every `stride`-th pair trial on each. Returns the number
 /// of (committed, trial) states checked.
@@ -260,7 +238,7 @@ fn check_run(tag: &str, dfg: &Dfg, bits: u32, stride: usize) -> (usize, usize) {
             trials += usize::from(checked.is_some());
         }
         let Some(w) = winners.get(i) else { break };
-        match resolve(&state, w) {
+        match w.resolve(&state).expect("recorded merge resolves") {
             MergeKind::Modules(a, b) => merge_modules_with_resched(&mut state, a, b),
             MergeKind::Registers(a, b) => merge_registers_with_resched(&mut state, a, b),
         }

@@ -5,6 +5,11 @@
 //! * the floorplan's: once the thread's placer has seen a data path
 //!   this large, `estimate_cost` (placement and area sum, the ΔH of
 //!   every priced candidate) performs **zero heap allocations**;
+//! * the (E, H) miss path's: once a reused data path and the builder's
+//!   tables have seen a design this large, building a state's
+//!   structural data path into it and pricing it with `estimate_cost`
+//!   allocates exactly one `BTreeSet<OpKind>` per module node — the
+//!   node's set of operation kinds — and nothing else;
 //! * PODEM's: once one call on a target has sized its decision stack,
 //!   a repeat call on that target that ends without a test performs
 //!   **zero heap allocations** — implication runs in the generator's
@@ -38,8 +43,10 @@ use std::cell::Cell;
 mod common;
 
 use hlts_atpg::{FaultSimulator, FaultUniverse, Podem, PodemOutcome};
-use hlts_core::{trial_merge, DesignState, MergeKind};
+use hlts_core::{merge_modules_with_resched, trial_merge, DesignState, MergeKind};
 use hlts_cost::{estimate_cost, ModuleLibrary};
+use hlts_dfg::OpKind;
+use hlts_etpn::DataPath;
 use hlts_tcov::{fsim, TcovConfig};
 
 /// Pass-through allocator that tallies every allocation of the calling
@@ -239,6 +246,54 @@ fn warmed_estimate_cost_allocates_zero_bytes() {
         (0, 0),
         "a warmed estimate_cost must not touch the heap"
     );
+}
+
+#[test]
+fn warmed_eh_miss_allocates_only_module_kind_sets() {
+    let dfg = hlts_benchmarks::by_name("ewf").expect("bundled benchmark");
+    let initial = DesignState::initial(&dfg).expect("initial state");
+    // A second, smaller state: the initial one with two adders merged.
+    let mut merged = initial.fork();
+    let adders: Vec<_> = merged
+        .allocation
+        .modules()
+        .filter(|m| dfg.op(m.ops()[0]).kind() == OpKind::Add)
+        .map(|m| m.id())
+        .take(2)
+        .collect();
+    merge_modules_with_resched(&mut merged, adders[0], adders[1]).expect("adders merge");
+    let lib = ModuleLibrary::new();
+    let miss = |state: &DesignState, dp: &mut DataPath| {
+        state.data_path_into(dp).expect("lowers");
+        estimate_cost(dp, 8, &lib)
+    };
+    // Warm-up: the first build sizes the path's buffers and the
+    // builder's tables, the first placement the thread's placer.
+    let mut dp = DataPath::new();
+    let want = [miss(&initial, &mut dp), miss(&merged, &mut dp)];
+    for (state, want) in [&initial, &merged].into_iter().zip(want) {
+        let (bytes, calls, cost) = measured(|| miss(state, &mut dp));
+        // What a module node's `BTreeSet<OpKind>` of kinds costs: one
+        // allocation per set, the only one the miss still makes.
+        let (mut set_bytes, mut set_calls) = (0, 0);
+        for m in state.allocation.modules() {
+            let (b, c, _) = measured(|| m.kinds(&dfg));
+            (set_bytes, set_calls) = (set_bytes + b, set_calls + c);
+        }
+        let modules = state.allocation.modules().count() as u64;
+        println!(
+            "ewf 8-bit ({} nodes, {modules} modules): warmed (E, H) miss, \
+             build + estimate_cost: {bytes} bytes in {calls} allocations",
+            dp.num_nodes()
+        );
+        assert_eq!(cost, want, "same state, same estimate");
+        assert_eq!(set_calls, modules, "one allocation per kind set");
+        assert_eq!(
+            (bytes, calls),
+            (set_bytes, set_calls),
+            "a warmed (E, H) miss allocates the module kind sets and nothing else"
+        );
+    }
 }
 
 #[test]
