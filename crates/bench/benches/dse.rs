@@ -8,10 +8,13 @@
 //!
 //! * the Pareto fronts (and every per-point result) are bit-identical
 //!   across worker counts, always;
-//! * the parallel sweep is ≥ 2× faster than the sequential one —
+//! * the parallel sweep is faster than the sequential one by
+//!   `min(2.0, 0.65 × cpus)`: 1.3× on 2 CPUs, 2× on 4 or more —
 //!   checked only when the machine actually has ≥ 2 CPUs (a worker
 //!   pool cannot beat physics on a single core; the gate prints a
-//!   skip note there instead).
+//!   skip note there instead). On 2 CPUs, 2× is the ceiling, which a
+//!   working pool reaches only on noise; 1.3× still fails a pool that
+//!   runs its points one at a time (~1×).
 //!
 //! Points are whole synthesis runs (seconds, not nanoseconds), so this
 //! times sweeps directly with `Instant` rather than driving Criterion's
@@ -21,7 +24,11 @@ use std::time::Instant;
 
 use hlts_dse::{explore, ExploreConfig, ExploreOutcome, SweepSpec};
 
+/// The speedup asked of 4 workers over 1 on a host with ≥ 4 CPUs.
 const SPEEDUP_GATE: f64 = 2.0;
+/// The speedup asked per CPU below that: a share of the ceiling of a
+/// host with fewer CPUs than workers.
+const SPEEDUP_PER_CPU: f64 = 0.65;
 
 fn sweep_spec() -> (String, SweepSpec) {
     let (name, dfg) = hlts_benchmarks::all()
@@ -76,14 +83,15 @@ fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cpus < 2 {
         println!(
-            "acceptance: parallel >= {SPEEDUP_GATE}x sequential — SKIPPED \
+            "acceptance: parallel faster than sequential — SKIPPED \
              (host has {cpus} CPU; a pool cannot outrun one core)"
         );
         return;
     }
+    let gate = SPEEDUP_GATE.min(SPEEDUP_PER_CPU * cpus as f64);
     let mut speedup = seq_secs / par_secs;
     println!("speedup dse/explore/{name:<17} 4 workers vs 1 {speedup:6.1}x");
-    if speedup < SPEEDUP_GATE {
+    if speedup < gate {
         // Noise guard: one re-measurement before failing the gate — a
         // sweep is seconds long, so a single retry is cheap relative
         // to a false negative.
@@ -93,11 +101,12 @@ fn main() {
         println!("speedup dse/explore/{name:<17} re-measured {speedup:6.1}x");
     }
     assert!(
-        speedup >= SPEEDUP_GATE,
+        speedup >= gate,
         "acceptance criterion violated: the parallel sweep is only {speedup:.2}x \
-         the sequential one on {name} with {cpus} CPUs (need >= {SPEEDUP_GATE}x)"
+         the sequential one on {name} with {cpus} CPUs (need >= {gate:.2}x)"
     );
     println!(
-        "acceptance: parallel explore >= {SPEEDUP_GATE}x sequential on {name} — OK ({speedup:.1}x)"
+        "acceptance: parallel explore >= {gate:.2}x sequential on {name} with {cpus} CPUs \
+         — OK ({speedup:.1}x)"
     );
 }

@@ -1,22 +1,20 @@
 //! Bench gate: warm daemon requests vs cold one-shot runs.
 //!
-//! The `hlts serve` daemon keeps a [`WarmPool`] of per-behavior
-//! contexts — base design state plus the shared incremental (E, H)
-//! evaluator — so a repeat request for the same behavior skips the
-//! initial schedule/allocation construction and hits the
-//! evaluator's content-keyed cache throughout the merge loop. This
-//! gate measures both paths on the **largest** bundled benchmark
-//! through the same [`execute`] entry point the daemon's workers use:
+//! The `hlts serve` daemon keeps a [`WarmPool`]: a bounded memo of run
+//! results keyed on (behavior key, parameters), so an exact repeat
+//! request is answered without re-running synthesis. This gate
+//! measures both paths on the **largest** bundled benchmark through
+//! the same [`execute`] entry point the daemon's workers use:
 //!
 //! * **cold** — an unkeyed request against a disabled pool: the full
-//!   one-shot `hlts run` cost, context built from scratch every time;
+//!   one-shot `hlts run` cost, synthesized from scratch every time;
 //! * **warm** — keyed requests against a shared pool, after one
 //!   priming miss: what every repeat daemon submission pays.
 //!
 //! The run **asserts** the PR's acceptance criteria:
 //!
-//! * warm and cold requests produce bit-identical results (the warm
-//!   context is a cache, never an approximation);
+//! * warm and cold requests produce bit-identical results (the memo
+//!   replays what the cold path produced, never an approximation);
 //! * the median warm request is ≥ 2× faster than the median cold one.
 //!
 //! Requests are whole synthesis runs (milliseconds, not nanoseconds),
@@ -79,39 +77,12 @@ fn timed_requests(spec: &JobSpec, pool: &WarmPool) -> (f64, String) {
     (latencies[latencies.len() / 2], witness)
 }
 
-/// The middle warm tier, informative only: requests that share the
-/// context (base state + evaluator cache) but touch a *new* parameter
-/// point each time, so the memo never hits and the merge loop runs.
-fn context_tier_median(name: &str, dfg: &hlts_dfg::Dfg) -> f64 {
-    let pool = WarmPool::new(4);
-    let ctl = RunCtl {
-        cancel: CancelToken::new(),
-        progress: &NullSink,
-    };
-    execute(&run_spec(name, dfg, Some(2)), &ctl, &pool).expect("priming request succeeds");
-    let mut latencies = Vec::with_capacity(REQUESTS);
-    for i in 0..REQUESTS {
-        let mut spec = run_spec(name, dfg, Some(2));
-        let JobSpec::Run { params, .. } = &mut spec else {
-            unreachable!("run_spec builds run jobs");
-        };
-        // A fresh (α, β) point per request defeats the memo without
-        // changing the workload's scale.
-        params.beta += (i as f64 + 1.0) * 1e-9;
-        let t = Instant::now();
-        execute(&spec, &ctl, &pool).expect("request succeeds");
-        latencies.push(t.elapsed().as_secs_f64());
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    latencies[latencies.len() / 2]
-}
-
 /// One full measurement: (cold median, warm median, witnesses).
 fn measure(name: &str, dfg: &hlts_dfg::Dfg) -> (f64, f64, String, String) {
-    // Cold: pool disabled, every request builds its context.
+    // Cold: pool disabled, every request synthesizes.
     let cold_pool = WarmPool::new(0);
     let (cold, cold_witness) = timed_requests(&run_spec(name, dfg, None), &cold_pool);
-    // Warm: one priming miss, then timed hits on the shared context.
+    // Warm: one priming miss, then timed memo hits.
     let warm_pool = WarmPool::new(4);
     let spec = run_spec(name, dfg, Some(1));
     let ctl = RunCtl {
@@ -136,7 +107,7 @@ fn main() {
     // Conformance half of the gate: unconditional.
     assert_eq!(
         cold_witness, warm_witness,
-        "acceptance criterion violated: warm-context {name} results diverge from cold one-shot"
+        "acceptance criterion violated: warm {name} results diverge from cold one-shot"
     );
     println!("acceptance: warm and cold results bit-identical on {name} — OK");
 
@@ -164,19 +135,9 @@ fn main() {
     );
     println!("acceptance: warm request >= {SPEEDUP_GATE}x cold on {name} — OK ({speedup:.1}x)");
 
-    // Informative middle tier: context warm, memo cold.
-    let context = context_tier_median(&name, &dfg);
-    println!(
-        "serve/request/{name}  context-warm (new parameter point) {:.1} ms ({:.1}x)",
-        context * 1e3,
-        cold / context,
-    );
-
     write_bench_json("BENCH_serve.json", "cargo bench --bench serve", |o| {
         members!(o, "benchmark": name.as_str(), "requests_per_path": REQUESTS,
             "cold_median_ms": rounded(cold * 1e3, 3), "warm_median_ms": rounded(warm * 1e3, 3),
-            "context_warm_median_ms": rounded(context * 1e3, 3),
-            "warm_speedup": rounded(speedup, 2), "context_speedup": rounded(cold / context, 2),
-            "speedup_gate": SPEEDUP_GATE);
+            "warm_speedup": rounded(speedup, 2), "speedup_gate": SPEEDUP_GATE);
     });
 }

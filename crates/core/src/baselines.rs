@@ -125,7 +125,7 @@ pub fn camad_ctl(
         }
 
         let dp = state.data_path()?;
-        let e0 = Etpn::execution_time_of(&state.dfg, &state.schedule) as f64;
+        let e0 = Etpn::execution_time_of(&state.schedule) as f64;
         let h0 = estimate_cost(&dp, params.bits, &params.library).total();
         let mut committed = false;
         for chunk in cands.chunks(params.k.max(1)) {
@@ -135,7 +135,7 @@ pub fn camad_ctl(
             for &(_, kind) in chunk {
                 let dc = trial_merge(&mut state, kind, |trial| {
                     let dp1 = trial.data_path().ok()?;
-                    let e1 = Etpn::execution_time_of(&trial.dfg, &trial.schedule) as f64;
+                    let e1 = Etpn::execution_time_of(&trial.schedule) as f64;
                     let h1 = estimate_cost(&dp1, params.bits, &params.library).total();
                     Some(params.alpha * (e1 - e0) + params.beta * (h1 - h0))
                 });

@@ -4,9 +4,9 @@
 //! Every candidate evaluation in Algorithm 1 needs the execution time
 //! `E` (critical path of the control Petri net) and hardware cost `H`
 //! (floorplanned area) of a tentatively merged design. Neither needs
-//! the full ETPN. `E` is the critical path of the control part alone
-//! ([`Etpn::control_of`]), which reads only the schedule's length and
-//! the graph's loop shape. `H` floorplans the structural data path
+//! the full ETPN. `E` is the schedule's length
+//! ([`Etpn::execution_time_of`] says why), so nothing is built for it.
+//! `H` floorplans the structural data path
 //! ([`Etpn::data_path_of`]: nodes and `(from, to, port)` arcs, no
 //! guards), which reads only the graph's data edges (fixed for the
 //! whole run — merges add precedence arcs, which only constrain
@@ -15,10 +15,7 @@
 //! pair, so [`DeltaEvaluator`] memoizes (E, H) keyed by
 //! [`Schedule::content_hash`](hlts_sched::Schedule::content_hash) ⊕
 //! [`Allocation::content_hash`](hlts_alloc::Allocation::content_hash)
-//! ⊕ bit width, so one evaluator can serve every width of a sweep,
-//! and routes critical-path extraction through a shared
-//! [`CriticalPathEngine`] so that even distinct states with
-//! structurally identical control nets share work.
+//! ⊕ bit width, so one evaluator can serve every width of a sweep.
 //!
 //! No invalidation is ever needed: committing a merge changes the
 //! state's fingerprint, so stale entries are simply never looked up
@@ -38,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use hlts_cost::{estimate_cost, ModuleLibrary};
-use hlts_etpn::{CacheStats, CriticalPathEngine, DataPath, Etpn};
+use hlts_etpn::{DataPath, Etpn};
 
 use crate::{CoreError, DesignState};
 
@@ -49,8 +46,21 @@ pub struct EvalStats {
     pub state_hits: u64,
     /// States that had to be lowered and measured.
     pub state_misses: u64,
-    /// The shared critical-path engine's own counters.
-    pub critical_path: CacheStats,
+    /// Always 0: there is no critical-path cache. The field stays only
+    /// while the benchmark under `perf/` names it.
+    pub critical_path: CriticalPathStats,
+}
+
+/// The counters of a critical-path cache that no longer exists: `E` is
+/// read off the schedule ([`Etpn::execution_time_of`]), so both always
+/// read 0. The struct stays only while the benchmark under `perf/`
+/// names it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CriticalPathStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
 }
 
 /// Memoizing, thread-safe evaluator of a design state's (E, H).
@@ -62,7 +72,6 @@ pub struct EvalStats {
 /// never share an (E, H) entry.
 #[derive(Debug, Default)]
 pub struct DeltaEvaluator {
-    engine: CriticalPathEngine,
     cache: Mutex<HashMap<u64, (usize, f64)>>,
     state_hits: AtomicU64,
     state_misses: AtomicU64,
@@ -94,9 +103,9 @@ impl DeltaEvaluator {
     /// On a miss this builds the structural data path
     /// ([`DesignState::data_path_into`], which checks the state exactly
     /// as a full lowering does) into a per-thread buffer that keeps its
-    /// capacity from miss to miss, and floorplans it for `H`; it takes
-    /// `E` from the control part alone through the shared critical-path
-    /// engine. No full ETPN is built. On a hit it is two hash lookups.
+    /// capacity from miss to miss, and floorplans it for `H`; `E` is
+    /// the schedule's length. No full ETPN is built. On a hit it is two
+    /// hash lookups.
     ///
     /// # Errors
     ///
@@ -126,20 +135,12 @@ impl DeltaEvaluator {
             state.data_path_into(dp)?;
             Ok(estimate_cost(dp, bits, library).total())
         })?;
-        let e = self
-            .engine
-            .critical_path(&Etpn::control_of(&state.dfg, &state.schedule));
+        let e = Etpn::execution_time_of(&state.schedule);
         self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(key, (e, h));
         Ok((e, h))
-    }
-
-    /// The shared critical-path engine.
-    #[must_use]
-    pub fn engine(&self) -> &CriticalPathEngine {
-        &self.engine
     }
 
     /// Snapshot of the cache counters.
@@ -148,7 +149,7 @@ impl DeltaEvaluator {
         EvalStats {
             state_hits: self.state_hits.load(Ordering::Relaxed),
             state_misses: self.state_misses.load(Ordering::Relaxed),
-            critical_path: self.engine.stats(),
+            critical_path: CriticalPathStats::default(),
         }
     }
 }

@@ -62,7 +62,7 @@ pub use algorithm::{
     EvalMode, IntegratedSynthesizer, SelectionPolicy, SynthesisParams, WarmSynthesis,
 };
 pub use candidates::{enumerate_candidates, MergeCandidate, MergeKind};
-pub use delta_eval::{DeltaEvaluator, EvalStats};
+pub use delta_eval::{CriticalPathStats, DeltaEvaluator, EvalStats};
 pub use error::CoreError;
 pub use progress::{CancelToken, NullSink, ProgressEvent, ProgressSink, RunCtl};
 pub use report::{DesignMetrics, SynthesisResult};

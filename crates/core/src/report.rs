@@ -67,7 +67,7 @@ impl DesignMetrics {
         }
         let n = n.max(1) as f64;
         Ok(DesignMetrics {
-            execution_time: Etpn::execution_time_of(&state.dfg, &state.schedule),
+            execution_time: Etpn::execution_time_of(&state.schedule),
             num_modules: state.allocation.num_modules(),
             num_registers: state.allocation.num_registers(),
             mux_count: state.allocation.mux_count(&state.dfg),

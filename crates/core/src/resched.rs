@@ -137,18 +137,17 @@ pub fn disjointness_arcs_into(
 /// The figure of merit of a tentative SR2 state: its execution time
 /// `E`.
 ///
-/// `E` comes from the control part alone
-/// ([`Etpn::execution_time_of`]); [`Etpn::check_parts`] keeps the
-/// failure cases those of a full lowering. Debug builds also check `E`
-/// against the full lowering.
+/// `E` is the schedule's length ([`Etpn::execution_time_of`]);
+/// [`Etpn::check_parts`] keeps the failure cases those of a full
+/// lowering. Debug builds also check `E` against the full lowering.
 fn sr2_merit(state: &DesignState) -> Result<usize, CoreError> {
     Etpn::check_parts(&state.dfg, &state.schedule, &state.allocation)?;
-    let e = Etpn::execution_time_of(&state.dfg, &state.schedule);
+    let e = Etpn::execution_time_of(&state.schedule);
     if cfg!(debug_assertions) {
         assert_eq!(
             state.lower()?.execution_time(),
             e,
-            "control-part E differs from the full lowering's"
+            "the schedule's length differs from the full lowering's E"
         );
     }
     Ok(e)

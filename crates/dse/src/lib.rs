@@ -9,7 +9,7 @@
 //!   weights × bits, plus an explicit point list) with stable point
 //!   IDs;
 //! * [`explore`] — a worker pool that synthesizes the points, sharing
-//!   each behavior's critical-path and (E, H) caches across points by
+//!   each behavior's (E, H) cache across points by
 //!   forking one base [`DesignState`](hlts_core::DesignState) per
 //!   behavior;
 //! * [`ParetoArchive`] — an incremental dominance-checked front over

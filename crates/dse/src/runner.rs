@@ -4,9 +4,9 @@
 //! Every behavior in the sweep gets **one** base [`DesignState`] and
 //! **one** [`DeltaEvaluator`]; each point forks the base (an
 //! `Arc`-sharing copy, not a deep clone) and runs Algorithm 1 through
-//! [`IntegratedSynthesizer::run_on_warm`], so the critical-path
-//! extractions and (E, H) measurements that different parameter points
-//! happen to share resolve from the common caches.
+//! [`IntegratedSynthesizer::run_on_warm`], so the (E, H) measurements
+//! that different parameter points happen to share resolve from the
+//! common cache.
 //! Under `--jobs N` the points are pulled off one atomic counter by `N`
 //! scoped threads; each point runs on one thread.
 //!
@@ -232,12 +232,12 @@ pub fn select_seed(completed: &[(usize, &PointParams)], target: &PointParams) ->
 /// integrated point's accepted-merge trace, indexed by point id. The
 /// lock is held only to snapshot the completed set or deposit one
 /// trace — never across a synthesis.
-struct WarmCtx<'a> {
+struct WarmTraces<'a> {
     points: &'a [SweepPoint],
     traces: Mutex<Vec<Option<Arc<MergeTrace>>>>,
 }
 
-impl WarmCtx<'_> {
+impl WarmTraces<'_> {
     /// Snapshot the completed set and pick `target`'s seed trace.
     fn seed_for(&self, target: &PointParams) -> Option<Arc<MergeTrace>> {
         let traces = lock_recover(&self.traces);
@@ -266,7 +266,7 @@ struct BenchCtx<'a> {
 fn synthesize(
     point: &SweepPoint,
     ctx: &BenchCtx<'_>,
-    warm: Option<&WarmCtx<'_>>,
+    warm: Option<&WarmTraces<'_>>,
     ctl: &RunCtl<'_>,
 ) -> Result<(SynthesisResult, Option<(MergeTrace, ReplayStats)>), DseError> {
     let params = point.params.synthesis_params();
@@ -318,7 +318,7 @@ fn run_point(
     point: &SweepPoint,
     ctx: &BenchCtx<'_>,
     tcov: Option<TcovSweep>,
-    warm: Option<&WarmCtx<'_>>,
+    warm: Option<&WarmTraces<'_>>,
     ctl: &RunCtl<'_>,
 ) -> Result<(PointResult, Option<String>), DseError> {
     let t0 = Instant::now();
@@ -486,7 +486,7 @@ fn run_point_guarded(
     point: &SweepPoint,
     ctx: &BenchCtx<'_>,
     tcov: Option<TcovSweep>,
-    warm: Option<&WarmCtx<'_>>,
+    warm: Option<&WarmTraces<'_>>,
     sink: &Mutex<Sink>,
     ctl: &RunCtl<'_>,
     progress: &PointProgress<'_>,
@@ -597,7 +597,7 @@ pub fn explore_ctl(
                 *slot = Some(Arc::new(trace.clone()));
             }
         }
-        WarmCtx {
+        WarmTraces {
             points: &points,
             traces: Mutex::new(traces),
         }
@@ -738,7 +738,7 @@ fn run_pool(
     contexts: &[BenchCtx<'_>],
     ctx_index: &[usize],
     tcov: Option<TcovSweep>,
-    warm: Option<&WarmCtx<'_>>,
+    warm: Option<&WarmTraces<'_>>,
     sink: &Mutex<Sink>,
     slots: &mut [Slot],
     workers: usize,
@@ -795,10 +795,6 @@ fn run_pool(
 fn add_eval(into: &mut EvalStats, s: EvalStats) {
     into.state_hits += s.state_hits;
     into.state_misses += s.state_misses;
-    into.critical_path.hits += s.critical_path.hits;
-    into.critical_path.misses += s.critical_path.misses;
-    into.critical_path.chain_fast_path += s.critical_path.chain_fast_path;
-    into.critical_path.full_reachability += s.critical_path.full_reachability;
 }
 
 fn add_txn(into: &mut TxnStats, s: TxnStats) {

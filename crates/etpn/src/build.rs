@@ -396,14 +396,14 @@ mod tests {
     }
 
     /// `check_parts` fails exactly when `from_parts` does, with the same
-    /// error, and the control part alone gives the full lowering's E —
-    /// on a straight-line and a looping behaviour.
+    /// error, and the schedule's length is the full lowering's E — on a
+    /// straight-line and a looping behaviour.
     #[test]
     fn check_and_control_part_agree_with_full_lowering() {
         let (d, s, a) = small();
         assert_eq!(Etpn::check_parts(&d, &s, &a), Ok(()));
         let full = Etpn::from_parts(&d, &s, &a).unwrap();
-        assert_eq!(Etpn::execution_time_of(&d, &s), full.execution_time());
+        assert_eq!(Etpn::execution_time_of(&s), full.execution_time());
 
         let mut b = DfgBuilder::new("other");
         let x = b.input("x");
@@ -424,7 +424,7 @@ mod tests {
         let d = b.finish().unwrap();
         let s = list_schedule(&d, &[], ListPriority::CriticalPath).unwrap();
         let full = Etpn::from_parts(&d, &s, &Allocation::one_to_one(&d)).unwrap();
-        assert_eq!(Etpn::execution_time_of(&d, &s), full.execution_time());
+        assert_eq!(Etpn::execution_time_of(&s), full.execution_time());
     }
 
     #[test]

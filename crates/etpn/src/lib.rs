@@ -16,23 +16,21 @@
 //! extracts the execution time `E` from the net's reachability tree — the
 //! quantity the synthesis algorithm uses for its ΔE estimates. The
 //! synthesis loop prices and analyzes designs without the full lowering:
-//! [`Etpn::control_of`] builds the control part alone, and
-//! [`Etpn::data_path_of`] the structural data path (no guards), through
-//! the same builder [`Etpn::from_parts`] uses; [`Etpn::data_path_into`]
-//! writes it into a reused [`DataPath`].
+//! [`Etpn::execution_time_of`] reads `E` off the schedule's length, and
+//! [`Etpn::data_path_of`] builds the structural data path (no guards)
+//! through the same builder [`Etpn::from_parts`] uses;
+//! [`Etpn::data_path_into`] writes it into a reused [`DataPath`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod build;
-mod critical_path;
 mod data_path;
 mod dot;
 mod error;
 mod petri;
 
 pub use build::EtpnBuildError;
-pub use critical_path::{CacheStats, CriticalPathEngine};
 pub use data_path::{DataPath, DpArc, DpArcId, DpNode, DpNodeId, DpNodeKind};
 pub use dot::{control_to_dot, data_path_to_dot};
 pub use error::EtpnError;
@@ -83,14 +81,19 @@ impl Etpn {
         build::check(dfg, schedule, allocation)
     }
 
-    /// Execution time `E` of the design `dfg` and `schedule` lower to,
-    /// under any binding: the control part is lowered alone and its
-    /// critical path taken (by the single-token shortcut
-    /// [`ControlNet::chain_critical_path`] where it applies, as
-    /// [`CriticalPathEngine`] does), so no data path is built. Equal to
+    /// Execution time `E` of any design `schedule` lowers to: its number
+    /// of control steps. The lowering's control part is a chain of
+    /// `num_steps` step places ending in the final place
+    /// ([`ControlNet::linear`]); a looping behaviour adds only a guarded
+    /// loop-back from the last step to the first
+    /// ([`ControlNet::add_loop_back`]), which closes a cycle, and the
+    /// critical path counts acyclic token paths only. So the longest path
+    /// to the final place is the chain itself, whatever the graph or the
+    /// binding, and nothing is built to read it. Equal to
     /// [`execution_time`](Etpn::execution_time) of
     /// [`from_parts`](Etpn::from_parts) whenever that lowering succeeds
-    /// (see [`check_parts`](Etpn::check_parts)).
+    /// (see [`check_parts`](Etpn::check_parts)); the property tests
+    /// check it against the reachability tree.
     ///
     /// # Example
     ///
@@ -103,24 +106,11 @@ impl Etpn {
     /// let dfg = parse("dfg t { input a, b; N1: s = a + b; N2: p = s * b; output p; }").unwrap();
     /// let schedule = list_schedule(&dfg, &[], ListPriority::CriticalPath).unwrap();
     /// let full = Etpn::from_parts(&dfg, &schedule, &Allocation::one_to_one(&dfg)).unwrap();
-    /// assert_eq!(Etpn::execution_time_of(&dfg, &schedule), full.execution_time());
+    /// assert_eq!(Etpn::execution_time_of(&schedule), full.execution_time());
     /// ```
     #[must_use]
-    pub fn execution_time_of(dfg: &Dfg, schedule: &Schedule) -> usize {
-        let net = Etpn::control_of(dfg, schedule);
-        net.chain_critical_path()
-            .unwrap_or_else(|| net.critical_path())
-    }
-
-    /// The control part `dfg` and `schedule` lower to, built alone: it
-    /// reads only the schedule's length, whether the graph has
-    /// loop-carried values, and its first condition value — never the
-    /// binding. Equal to [`control`](Etpn::control) of
-    /// [`from_parts`](Etpn::from_parts) whenever that lowering succeeds.
-    /// Route it through a [`CriticalPathEngine`] for a memoized `E`.
-    #[must_use]
-    pub fn control_of(dfg: &Dfg, schedule: &Schedule) -> ControlNet {
-        build::control_part(dfg, schedule).net
+    pub fn execution_time_of(schedule: &Schedule) -> usize {
+        schedule.num_steps()
     }
 
     /// The structural data path of the design: the nodes and the
@@ -196,9 +186,8 @@ impl Etpn {
 
     /// Execution time `E`: the critical-path length of the control part,
     /// in control steps, extracted from the reachability tree. This is
-    /// the from-scratch reference; the synthesis inner loop routes
-    /// [`control_of`](Etpn::control_of) through a shared
-    /// [`CriticalPathEngine`] instead.
+    /// the paper's from-scratch reference; the synthesis inner loop
+    /// reads [`execution_time_of`](Etpn::execution_time_of) instead.
     #[must_use]
     pub fn execution_time(&self) -> usize {
         self.control.critical_path()

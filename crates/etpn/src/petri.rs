@@ -280,142 +280,18 @@ impl ControlNet {
     /// estimate compares.
     ///
     /// This is the **from-scratch reference**: it always builds the full
-    /// reachability tree. The synthesis inner loop goes through
-    /// [`CriticalPathEngine`], which memoizes results by
-    /// [`structural_hash`] and takes the single-token
-    /// [`chain_critical_path`] shortcut when it applies; both are
-    /// property-tested against this method.
+    /// reachability tree. The synthesis inner loop reads `E` from
+    /// [`Etpn::execution_time_of`] instead, which is property-tested
+    /// against this method on every net the lowering emits.
     ///
     /// Returns 0 when no final marking is reachable.
     ///
-    /// [`CriticalPathEngine`]: crate::CriticalPathEngine
-    /// [`structural_hash`]: ControlNet::structural_hash
-    /// [`chain_critical_path`]: ControlNet::chain_critical_path
+    /// [`Etpn::execution_time_of`]: crate::Etpn::execution_time_of
     #[must_use]
     pub fn critical_path(&self) -> usize {
         let r = self.reachability();
         r.longest_path()
     }
-
-    /// A 64-bit structural fingerprint of the net: transitions (input,
-    /// output and guard structure), the initial marking and the final
-    /// places. Place labels are excluded — they cannot affect token
-    /// flow, so two nets differing only in labels share their critical
-    /// path. Used as the memo key by [`CriticalPathEngine`].
-    ///
-    /// [`CriticalPathEngine`]: crate::CriticalPathEngine
-    #[must_use]
-    pub fn structural_hash(&self) -> u64 {
-        // FNV-1a over a canonical byte walk of the structure.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.places.len() as u64);
-        mix(self.transitions.len() as u64);
-        for t in &self.transitions {
-            mix(t.inputs.len() as u64);
-            for p in &t.inputs {
-                mix(u64::from(p.0));
-            }
-            mix(t.outputs.len() as u64);
-            for p in &t.outputs {
-                mix(u64::from(p.0));
-            }
-            match t.guard {
-                None => mix(u64::MAX),
-                Some((v, pol)) => {
-                    mix(v.index() as u64);
-                    mix(u64::from(pol));
-                }
-            }
-        }
-        mix(self.initial.len() as u64);
-        for p in &self.initial {
-            mix(u64::from(p.0));
-        }
-        mix(self.final_places.len() as u64);
-        for p in &self.final_places {
-            mix(u64::from(p.0));
-        }
-        h
-    }
-
-    /// Single-token fast path: when exactly one place is initially
-    /// marked and every transition moves one token from one place to one
-    /// place, every reachable marking is a singleton, so the
-    /// reachability graph is isomorphic to the place graph — the
-    /// critical path is the longest acyclic place walk from the initial
-    /// place to a final place, computable in O(places + transitions)
-    /// without materializing any marking sets.
-    ///
-    /// This covers every net the schedule lowering emits (linear step
-    /// chains, conditional branches and guarded loop-backs are all
-    /// 1-in/1-out). Fork/join nets (a transition with several inputs or
-    /// outputs) return `None` and must use full reachability.
-    #[must_use]
-    pub fn chain_critical_path(&self) -> Option<usize> {
-        if self.initial.len() != 1 {
-            return None;
-        }
-        if self
-            .transitions
-            .iter()
-            .any(|t| t.inputs.len() != 1 || t.outputs.len() != 1)
-        {
-            return None;
-        }
-        let n = self.places.len();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for t in &self.transitions {
-            succ[t.inputs[0].index()].push(t.outputs[0].index());
-        }
-        let is_final: Vec<bool> = (0..n)
-            .map(|i| self.final_places.contains(&PlaceId::from_index(i)))
-            .collect();
-        let start = self
-            .initial
-            .iter()
-            .next()
-            .expect("checked nonempty")
-            .index();
-        let mut memo: Vec<Option<usize>> = vec![None; n];
-        let mut on_stack = vec![false; n];
-        Some(chain_dfs(start, &succ, &is_final, &mut memo, &mut on_stack).unwrap_or(0))
-    }
-}
-
-/// Longest acyclic walk to a final place over the single-token place
-/// graph; cycle-closing edges are skipped exactly as in
-/// [`Reachability::longest_path`].
-fn chain_dfs(
-    node: usize,
-    succ: &[Vec<usize>],
-    is_final: &[bool],
-    memo: &mut Vec<Option<usize>>,
-    on_stack: &mut Vec<bool>,
-) -> Option<usize> {
-    if let Some(v) = memo[node] {
-        return Some(v);
-    }
-    on_stack[node] = true;
-    let mut best: Option<usize> = if is_final[node] { Some(0) } else { None };
-    for &next in &succ[node] {
-        if on_stack[next] {
-            continue;
-        }
-        if let Some(d) = chain_dfs(next, succ, is_final, memo, on_stack) {
-            best = Some(best.map_or(d + 1, |b| b.max(d + 1)));
-        }
-    }
-    on_stack[node] = false;
-    if let Some(b) = best {
-        memo[node] = Some(b);
-    }
-    best
 }
 
 /// The reachability graph of a [`ControlNet`]: every marking reachable

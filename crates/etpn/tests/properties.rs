@@ -4,11 +4,14 @@
 
 use hlts_alloc::Allocation;
 use hlts_dfg::{Dfg, DfgBuilder, OpKind};
-use hlts_etpn::{CriticalPathEngine, Etpn};
+use hlts_etpn::Etpn;
 use hlts_sched::{list_schedule, ListPriority};
 use proptest::prelude::*;
 
-fn build_dfg(spec: &[(u8, u8, u8)]) -> Dfg {
+/// A random straight-line behaviour; `looped` also makes its last value
+/// loop-carried into the first input and adds a condition flag, so the
+/// lowering adds its guarded loop-back.
+fn build_dfg(spec: &[(u8, u8, u8)], looped: bool) -> Dfg {
     let mut b = DfgBuilder::new("prop");
     let mut vals = vec![b.input("i0"), b.input("i1")];
     for (n, &(k, x, y)) in spec.iter().enumerate() {
@@ -23,6 +26,11 @@ fn build_dfg(spec: &[(u8, u8, u8)]) -> Dfg {
     }
     let last = *vals.last().expect("nonempty");
     b.mark_output(last);
+    if looped {
+        b.op("C", OpKind::Lt, &[last, vals[1]], "c")
+            .expect("fresh name");
+        b.loop_carried(last, vals[0]);
+    }
     b.finish().expect("well-formed")
 }
 
@@ -33,8 +41,9 @@ fn spec_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
 fn lowered(
     spec: &[(u8, u8, u8)],
     merges: &[(u8, u8, bool)],
+    looped: bool,
 ) -> (Dfg, hlts_sched::Schedule, Allocation, Etpn) {
-    let d = build_dfg(spec);
+    let d = build_dfg(spec, looped);
     let mut a = Allocation::one_to_one(&d);
     for &(x, y, register) in merges {
         if register {
@@ -68,7 +77,7 @@ proptest! {
         spec in spec_strategy(),
         merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
     ) {
-        let (d, s, a, e) = lowered(&spec, &merges);
+        let (d, s, a, e) = lowered(&spec, &merges, false);
         let dp = e.data_path();
         prop_assert_eq!(dp.register_nodes().len(), a.num_registers());
         prop_assert_eq!(dp.module_nodes().len(), a.num_modules());
@@ -86,7 +95,7 @@ proptest! {
         spec in spec_strategy(),
         merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
     ) {
-        let (d, _s, a, e) = lowered(&spec, &merges);
+        let (d, _s, a, e) = lowered(&spec, &merges, false);
         let dp = e.data_path();
         for m in a.modules() {
             let mn = dp.node_of_module(m.id()).expect("module node exists");
@@ -114,7 +123,7 @@ proptest! {
         spec in spec_strategy(),
         merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
     ) {
-        let (_d, _s, _a, e) = lowered(&spec, &merges);
+        let (_d, _s, _a, e) = lowered(&spec, &merges, false);
         let dp = e.data_path();
         let num_places = e.control().num_places();
         for arc in dp.arcs() {
@@ -125,45 +134,19 @@ proptest! {
         }
     }
 
-    /// The cached critical-path engine is an exact drop-in for the
-    /// from-scratch reachability tree: on random lowered control nets
-    /// the memoized answer (first query = miss, second = hit) and the
-    /// single-token chain shortcut all agree with
-    /// [`ControlNet::critical_path`].
+    /// `E` is the schedule's length: [`Etpn::execution_time_of`] equals
+    /// the critical path of the full lowering's reachability tree on
+    /// random lowered designs, with and without the guarded loop-back.
     #[test]
-    fn cached_engine_matches_fresh_reachability(
+    fn execution_time_of_matches_reachability(
         spec in spec_strategy(),
         merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
+        looped in any::<bool>(),
     ) {
-        let (_d, _s, _a, e) = lowered(&spec, &merges);
-        let net = e.control();
-        let fresh = net.critical_path();
-        if let Some(chain) = net.chain_critical_path() {
-            prop_assert_eq!(chain, fresh, "chain shortcut diverged");
-        }
-        let engine = CriticalPathEngine::new();
-        prop_assert_eq!(engine.critical_path(net), fresh, "engine miss path diverged");
-        prop_assert_eq!(engine.critical_path(net), fresh, "engine hit path diverged");
-        prop_assert_eq!(engine.stats().hits, 1);
-    }
-
-    /// Incremental ΔE through the shared engine equals the from-scratch
-    /// difference of two independent reachability analyses, for random
-    /// (base, trial) pairs of lowered designs.
-    #[test]
-    fn engine_delta_e_matches_scratch_difference(
-        spec in spec_strategy(),
-        base_merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
-        trial_merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
-    ) {
-        let (_d, _s, _a, base) = lowered(&spec, &base_merges);
-        let (_d2, _s2, _a2, trial) = lowered(&spec, &trial_merges);
-        let scratch =
-            trial.control().critical_path() as i64 - base.control().critical_path() as i64;
-        let engine = CriticalPathEngine::new();
-        prop_assert_eq!(engine.delta_e(base.control(), trial.control()), scratch);
-        // and again, now answered entirely from the memo
-        prop_assert_eq!(engine.delta_e(base.control(), trial.control()), scratch);
+        let (_d, s, _a, e) = lowered(&spec, &merges, looped);
+        let loop_back = e.control().num_transitions() == s.num_steps() + 1;
+        prop_assert_eq!(loop_back, looped, "loop-back present iff the behaviour loops");
+        prop_assert_eq!(Etpn::execution_time_of(&s), e.execution_time());
     }
 
     /// Mux counting is consistent between the binding-level and the
@@ -174,7 +157,7 @@ proptest! {
         spec in spec_strategy(),
         merges in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..6),
     ) {
-        let (_d, _s, _a, e) = lowered(&spec, &merges);
+        let (_d, _s, _a, e) = lowered(&spec, &merges, false);
         let dp = e.data_path();
         // each arc can contribute at most one 2:1 mux
         prop_assert!(dp.mux_count() <= dp.num_arcs());

@@ -2,8 +2,8 @@
 //!
 //! Every way the system executes synthesis work — the one-shot `hlts
 //! run` / `hlts explore` commands and the `hlts serve` daemon — goes
-//! through [`execute`], so cancellation, progress streaming and warm
-//! context reuse behave identically everywhere. The daemon wraps
+//! through [`execute`], so cancellation, progress streaming and result
+//! reuse behave identically everywhere. The daemon wraps
 //! [`execute`] in a [`JobEngine`]: submissions beyond the queue bound
 //! are rejected with [`SubmitError::QueueFull`] (backpressure, never
 //! unbounded buffering), each job carries its own [`CancelToken`], and
@@ -54,13 +54,12 @@ pub enum JobSpec {
         /// Always [`EvalMode::Sequential`]; the field remains only while
         /// the end-to-end benchmark still names it (see [`EvalMode`]).
         mode: EvalMode,
-        /// Warm-context key: jobs submitting the same key (and bits)
-        /// share one [`WarmCtx`] — base state and (E, H) cache — via
-        /// the engine's [`WarmPool`]. The key must uniquely identify the
-        /// *graph and module library* (`JobRequest::resolve` hashes the
-        /// canonical emitted text; [`WarmPool::new(0)`](WarmPool::new)
-        /// ignores it); `None` builds a fresh context. Sharing never
-        /// changes results.
+        /// Result-memo key: a job submitting the same key and
+        /// parameters as an earlier one is answered from the engine's
+        /// [`WarmPool`]. The key must uniquely identify the *graph and
+        /// module library* (`JobRequest::resolve` hashes the canonical
+        /// emitted text; [`WarmPool::new(0)`](WarmPool::new) ignores
+        /// it); `None` always synthesizes. Reuse never changes results.
         warm: Option<u64>,
         /// When set, grade the synthesized design's fault coverage
         /// after synthesis (through the engine's [`TcovPool`] memo)
@@ -316,7 +315,9 @@ pub struct EngineConfig {
     /// FIFO queue bound; submissions beyond it get
     /// [`SubmitError::QueueFull`].
     pub queue_capacity: usize,
-    /// Warm-context cache bound (entries; FIFO eviction).
+    /// Warm-pool bound: the result memo keeps `warm_capacity × 8`
+    /// results and the coverage memo `warm_capacity` designs (FIFO
+    /// eviction).
     pub warm_capacity: usize,
 }
 
@@ -343,9 +344,9 @@ pub struct EngineCounts {
     pub failed: usize,
     /// Jobs cancelled (before or during execution).
     pub cancelled: usize,
-    /// Warm-context cache hits (a keyed run job reused a context).
+    /// Result-memo hits (a keyed run job reused an earlier result).
     pub warm_hits: u64,
-    /// Warm-context cache misses (a context had to be built).
+    /// Algorithm 1 runs (run jobs the memo could not answer).
     pub warm_misses: u64,
     /// Merges replayed from neighbour traces, summed over finished
     /// warm-start explore jobs (including cancelled partials).
@@ -362,98 +363,45 @@ pub struct EngineCounts {
     pub queue_capacity: usize,
 }
 
-/// A reusable per-behavior synthesis context, warm at two levels:
-///
-/// * the base state (graph core, initial schedule and allocation) and
-///   a [`DeltaEvaluator`] whose (E, H) cache accumulates across jobs —
-///   forking the base per run skips the initial schedule/allocation
-///   construction, and the evaluator cache carries over even when the
-///   *parameters* differ (its entries are keyed on design content,
-///   which α/β/k never touch);
-/// * a bounded result memo for exact repeats: synthesis is
-///   deterministic, so a keyed request whose full parameter set
-///   matches an earlier one on this context is answered with that
-///   run's result without re-running the merge loop.
-///
-/// Sharing never changes a result — every layer is keyed on content
-/// (see [`IntegratedSynthesizer::run_on_ctl`]), and the memo replays a
-/// result the cold path itself produced.
-#[derive(Debug)]
-pub struct WarmCtx {
-    /// The initial design state of the behavior.
-    pub base: DesignState,
-    /// The shared incremental (E, H) evaluator.
-    pub evaluator: DeltaEvaluator,
-    /// Parameter fingerprint → memoized result (FIFO-bounded).
-    memo: Mutex<Vec<(String, SynthesisResult)>>,
-}
+/// Results kept per unit of pool capacity: a daemon's repeat traffic
+/// concentrates on a handful of parameter points per behavior, and each
+/// entry holds a full design.
+const RESULTS_PER_UNIT: usize = 8;
 
-/// Memoized results kept per context. Small on purpose: a daemon's
-/// repeat traffic concentrates on a handful of parameter points per
-/// behavior, and each entry holds a full design.
-const MEMO_CAPACITY: usize = 8;
-
-impl WarmCtx {
-    /// Build a fresh context for `dfg`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DesignState::initial`] failures (ill-formed graph).
-    pub fn build(dfg: &Dfg) -> Result<WarmCtx, CoreError> {
-        Ok(WarmCtx {
-            base: DesignState::initial(dfg)?,
-            evaluator: DeltaEvaluator::new(),
-            memo: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn memo_get(&self, fingerprint: &str) -> Option<SynthesisResult> {
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .find(|(key, _)| key == fingerprint)
-            .map(|(_, result)| result.clone())
-    }
-
-    fn memo_put(&self, fingerprint: String, result: &SynthesisResult) {
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if memo.iter().any(|(key, _)| *key == fingerprint) {
-            return;
-        }
-        if memo.len() >= MEMO_CAPACITY {
-            memo.remove(0);
-        }
-        memo.push((fingerprint, result.clone()));
-    }
-}
-
-/// A bounded map of [`WarmCtx`]s keyed on (caller key, bits), shared
-/// by every keyed [`JobSpec::Run`] job the engine executes. Eviction
-/// is FIFO on insertion order; the bound keeps a long-lived daemon's
-/// memory proportional to the working set, not its history.
+/// The engine's result memo: a bounded FIFO list of [`Flow::Ours`]
+/// results keyed on (caller key, parameter fingerprint), shared by
+/// every keyed [`JobSpec::Run`] job the engine executes. Synthesis is
+/// deterministic, so a keyed request whose key and full parameter set
+/// match an earlier run is answered with that run's result instead of
+/// re-running Algorithm 1; a memo miss synthesizes cold, exactly as
+/// one-shot `hlts run` does. The bound, `capacity × 8` results with the
+/// oldest evicted first, keeps a long-lived daemon's memory
+/// proportional to its working set, not its history.
 #[derive(Debug)]
 pub struct WarmPool {
+    /// Most results kept.
     capacity: usize,
-    entries: Mutex<Vec<WarmSlot>>,
+    results: Mutex<VecDeque<MemoEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// The sibling coverage memo: per-netlist fault universes and
     /// graded reports, shared by every [`AtpgRequest`]-carrying run
-    /// job (same capacity and eviction discipline as the contexts).
+    /// job (bounded at the capacity [`WarmPool::new`] was given, FIFO
+    /// eviction).
     tcov: TcovPool,
 }
 
-/// One pool entry: ((caller key, bits), shared context).
-type WarmSlot = ((u64, u32), Arc<WarmCtx>);
+/// One memo entry: ((caller key, parameter fingerprint), result).
+type MemoEntry = ((u64, String), SynthesisResult);
 
 impl WarmPool {
-    /// An empty pool bounded at `capacity` entries (0 disables reuse).
+    /// An empty pool holding at most `capacity × 8` results (0 disables
+    /// reuse).
     #[must_use]
     pub fn new(capacity: usize) -> WarmPool {
         WarmPool {
-            capacity,
-            entries: Mutex::new(Vec::new()),
+            capacity: capacity.saturating_mul(RESULTS_PER_UNIT),
+            results: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             tcov: TcovPool::new(capacity),
@@ -466,49 +414,35 @@ impl WarmPool {
         &self.tcov
     }
 
-    fn lock(&self) -> MutexGuard<'_, Vec<WarmSlot>> {
-        // A poisoned pool only means some builder panicked after the
-        // map was mutated consistently (entries are inserted whole).
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, VecDeque<MemoEntry>> {
+        // Entries are inserted whole, so a poisoned memo is consistent.
+        self.results.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The context for a run job: a shared one when `key` is set and
-    /// known, otherwise a freshly built one.
-    ///
-    /// # Errors
-    ///
-    /// As [`WarmCtx::build`].
-    pub fn ctx(&self, key: Option<u64>, bits: u32, dfg: &Dfg) -> Result<Arc<WarmCtx>, CoreError> {
-        let Some(key) = key else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::new(WarmCtx::build(dfg)?));
-        };
-        let slot = (key, bits);
-        if let Some((_, ctx)) = self.lock().iter().find(|(k, _)| *k == slot) {
+    fn get(&self, slot: &(u64, String)) -> Option<SynthesisResult> {
+        let hit = self
+            .lock()
+            .iter()
+            .find(|(key, _)| key == slot)
+            .map(|(_, result)| result.clone());
+        if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(ctx));
         }
-        // Build outside the lock — contexts take real work to build
-        // and two racing builders merely produce equivalent contexts
-        // (the second finds the first's insert and drops its own).
-        let built = Arc::new(WarmCtx::build(dfg)?);
-        let mut entries = self.lock();
-        if let Some((_, ctx)) = entries.iter().find(|(k, _)| *k == slot) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(ctx));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if self.capacity == 0 {
-            return Ok(built);
-        }
-        if entries.len() >= self.capacity {
-            entries.remove(0);
-        }
-        entries.push((slot, Arc::clone(&built)));
-        Ok(built)
+        hit
     }
 
-    /// (hits, misses) counters.
+    fn put(&self, slot: (u64, String), result: &SynthesisResult) {
+        let mut results = self.lock();
+        if results.iter().any(|(key, _)| *key == slot) {
+            return;
+        }
+        if results.len() >= self.capacity {
+            results.pop_front();
+        }
+        results.push_back((slot, result.clone()));
+    }
+
+    /// (memo hits, Algorithm 1 runs) counters.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
         (
@@ -542,7 +476,7 @@ impl std::error::Error for ExecError {}
 /// Execute one job spec under a [`RunCtl`]. This is the single
 /// executor behind both the one-shot CLI commands and the daemon's
 /// workers: same cancellation boundaries, same progress events, same
-/// warm-context semantics everywhere.
+/// result-memo semantics everywhere.
 ///
 /// A cancelled run/gen job returns [`ExecError::Cancelled`]; a
 /// cancelled explore job returns `Ok` with a *partial* outcome
@@ -566,28 +500,29 @@ pub fn execute(spec: &JobSpec, ctl: &RunCtl<'_>, warm: &WarmPool) -> Result<JobO
         } => {
             let run = match flow {
                 Flow::Ours => {
-                    let ctx = warm.ctx(*key, params.bits, dfg).map_err(core_err)?;
                     // Keyed (daemon) requests memoize per exact
-                    // parameter set: synthesis is deterministic, so a
-                    // repeat is answered from the context instead of
-                    // re-running the merge loop. The `Debug` rendering
-                    // of the parameters round-trips every field
-                    // (floats included), so equal fingerprints really
-                    // mean equal inputs. A pool that keeps nothing
-                    // (one-shot `hlts run`) has no use for a memo.
-                    let memo = key.is_some() && warm.capacity > 0;
-                    let fingerprint = memo.then(|| format!("{params:?}"));
-                    match fingerprint.as_ref().and_then(|fp| ctx.memo_get(fp)) {
+                    // parameter set. The `Debug` rendering of the
+                    // parameters round-trips every field (floats
+                    // included), so equal fingerprints really mean
+                    // equal inputs. A pool that keeps nothing (one-shot
+                    // `hlts run`) has no use for a memo.
+                    let slot = key
+                        .filter(|_| warm.capacity > 0)
+                        .map(|key| (key, format!("{params:?}")));
+                    match slot.as_ref().and_then(|slot| warm.get(slot)) {
                         Some(hit) => Ok(hit),
                         None => {
-                            let run = IntegratedSynthesizer::new(params.clone()).run_on_ctl(
-                                &ctx.base,
-                                *mode,
-                                &ctx.evaluator,
-                                ctl,
-                            );
-                            if let (Some(fp), Ok(result)) = (fingerprint, &run) {
-                                ctx.memo_put(fp, result);
+                            warm.misses.fetch_add(1, Ordering::Relaxed);
+                            let run = DesignState::initial(dfg).and_then(|base| {
+                                IntegratedSynthesizer::new(params.clone()).run_on_ctl(
+                                    &base,
+                                    *mode,
+                                    &DeltaEvaluator::new(),
+                                    ctl,
+                                )
+                            });
+                            if let (Some(slot), Ok(result)) = (slot, &run) {
+                                warm.put(slot, result);
                             }
                             run
                         }
@@ -786,8 +721,8 @@ impl JobEngine {
         }
     }
 
-    /// The engine's warm-context pool (the one-shot CLI shares its
-    /// semantics by calling [`execute`] with a throwaway pool).
+    /// The engine's warm pool (the one-shot CLI shares its semantics
+    /// by calling [`execute`] with a pool that keeps nothing).
     #[must_use]
     pub fn warm(&self) -> &WarmPool {
         &self.inner.warm

@@ -9,9 +9,9 @@
 //! * [`JobEngine`] — a bounded FIFO queue feeding a fixed worker
 //!   pool, with backpressure ([`SubmitError::QueueFull`]), per-job
 //!   [`CancelToken`](hlts_core::CancelToken)s, per-job event sinks,
-//!   and a [`WarmPool`] of shared per-behavior synthesis contexts
-//!   (base state + (E, H) cache) that makes
-//!   repeat requests warm;
+//!   and a [`WarmPool`]: a bounded memo of run results that answers
+//!   exact repeat requests without re-running synthesis, beside a
+//!   coverage memo of graded designs;
 //! * [`proto`] — the daemon protocol and [`proto::JobRequest`], the
 //!   one description of a job: the CLI fills one from its flags, the
 //!   daemon parses one per submit line, and both build the [`JobSpec`]
@@ -24,8 +24,8 @@
 //! Determinism contract: a job whose token never fires is
 //! **bit-identical** to the same work run without the engine — the
 //! cancellation checks are relaxed atomic loads at iteration/point
-//! boundaries, warm contexts share only content-keyed caches, and the
-//! pool never reorders the work inside a job.
+//! boundaries, the result memo replays only results the cold path
+//! itself produced, and the pool never reorders the work inside a job.
 //!
 //! # Example
 //!
@@ -71,6 +71,6 @@ pub mod serve;
 pub use engine::{
     execute, AtpgRequest, CancelOutcome, EngineConfig, EngineCounts, ExecError, JobEngine,
     JobEvent, JobId, JobOutput, JobSink, JobSpec, JobState, JobStatus, NullJobSink, RunOutput,
-    SubmitError, WarmCtx, WarmPool,
+    SubmitError, WarmPool,
 };
 pub use serve::{serve_lines, serve_tcp, submit_once, ClientEnd, ServeConfig};

@@ -186,8 +186,8 @@ pub enum JobRequest {
     },
 }
 
-/// FNV-1a over the canonical source text: the warm-context key for
-/// run jobs (same text + same bits ⇒ same shared context; every job
+/// FNV-1a over the canonical source text: the result-memo key for run
+/// jobs (same text + same parameters ⇒ same result; every job
 /// synthesizes with the default module library, which the key
 /// therefore need not encode).
 fn warm_key(text: &str) -> u64 {

@@ -3,9 +3,9 @@
 //! The daemon reads line-delimited JSON requests (see [`crate::proto`])
 //! from stdin or from TCP connections, drives a shared [`JobEngine`],
 //! and streams each job's events back to the connection that submitted
-//! it. One engine — one warm-context pool, one bounded queue — serves
-//! every connection, so repeat requests for the same behavior hit warm
-//! caches no matter which client sends them. Submitted jobs become
+//! it. One engine — one warm pool, one bounded queue — serves every
+//! connection, so an exact repeat request hits the result memo no
+//! matter which client sends it. Submitted jobs become
 //! executable specs through
 //! [`JobRequest::resolve`](crate::proto::JobRequest::resolve), the same resolver
 //! `hlts run` and `hlts explore` use.

@@ -1,15 +1,15 @@
 //! Engine-level integration tests: bit-identity with direct library
-//! calls, FIFO backpressure, cancellation at both granularities, warm
-//! context sharing, and graceful shutdown.
+//! calls, FIFO backpressure, cancellation at both granularities, the
+//! result memo, and graceful shutdown.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use hlts_core::{EvalMode, IntegratedSynthesizer, SynthesisParams};
+use hlts_core::{EvalMode, IntegratedSynthesizer, RunCtl, SynthesisParams};
 use hlts_dse::Flow;
 use hlts_jobs::{
-    proto, CancelOutcome, EngineConfig, JobEngine, JobEvent, JobId, JobOutput, JobSink, JobSpec,
-    JobState, SubmitError,
+    execute, proto, CancelOutcome, EngineConfig, JobEngine, JobEvent, JobId, JobOutput, JobSink,
+    JobSpec, JobState, SubmitError, WarmPool,
 };
 
 fn run_spec(bench: &str, warm: Option<u64>) -> JobSpec {
@@ -122,29 +122,83 @@ fn gen_job_reproduces_the_generator() {
     engine.shutdown();
 }
 
+/// `run_spec` with β moved by `nudge`: a new parameter point of the
+/// same behaviour, which no earlier result may answer.
+fn nudged_spec(bench: &str, warm: Option<u64>, nudge: f64) -> JobSpec {
+    let mut spec = run_spec(bench, warm);
+    let JobSpec::Run { params, .. } = &mut spec else {
+        unreachable!("run_spec builds run jobs");
+    };
+    params.beta += nudge;
+    spec
+}
+
+/// The synthesis result of one `execute` call.
+fn executed(spec: &JobSpec, pool: &WarmPool) -> hlts_core::SynthesisResult {
+    match execute(spec, &RunCtl::none(), pool).expect("run succeeds") {
+        JobOutput::Run(out) => out.result,
+        other => panic!("expected a run output, got {other:?}"),
+    }
+}
+
 #[test]
-fn warm_contexts_are_shared_and_do_not_change_results() {
+fn result_memo_answers_exact_repeats_only() {
     let engine = JobEngine::start(EngineConfig {
         workers: 1,
         ..EngineConfig::default()
     });
     let key = Some(42);
-    let first = engine.submit(run_spec("dct", key), None).unwrap();
-    assert_eq!(engine.wait(first).unwrap().state, JobState::Done);
-    let second = engine.submit(run_spec("dct", key), None).unwrap();
-    assert_eq!(engine.wait(second).unwrap().state, JobState::Done);
-    let counts = engine.counts();
-    assert!(
-        counts.warm_hits >= 1,
-        "second keyed run should hit the warm pool: {counts:?}"
-    );
-    let (Some(JobOutput::Run(a)), Some(JobOutput::Run(b))) =
-        (engine.take_output(first), engine.take_output(second))
-    else {
-        panic!("expected two run outputs");
+    let run = |spec: JobSpec| {
+        let id = engine.submit(spec, None).unwrap();
+        assert_eq!(engine.wait(id).unwrap().state, JobState::Done);
+        let Some(JobOutput::Run(out)) = engine.take_output(id) else {
+            panic!("expected a run output");
+        };
+        let counts = engine.counts();
+        (out.result, (counts.warm_hits, counts.warm_misses))
     };
-    assert_eq!(*a, *b, "warm context changed the result");
+    let (first, counts) = run(run_spec("dct", key));
+    assert_eq!(counts, (0, 1), "the first run synthesizes");
+    let (repeat, counts) = run(run_spec("dct", key));
+    assert_eq!(counts, (1, 1), "an exact keyed repeat hits the memo");
+    assert_eq!(repeat, first, "the memo changed the result");
+    let (moved, counts) = run(nudged_spec("dct", key, 1e-9));
+    assert_eq!(
+        counts,
+        (1, 2),
+        "a new parameter point on the same key synthesizes"
+    );
+    assert_eq!(
+        moved,
+        executed(&nudged_spec("dct", key, 1e-9), &WarmPool::new(0)),
+        "a memo miss differs from a one-shot run"
+    );
     engine.shutdown();
+}
+
+#[test]
+fn result_memo_keeps_eight_results_per_unit_of_capacity() {
+    let pool = WarmPool::new(1);
+    let spec = |i: usize| nudged_spec("ex", Some(7), i as f64 * 1e-9);
+    for i in 0..9 {
+        executed(&spec(i), &pool);
+    }
+    assert_eq!(pool.stats(), (0, 9), "nine distinct points synthesize");
+    // The oldest point was evicted; the eight newest are all kept.
+    for i in 1..9 {
+        executed(&spec(i), &pool);
+    }
+    assert_eq!(pool.stats(), (8, 9), "the eight newest points hit");
+    executed(&spec(0), &pool);
+    assert_eq!(pool.stats(), (8, 10), "the first point was evicted (FIFO)");
+
+    // A pool that keeps nothing never hits, keyed or not.
+    let none = WarmPool::new(0);
+    for _ in 0..2 {
+        executed(&spec(0), &none);
+        executed(&run_spec("ex", None), &none);
+    }
+    assert_eq!(none.stats(), (0, 4), "a zero-capacity pool never hits");
 }
 
 #[test]

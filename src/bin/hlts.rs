@@ -46,7 +46,9 @@
 //! design and fails with a violation report if anything is
 //! inconsistent. `serve` runs the job daemon (`hlts-jobs`): a bounded
 //! worker pool answering line-delimited JSON requests on stdin or over
-//! TCP, with warm per-behavior caches shared across submissions.
+//! TCP; `--warm N` bounds its warm pool, a memo of `N × 8` run results
+//! that answers exact repeat submissions without re-running synthesis,
+//! and of `N` graded designs (0 disables both).
 //! `submit` is its one-shot client: it takes `run`'s job flags, so
 //! `hlts gen --seed 7 | hlts submit - --connect HOST:PORT` ships the
 //! generated behavior to a daemon and streams the job's events back.
@@ -687,7 +689,8 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<ServeOptio
                     parse_positive_count("--queue", &take(&mut args, "--queue")?)?;
             }
             "--warm" => {
-                // 0 is meaningful here: it disables warm-context reuse.
+                // 0 is meaningful here: it disables the result and
+                // coverage memos.
                 opts.cfg.warm_capacity = take(&mut args, "--warm")?
                     .parse()
                     .map_err(|e| format!("--warm: {e}"))?;

@@ -24,7 +24,7 @@
 //! * [`gen`] — seeded random DFG workload generator and the
 //!   differential conformance harness over the engine matrix;
 //! * [`jobs`] — the job-oriented execution engine (bounded queue,
-//!   worker pool, cancellation, warm contexts) and the `hlts serve`
+//!   worker pool, cancellation, result memo) and the `hlts serve`
 //!   daemon protocol.
 //!
 //! # Quickstart

@@ -3,10 +3,10 @@
 //! Algorithm 1 prices and analyzes a design without building its ETPN:
 //! `H` and the CC/SC/CO/SO analysis read the structural data path
 //! ([`Etpn::data_path_of`]: nodes and `(from, to, port)` arcs, no
-//! guards), and `E` the control part alone ([`Etpn::control_of`]). This
-//! test checks that shortcut against [`Etpn::from_parts`] on every state
-//! Algorithm 1 commits and on every trial merge it could price from
-//! them. Each state must show:
+//! guards), and `E` is the schedule's length
+//! ([`Etpn::execution_time_of`]). This test checks those shortcuts
+//! against [`Etpn::from_parts`] on every state Algorithm 1 commits and
+//! on every trial merge it could price from them. Each state must show:
 //!
 //! * the same nodes (kind) and arcs (from, to, port), in the same order
 //!   and with the same adjacency lists, as the full lowering's data
@@ -16,8 +16,8 @@
 //!   binding alone — the premise of SR2 comparing `E` alone;
 //! * bit-identical `estimate_cost`, `mux_count` (also against a per-port
 //!   rescan written here) and `TestabilityAnalysis::analyze`;
-//! * the full lowering's `E` from the control part, directly and through
-//!   a `DeltaEvaluator`, whose `H` must match too.
+//! * the full lowering's `E` from the schedule's length, directly and
+//!   through a `DeltaEvaluator`, whose `H` must match too.
 //!
 //! Trials are taken on every committed state: every pair of live
 //! modules and every pair of live registers, merged in a rolled-back
@@ -169,16 +169,7 @@ fn check_state(tag: &str, state: &DesignState, bits: u32, lib: &ModuleLibrary) {
     );
 
     let e = full.execution_time();
-    assert_eq!(
-        Etpn::execution_time_of(dfg, schedule),
-        e,
-        "{tag}: control-part E"
-    );
-    assert_eq!(
-        Etpn::control_of(dfg, schedule).structural_hash(),
-        full.control().structural_hash(),
-        "{tag}: control part"
-    );
+    assert_eq!(Etpn::execution_time_of(schedule), e, "{tag}: schedule E");
     let (ev_e, ev_h) = DeltaEvaluator::new()
         .eval(state, bits, lib)
         .expect("evaluates");

@@ -6,10 +6,11 @@
 //!   this large, `estimate_cost` (placement and area sum, the ΔH of
 //!   every priced candidate) performs **zero heap allocations**;
 //! * the (E, H) miss path's: once a reused data path and the builder's
-//!   tables have seen a design this large, building a state's
-//!   structural data path into it and pricing it with `estimate_cost`
-//!   allocates exactly one `BTreeSet<OpKind>` per module node — the
-//!   node's set of operation kinds — and nothing else;
+//!   tables have seen a design this large, taking a state's `E` from
+//!   its schedule, building its structural data path into the reused
+//!   one and pricing it with `estimate_cost` allocates exactly one
+//!   `BTreeSet<OpKind>` per module node — the node's set of operation
+//!   kinds — and nothing else;
 //! * PODEM's: once one call on a target has sized its decision stack,
 //!   a repeat call on that target that ends without a test performs
 //!   **zero heap allocations** — implication runs in the generator's
@@ -28,10 +29,8 @@
 //! ```
 //!
 //! The measured trial loop uses **order-forced** candidates (the
-//! precedence relation fixes every merge-sort decision), because a free
-//! ordering decision triggers the SR2 merit probe, which lowers the
-//! probed state's control part to a fresh Petri net to read its
-//! execution time — allocating, outside the steady-state trial path.
+//! precedence relation fixes every merge-sort decision), so no SR2
+//! merit probe runs: the gate pins the trial path alone.
 //! The strict zero assertion on trials runs in release only: debug
 //! builds re-audit the whole design after every rollback, and the
 //! auditor allocates by design.
@@ -46,7 +45,7 @@ use hlts_atpg::{FaultSimulator, FaultUniverse, Podem, PodemOutcome};
 use hlts_core::{merge_modules_with_resched, trial_merge, DesignState, MergeKind};
 use hlts_cost::{estimate_cost, ModuleLibrary};
 use hlts_dfg::OpKind;
-use hlts_etpn::DataPath;
+use hlts_etpn::{DataPath, Etpn};
 use hlts_tcov::{fsim, TcovConfig};
 
 /// Pass-through allocator that tallies every allocation of the calling
@@ -264,8 +263,9 @@ fn warmed_eh_miss_allocates_only_module_kind_sets() {
     merge_modules_with_resched(&mut merged, adders[0], adders[1]).expect("adders merge");
     let lib = ModuleLibrary::new();
     let miss = |state: &DesignState, dp: &mut DataPath| {
+        let e = Etpn::execution_time_of(&state.schedule);
         state.data_path_into(dp).expect("lowers");
-        estimate_cost(dp, 8, &lib)
+        (e, estimate_cost(dp, 8, &lib))
     };
     // Warm-up: the first build sizes the path's buffers and the
     // builder's tables, the first placement the thread's placer.
@@ -283,7 +283,7 @@ fn warmed_eh_miss_allocates_only_module_kind_sets() {
         let modules = state.allocation.modules().count() as u64;
         println!(
             "ewf 8-bit ({} nodes, {modules} modules): warmed (E, H) miss, \
-             build + estimate_cost: {bytes} bytes in {calls} allocations",
+             E + build + estimate_cost: {bytes} bytes in {calls} allocations",
             dp.num_nodes()
         );
         assert_eq!(cost, want, "same state, same estimate");
