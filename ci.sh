@@ -70,6 +70,9 @@ cargo test -q --release --offline -p hlts-cost --test floorplan_reference -- --i
 echo "==> structural data path matrix: equals the full lowering on every committed state and pair trial (release)"
 cargo test -q --release --offline --test structural_path -- --ignored
 
+echo "==> register walk matrix: read-only probes and the dry walk agree with the merger on every committed state and register pair (release)"
+cargo test -q --release --offline --test register_walk -- --ignored
+
 echo "==> SR2 equivalence matrix: the merge loop agrees with the full-merit oracle (release)"
 cargo test -q --release --offline -p hlts-core --test sr2_equivalence -- --ignored
 
@@ -84,7 +87,7 @@ cargo test -q --offline --manifest-path perf/Cargo.toml
 echo "==> bench smoke: testability solvers (dense == worklist, bit for bit)"
 cargo bench -q --bench testability --offline
 
-echo "==> bench smoke: merge-loop txn-vs-clone + arena speedup gates"
+echo "==> bench smoke: merge-loop txn-vs-clone gate (same-run baseline)"
 cargo bench -q --bench merge_loop --offline
 
 echo "==> zero-allocation gate: steady-state trial merges (count-allocs)"

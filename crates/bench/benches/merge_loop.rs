@@ -4,15 +4,22 @@
 //! Two implementations of the same trial run over the same candidate
 //! shortlist on the **largest** bundled benchmark:
 //!
-//! * `txn`   — the transactional path: apply the merger in place
-//!   through a [`StateTxn`] journal, price the merged state, roll back
-//!   by replaying the journal;
+//! * `txn`   — the transactional path, [`trial_merge`]: a register
+//!   merger the dry walk refuses returns at once; otherwise apply the
+//!   merger in place through a [`StateTxn`] journal, price the merged
+//!   state, roll back by replaying the journal;
 //! * `clone` — the seed's formulation, preserved in
 //!   [`hlts_core::oracle`]: deep-copy the whole design state (graph
 //!   included), merge the copy, price it, drop it.
 //!
-//! The run **asserts** the PR's acceptance criterion: the transactional
-//! trial is ≥ 2× faster than the clone trial, and both price every
+//! The shortlist is the head of the ranked candidate list Algorithm 1
+//! enumerates on the initial state, rejected register mergers
+//! included, and both paths price each feasible trial as Algorithm 1
+//! does: `(E, H)` through a [`DeltaEvaluator`], fresh for every pass
+//! over the shortlist, so every priced trial is an `(E, H)` miss.
+//!
+//! The run **asserts** that the transactional trial is ≥ 2× faster than
+//! the clone trial measured in the same run, and that both price every
 //! candidate identically.
 //!
 //! [`StateTxn`]: hlts_core::StateTxn
@@ -22,15 +29,20 @@ use std::cell::Cell;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hlts_bench::{rounded, write_bench_json};
-use hlts_core::{oracle, trial_merge, DesignState, MergeKind};
+use hlts_core::{
+    enumerate_candidates, oracle, trial_merge, DeltaEvaluator, DesignState, MergeKind,
+    SynthesisParams,
+};
+use hlts_cost::ModuleLibrary;
 use hlts_dfg::Dfg;
 use hlts_jobs::members;
+use hlts_testability::TestabilityAnalysis;
 
-/// `merge_loop/txn/ewf` median on main immediately before the arena
-/// refactor (CSR adjacency, merge scratch, pooled journals/deltas),
-/// measured by this same harness. The arena gate below holds the
-/// refactor to ≥ 2x against this pin.
-const PRE_ARENA_TXN_NS: f64 = 180_130.0;
+/// Shortlist length: the first candidates of Algorithm 1's ranking.
+const SHORTLIST: usize = 12;
+
+/// Bit width the trials are priced at.
+const BITS: u32 = 8;
 
 /// Pass-through allocator tallying this thread's allocations, so the
 /// emitted report can state allocations per steady-state trial.
@@ -90,84 +102,111 @@ fn largest_benchmark() -> (&'static str, Dfg) {
         .expect("bundled benchmarks")
 }
 
-/// A candidate shortlist in the shape the ΔC loop evaluates: the first
-/// feasible module pairs and register pairs (capped like the paper's
-/// `k`-element shortlist).
-fn shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
-    let mut out = Vec::new();
-    let mods: Vec<_> = state.allocation.modules().map(|m| m.id()).collect();
-    'mods: for i in 0..mods.len() {
-        for j in (i + 1)..mods.len() {
-            let kind = MergeKind::Modules(mods[i], mods[j]);
-            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
-                out.push(kind);
-                if out.len() >= k {
-                    break 'mods;
-                }
-            }
-        }
-    }
-    let regs: Vec<_> = state.allocation.registers().map(|r| r.id()).collect();
-    'regs: for i in 0..regs.len() {
-        for j in (i + 1)..regs.len() {
-            let kind = MergeKind::Registers(regs[i], regs[j]);
-            if trial_merge(state, kind, |_| Some(0.0)).is_some() {
-                out.push(kind);
-                if out.len() >= 2 * k {
-                    break 'regs;
-                }
-            }
-        }
-    }
-    out
+/// The first `n` candidates Algorithm 1 ranks on `state`, feasible or
+/// not — the shortlist its first iteration prices.
+fn ranked_shortlist(state: &DesignState, n: usize) -> Vec<MergeKind> {
+    let dp = state.data_path().expect("structural path");
+    let analysis = TestabilityAnalysis::analyze(&dp);
+    let mut cands = enumerate_candidates(state, &dp, &analysis);
+    cands.truncate(n);
+    cands.into_iter().map(|c| c.kind).collect()
 }
 
-/// One transactional trial: apply in place, price, roll back.
-fn txn_trial(state: &mut DesignState, kind: MergeKind) -> Option<f64> {
-    trial_merge(state, kind, |t| Some(t.schedule.num_steps() as f64))
+/// The library the trials are priced with.
+fn library() -> ModuleLibrary {
+    SynthesisParams::paper_defaults(BITS).library
+}
+
+/// One transactional trial, priced as Algorithm 1 prices it.
+fn txn_trial(
+    state: &mut DesignState,
+    kind: MergeKind,
+    ev: &DeltaEvaluator,
+    lib: &ModuleLibrary,
+) -> Option<(usize, f64)> {
+    trial_merge(state, kind, |t| ev.eval(t, BITS, lib).ok())
 }
 
 /// One clone trial, the seed's cost profile: deep-copy the state, merge
 /// the copy through the clone oracle, price, drop.
-fn clone_trial(state: &DesignState, kind: MergeKind) -> Option<f64> {
+fn clone_trial(
+    state: &DesignState,
+    kind: MergeKind,
+    ev: &DeltaEvaluator,
+    lib: &ModuleLibrary,
+) -> Option<(usize, f64)> {
     let mut work = state.deep_trial_clone();
     let ok = match kind {
         MergeKind::Modules(a, b) => oracle::merge_modules_cloned(&mut work, a, b).is_ok(),
         MergeKind::Registers(a, b) => oracle::merge_registers_cloned(&mut work, a, b).is_ok(),
     };
-    ok.then(|| work.schedule.num_steps() as f64)
+    if ok {
+        ev.eval(&work, BITS, lib).ok()
+    } else {
+        None
+    }
+}
+
+/// One pass over the shortlist per path, each with a fresh evaluator.
+fn txn_pass(state: &mut DesignState, cands: &[MergeKind], lib: &ModuleLibrary) {
+    let ev = DeltaEvaluator::new();
+    for &kind in cands {
+        black_box(txn_trial(state, kind, &ev, lib));
+    }
+}
+
+fn clone_pass(state: &DesignState, cands: &[MergeKind], lib: &ModuleLibrary) {
+    let ev = DeltaEvaluator::new();
+    for &kind in cands {
+        black_box(clone_trial(state, kind, &ev, lib));
+    }
+}
+
+/// What the shortlist holds: (feasible, rejected register) trials.
+fn shortlist_mix(state: &mut DesignState, cands: &[MergeKind]) -> (usize, usize) {
+    let ev = DeltaEvaluator::new();
+    let lib = library();
+    let feasible: Vec<bool> = cands
+        .iter()
+        .map(|&k| txn_trial(state, k, &ev, &lib).is_some())
+        .collect();
+    let rejected = cands
+        .iter()
+        .zip(&feasible)
+        .filter(|(k, ok)| matches!(k, MergeKind::Registers(..)) && !**ok)
+        .count();
+    (feasible.iter().filter(|&&ok| ok).count(), rejected)
 }
 
 fn merge_loop(c: &mut Criterion) {
     let (name, dfg) = largest_benchmark();
+    let lib = library();
     let mut state = DesignState::initial(&dfg).expect("initial state");
-    let cands = shortlist(&mut state, 4);
-    assert!(!cands.is_empty(), "{name}: no feasible candidate mergers");
+    let cands = ranked_shortlist(&state, SHORTLIST);
+    let (feasible, rejected) = shortlist_mix(&mut state, &cands);
+    assert!(
+        feasible > 0 && rejected > 0,
+        "{name}: the shortlist needs feasible trials and rejected register trials \
+         ({feasible} feasible, {rejected} rejected register)"
+    );
 
     // Both trial paths must price every shortlist candidate identically.
+    let (ev_txn, ev_clone) = (DeltaEvaluator::new(), DeltaEvaluator::new());
     for &kind in &cands {
         assert_eq!(
-            txn_trial(&mut state, kind),
-            clone_trial(&state, kind),
+            txn_trial(&mut state, kind, &ev_txn, &lib),
+            clone_trial(&state, kind, &ev_clone, &lib),
             "{name}: txn and clone trials disagree on {kind:?}"
         );
     }
 
     let mut group = c.benchmark_group("merge_loop");
     group.bench_with_input(BenchmarkId::new("txn", name), &cands, |b, cands| {
-        b.iter(|| {
-            for &kind in cands {
-                black_box(txn_trial(&mut state, kind));
-            }
-        })
+        b.iter(|| txn_pass(&mut state, cands, &lib))
     });
     let state = DesignState::initial(&dfg).expect("initial state");
     group.bench_with_input(BenchmarkId::new("clone", name), &cands, |b, cands| {
-        b.iter(|| {
-            for &kind in cands {
-                black_box(clone_trial(&state, kind));
-            }
-        })
+        b.iter(|| clone_pass(&state, cands, &lib))
     });
     group.finish();
 }
@@ -178,11 +217,12 @@ fn merge_loop(c: &mut Criterion) {
 /// trial paths with interleaved batches and take the median ratio.
 fn remeasure() -> f64 {
     let (_, dfg) = largest_benchmark();
+    let lib = library();
     let mut state = DesignState::initial(&dfg).expect("initial state");
-    let cands = shortlist(&mut state, 4);
+    let cands = ranked_shortlist(&state, SHORTLIST);
     let batch = |f: &mut dyn FnMut()| {
         let t = std::time::Instant::now();
-        for _ in 0..64 {
+        for _ in 0..16 {
             f();
         }
         t.elapsed().as_secs_f64()
@@ -190,16 +230,8 @@ fn remeasure() -> f64 {
     let base = DesignState::initial(&dfg).expect("initial state");
     let mut ratios: Vec<f64> = (0..9)
         .map(|_| {
-            let cl = batch(&mut || {
-                for &kind in &cands {
-                    black_box(clone_trial(&base, kind));
-                }
-            });
-            let tx = batch(&mut || {
-                for &kind in &cands {
-                    black_box(txn_trial(&mut state, kind));
-                }
-            });
+            let cl = batch(&mut || clone_pass(&base, &cands, &lib));
+            let tx = batch(&mut || txn_pass(&mut state, &cands, &lib));
             cl / tx
         })
         .collect();
@@ -207,6 +239,7 @@ fn remeasure() -> f64 {
     ratios[ratios.len() / 2]
 }
 
+/// The gate: transactional trials ≥ 2× the clone trials of this run.
 fn verify_speedup(c: &mut Criterion) {
     println!();
     let (name, _) = largest_benchmark();
@@ -228,48 +261,6 @@ fn verify_speedup(c: &mut Criterion) {
          the clone trials on {name} (need >= 2x)"
     );
     println!("acceptance: txn >= 2x clone trials on {name} — OK ({s:.1}x)");
-}
-
-/// Re-time the transactional trial loop alone (median of 9 batches),
-/// for the arena gate's noise guard.
-fn remeasure_txn_ns() -> f64 {
-    let (_, dfg) = largest_benchmark();
-    let mut state = DesignState::initial(&dfg).expect("initial state");
-    let cands = shortlist(&mut state, 4);
-    let mut ns: Vec<f64> = (0..9)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            for _ in 0..64 {
-                for &kind in &cands {
-                    black_box(txn_trial(&mut state, kind));
-                }
-            }
-            t.elapsed().as_secs_f64() * 1e9 / 64.0
-        })
-        .collect();
-    ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ns[ns.len() / 2]
-}
-
-/// The arena acceptance gate: the transactional trial must be ≥ 2x
-/// faster than the pre-arena pinned median (see [`PRE_ARENA_TXN_NS`]).
-fn verify_arena_speedup(c: &mut Criterion) {
-    let (name, _) = largest_benchmark();
-    let txn = c
-        .median_ns(&format!("merge_loop/txn/{name}"))
-        .expect("txn ran");
-    let mut s = PRE_ARENA_TXN_NS / txn;
-    println!("speedup {name:<28} arena txn trial vs pre-arena pin {s:6.1}x");
-    if s < 2.0 {
-        s = PRE_ARENA_TXN_NS / remeasure_txn_ns();
-        println!("speedup {name:<28} re-measured {s:6.1}x");
-    }
-    assert!(
-        s >= 2.0,
-        "arena acceptance criterion violated: transactional trials on {name} are \
-         only {s:.2}x the pre-arena pinned {PRE_ARENA_TXN_NS} ns (need >= 2x)"
-    );
-    println!("acceptance: arena txn >= 2x pre-arena pin on {name} — OK ({s:.1}x)");
 }
 
 /// Feasible candidates whose ordering is forced by the precedence
@@ -326,6 +317,13 @@ fn forced_shortlist(state: &mut DesignState, k: usize) -> Vec<MergeKind> {
     out
 }
 
+/// One forced trial, priced by the schedule's length alone: the
+/// allocation figures below are about the trial path, and an `(E, H)`
+/// miss allocates one kind set per module node by design.
+fn forced_trial(state: &mut DesignState, kind: MergeKind) -> Option<f64> {
+    trial_merge(state, kind, |t| Some(t.schedule.num_steps() as f64))
+}
+
 /// Steady-state forced-trial figures for one graph: (median ns/trial,
 /// allocations/trial, bytes/trial, candidate count).
 fn forced_trial_stats(dfg: &Dfg) -> Option<(f64, f64, f64, usize)> {
@@ -336,7 +334,7 @@ fn forced_trial_stats(dfg: &Dfg) -> Option<(f64, f64, f64, usize)> {
     }
     for _ in 0..3 {
         for &kind in &cands {
-            black_box(txn_trial(&mut state, kind));
+            black_box(forced_trial(&mut state, kind));
         }
     }
     let rounds = 32usize;
@@ -348,7 +346,7 @@ fn forced_trial_stats(dfg: &Dfg) -> Option<(f64, f64, f64, usize)> {
         let (b, c, ()) = alloc_delta(|| {
             for _ in 0..rounds {
                 for &kind in &cands {
-                    black_box(txn_trial(&mut state, kind));
+                    black_box(forced_trial(&mut state, kind));
                 }
             }
         });
@@ -362,17 +360,21 @@ fn forced_trial_stats(dfg: &Dfg) -> Option<(f64, f64, f64, usize)> {
     Some((med, calls as f64 / total, bytes as f64 / total, cands.len()))
 }
 
-/// Write `BENCH_arena.json`: the headline gate figures plus, per
-/// bundled benchmark, the steady-state forced-trial median and its
+/// Write `BENCH_arena.json`: the gate's figures (per-pass medians of
+/// both trial paths over the ranked shortlist, and their ratio) plus,
+/// per bundled benchmark, the steady-state forced-trial median and its
 /// allocation rate (0 allocs/trial is the arena refactor's claim).
 fn emit_arena_json(c: &mut Criterion) {
-    let (largest, _) = largest_benchmark();
+    let (largest, dfg) = largest_benchmark();
     let txn = c
         .median_ns(&format!("merge_loop/txn/{largest}"))
         .expect("txn ran");
     let clone = c
         .median_ns(&format!("merge_loop/clone/{largest}"))
         .expect("clone ran");
+    let mut state = DesignState::initial(&dfg).expect("initial state");
+    let cands = ranked_shortlist(&state, SHORTLIST);
+    let (feasible, rejected) = shortlist_mix(&mut state, &cands);
     let mut rows = Vec::new();
     for (name, dfg) in hlts_benchmarks::all() {
         match forced_trial_stats(&dfg) {
@@ -381,10 +383,11 @@ fn emit_arena_json(c: &mut Criterion) {
         }
     }
     write_bench_json("BENCH_arena.json", "cargo bench --bench merge_loop", |o| {
-        members!(o, "pinned_pre_arena_txn_ns": PRE_ARENA_TXN_NS,
-            "txn_trial_median_ns": rounded(txn, 1), "clone_trial_median_ns": rounded(clone, 1),
-            "speedup_vs_pre_arena": rounded(PRE_ARENA_TXN_NS / txn, 2),
-            "largest_benchmark": largest);
+        members!(o, "largest_benchmark": largest, "shortlist": cands.len(),
+            "feasible_trials": feasible, "rejected_register_trials": rejected,
+            "priced_bits": BITS,
+            "txn_pass_median_ns": rounded(txn, 1), "clone_pass_median_ns": rounded(clone, 1),
+            "speedup_vs_clone": rounded(clone / txn, 2));
         o.objects("steady_state", rows, |row, (name, stats)| {
             let (med, allocs, bytes, cands) = stats;
             members!(row, "benchmark": name, "forced_trial_median_ns": rounded(med, 1),
@@ -393,11 +396,5 @@ fn emit_arena_json(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    merge_loop,
-    verify_speedup,
-    verify_arena_speedup,
-    emit_arena_json
-);
+criterion_group!(benches, merge_loop, verify_speedup, emit_arena_json);
 criterion_main!(benches);

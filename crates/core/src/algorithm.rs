@@ -355,7 +355,7 @@ impl IntegratedSynthesizer {
             let kind = candidates[index].kind;
             let (sym_a, sym_b) = merge_symbols(&state, kind);
             let mut txn = StateTxn::begin(&mut state);
-            apply_merge(&mut txn, kind)?;
+            apply_merge(&mut txn, kind).map_err(|r| r.into_error(&txn.state().dfg))?;
             txn.commit();
             let fingerprint = DeltaEvaluator::fingerprint(&state);
             // Only now is the label worth building: trial candidates

@@ -66,7 +66,10 @@ pub use delta_eval::{CriticalPathStats, DeltaEvaluator, EvalStats};
 pub use error::CoreError;
 pub use progress::{CancelToken, NullSink, ProgressEvent, ProgressSink, RunCtl};
 pub use report::{DesignMetrics, SynthesisResult};
-pub use resched::{disjointness_arcs, merge_modules_with_resched, merge_registers_with_resched};
+pub use resched::{
+    disjointness_arcs, lifetime_order_feasible, merge_modules_with_resched,
+    merge_registers_with_resched, register_walk_verdict, WalkVerdict,
+};
 pub use state::DesignState;
 pub use trace::{MergeTrace, ReplayStats, TraceEntry, TraceMergeKind, TraceWinner};
 pub use txn::{trial_merge, StateTxn, TxnSavepoint, TxnStats};

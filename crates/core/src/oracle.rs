@@ -49,7 +49,7 @@ fn try_arcs(state: &DesignState, arcs: &[PrecArc]) -> Option<DesignState> {
     let mut s = state.deep_trial_clone();
     for &PrecArc { from, to, weak } in arcs {
         if weak {
-            if s.dfg.reaches(from, to) {
+            if s.dfg.reaches_dfs(from, to) {
                 continue;
             }
             s.dfg.add_weak_precedence(from, to).ok()?;
@@ -127,9 +127,9 @@ pub fn merge_modules_cloned(
     let mut first_free_decision = true;
     while i < seq_a.len() && j < seq_b.len() {
         let (ha, hb) = (seq_a[i], seq_b[j]);
-        let take_a = if work.dfg.reaches(ha, hb) {
+        let take_a = if work.dfg.reaches_dfs(ha, hb) {
             true
-        } else if work.dfg.reaches(hb, ha) {
+        } else if work.dfg.reaches_dfs(hb, ha) {
             false
         } else if first_free_decision {
             first_free_decision = false;
@@ -156,7 +156,7 @@ pub fn merge_modules_cloned(
 
     for w in merged.windows(2) {
         let (x, y) = (w[0], w[1]);
-        if !work.dfg.reaches(x, y) {
+        if !work.dfg.reaches_dfs(x, y) {
             work.dfg.add_precedence(x, y).map_err(|_| {
                 CoreError::MergeRejected(format!(
                     "ordering `{}` before `{}` is cyclic",

@@ -35,7 +35,7 @@ use hlts_dfg::{ArcSavepoint, OpId};
 use hlts_sched::{reschedule_in_place, ListPriority, ScheduleDelta};
 
 use crate::candidates::MergeKind;
-use crate::resched::apply_merge;
+use crate::resched::{apply_merge, register_merge_refused};
 use crate::{CoreError, DesignState};
 
 /// One reversible edit recorded in a transaction's journal.
@@ -201,8 +201,8 @@ impl<'a> StateTxn<'a> {
 
     /// Mark the current journal position. Everything recorded afterwards
     /// can be undone with [`StateTxn::rollback_to`] — the mechanism
-    /// behind tentative what-if probes (SR2 order selection, per-pair
-    /// feasibility checks) inside a larger trial.
+    /// behind tentative what-if probes (SR2 order selection) inside a
+    /// larger trial.
     #[must_use]
     pub fn savepoint(&self) -> TxnSavepoint {
         TxnSavepoint(self.journal.len())
@@ -233,6 +233,9 @@ impl<'a> StateTxn<'a> {
     /// Keep every recorded edit: the journal is discarded and the
     /// borrowed state stays as edited.
     pub fn commit(mut self) {
+        // The journal goes, and with it every savepoint: the graph's
+        // reachability index can drop its undo log too.
+        self.state.dfg.forget_arc_undo();
         self.committed = true;
         self.counters.committed.fetch_add(1, Ordering::Relaxed);
     }
@@ -275,7 +278,11 @@ impl Drop for StateTxn<'_> {
 /// post-merge state, and the transaction rolls back, leaving `state`
 /// bit-identical to before.
 ///
-/// Returns `None` when the merger is infeasible or `price` declines.
+/// Returns `None` when the merger is infeasible or `price` declines. A
+/// register merger that the dry walk ([`register_walk_verdict`]) refuses
+/// on the graph alone returns `None` before any transaction opens; it
+/// counts as [`TxnStats::prechecked`], not as a transaction begun.
+///
 /// This is the one trial path shared by Algorithm 1 and the CAMAD
 /// baseline — they differ only in the pricing closure: Algorithm 1
 /// prices the `(ΔE, ΔH)` parts, so a recorded trace can be re-weighted
@@ -285,11 +292,20 @@ impl Drop for StateTxn<'_> {
 /// trial (see [`DesignState::audit`]): a journal-replay bug corrupts
 /// the *base* state all later candidates price, so it must be caught
 /// at the rollback that introduced it, not at the end of the run.
+///
+/// [`register_walk_verdict`]: crate::register_walk_verdict
 pub fn trial_merge<T, F>(state: &mut DesignState, kind: MergeKind, price: F) -> Option<T>
 where
     F: FnOnce(&DesignState) -> Option<T>,
 {
-    let priced = {
+    let refused = matches!(kind, MergeKind::Registers(a, b) if register_merge_refused(state, a, b));
+    let priced = if refused {
+        state
+            .txn_counters()
+            .prechecked
+            .fetch_add(1, Ordering::Relaxed);
+        None
+    } else {
         let mut txn = StateTxn::begin(state);
         let feasible = apply_merge(&mut txn, kind).is_ok();
         // an injected CORE_FORCE_ROLLBACK discards the applied trial unpriced
@@ -321,6 +337,9 @@ pub struct TxnStats {
     pub ops_recorded: u64,
     /// Journal entries replayed by rollbacks (full and to-savepoint).
     pub ops_replayed: u64,
+    /// Register trials refused on the precedence graph before a
+    /// transaction opened (the dry register walk); not in `begun`.
+    pub prechecked: u64,
 }
 
 /// The shared atomic counter block behind [`TxnStats`]; every fork of a
@@ -333,6 +352,7 @@ pub(crate) struct TxnCounters {
     rolled_back: AtomicU64,
     ops_recorded: AtomicU64,
     ops_replayed: AtomicU64,
+    prechecked: AtomicU64,
 }
 
 impl TxnCounters {
@@ -343,6 +363,7 @@ impl TxnCounters {
             rolled_back: self.rolled_back.load(Ordering::Relaxed),
             ops_recorded: self.ops_recorded.load(Ordering::Relaxed),
             ops_replayed: self.ops_replayed.load(Ordering::Relaxed),
+            prechecked: self.prechecked.load(Ordering::Relaxed),
         }
     }
 }

@@ -1,5 +1,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 use crate::{scratch, DfgError, OpKind, Sym, Value, ValueId, ValueKind};
@@ -157,6 +158,90 @@ pub struct Dfg {
     ov_succ: Vec<Vec<OpId>>,
     ov_weak_pred: Vec<Vec<OpId>>,
     ov_weak_succ: Vec<Vec<OpId>>,
+    /// The transitive closure of the whole precedence relation (data,
+    /// strict and weak arcs), kept exact under the arc journal: the
+    /// reachability index behind [`Dfg::reaches`].
+    closure: Closure,
+}
+
+/// A reachability index: one bitset row per operation, bit `j` of row
+/// `i` set when op `i` reaches op `j` (data dependences, strict and weak
+/// arcs). Adding an arc ORs the head's row (plus the head) into the rows
+/// of the tail and of every op that reaches the tail; each word it
+/// changes is logged with its old value, so truncating the arc overlay
+/// restores the rows by popping the log. The log is forgotten when a
+/// transaction commits ([`Dfg::forget_arc_undo`]); a savepoint taken
+/// before that restores by rebuilding the index instead.
+#[derive(Debug, Clone)]
+struct Closure {
+    /// `u64` words per row.
+    words: usize,
+    /// `num_ops` rows of `words` words.
+    rows: Vec<u64>,
+    /// `(word index, previous value)` per changed word, in change order.
+    undo: Vec<(usize, u64)>,
+    /// Bumped whenever `undo` is discarded; a savepoint of an older
+    /// epoch restores by rebuilding.
+    epoch: u32,
+}
+
+impl Closure {
+    fn new(n: usize) -> Closure {
+        let words = n.div_ceil(64);
+        Closure {
+            words,
+            rows: vec![0; n * words],
+            undo: Vec::new(),
+            epoch: 0,
+        }
+    }
+
+    fn has(&self, from: usize, to: usize) -> bool {
+        self.rows[from * self.words + to / 64] >> (to % 64) & 1 == 1
+    }
+
+    /// Record the arc `from -> to`: every op that reaches `from` (and
+    /// `from` itself) now also reaches `to` and everything `to` reaches.
+    /// The caller has checked that `to` does not reach `from`, so row
+    /// `to` is never among the rows written.
+    fn add(&mut self, from: usize, to: usize) {
+        if self.has(from, to) {
+            return;
+        }
+        let w = self.words;
+        let n = self.rows.len() / w.max(1);
+        for x in 0..n {
+            if x != from && !self.has(x, from) {
+                continue;
+            }
+            for k in 0..w {
+                let mut add = self.rows[to * w + k];
+                if to / 64 == k {
+                    add |= 1 << (to % 64);
+                }
+                let i = x * w + k;
+                let old = self.rows[i];
+                if old | add != old {
+                    self.undo.push((i, old));
+                    self.rows[i] = old | add;
+                }
+            }
+        }
+    }
+
+    /// Pop the log back to `mark`, restoring each logged word.
+    fn restore(&mut self, mark: usize) {
+        while self.undo.len() > mark {
+            let (i, old) = self.undo.pop().expect("length checked");
+            self.rows[i] = old;
+        }
+    }
+
+    /// Discard the log; older savepoints will rebuild.
+    fn forget(&mut self) {
+        self.undo.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+    }
 }
 
 /// The immutable half of a [`Dfg`]: everything except the precedence-arc
@@ -246,18 +331,23 @@ impl PartialEq for Dfg {
 /// scheduling constraints: arcs are only ever *appended* by
 /// [`Dfg::add_precedence`]/[`Dfg::add_weak_precedence`], so the
 /// savepoint is a high-water mark into the arc arena and rolling back
-/// is a truncation. [`Dfg::remove_precedence`] breaks that discipline
-/// and must not be interleaved with an outstanding savepoint.
+/// is a truncation. It also marks the reachability index's undo log, so
+/// the truncation restores the index with it. [`Dfg::remove_precedence`]
+/// breaks that discipline and must not be interleaved with an
+/// outstanding savepoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArcSavepoint {
     strict: usize,
     weak: usize,
+    /// The reachability index's undo-log length, and its epoch.
+    closure: usize,
+    epoch: u32,
 }
 
 impl Dfg {
     pub(crate) fn from_core(core: Arc<DfgCore>) -> Dfg {
         let n = core.ops.len();
-        Dfg {
+        let mut dfg = Dfg {
             core,
             extra_prec: Vec::new(),
             weak_prec: Vec::new(),
@@ -265,7 +355,48 @@ impl Dfg {
             ov_succ: vec![Vec::new(); n],
             ov_weak_pred: vec![Vec::new(); n],
             ov_weak_succ: vec![Vec::new(); n],
+            closure: Closure::new(n),
+        };
+        dfg.rebuild_closure();
+        dfg
+    }
+
+    /// Recompute the reachability index from the arcs, in reverse
+    /// topological order: an op's row is the union of its direct
+    /// successors and their rows. A builder lists every op after the
+    /// producers of its inputs, so a graph without overlay arcs is
+    /// walked in reverse id order, with no sort. A cyclic relation (a
+    /// malformed core, which [`Dfg::validate`] rejects) leaves the rows
+    /// empty.
+    fn rebuild_closure(&mut self) {
+        let n = self.num_ops();
+        let by_id = self.extra_prec.is_empty()
+            && self.weak_prec.is_empty()
+            && (0..n).all(|i| {
+                self.data_succs(OpId::from_index(i))
+                    .iter()
+                    .all(|s| s.index() > i)
+            });
+        let order: Vec<OpId> = if by_id {
+            (0..n).map(OpId::from_index).collect()
+        } else {
+            self.topo_order().unwrap_or_default()
+        };
+        let w = self.closure.words;
+        let mut rows = mem::take(&mut self.closure.rows);
+        rows.fill(0);
+        for &u in order.iter().rev() {
+            let i = u.index();
+            for v in self.succs(u).chain(self.weak_succs(u).iter().copied()) {
+                let j = v.index();
+                for k in 0..w {
+                    rows[i * w + k] |= rows[j * w + k];
+                }
+                rows[i * w + j / 64] |= 1 << (j % 64);
+            }
         }
+        self.closure.rows = rows;
+        self.closure.forget();
     }
 
     /// The graph's name (benchmark name).
@@ -447,6 +578,7 @@ impl Dfg {
         self.extra_prec.push((from, to));
         self.ov_succ[from.index()].push(to);
         self.ov_pred[to.index()].push(from);
+        self.closure.add(from.index(), to.index());
         Ok(())
     }
 
@@ -479,6 +611,7 @@ impl Dfg {
         self.weak_prec.push((from, to));
         self.ov_weak_succ[from.index()].push(to);
         self.ov_weak_pred[to.index()].push(from);
+        self.closure.add(from.index(), to.index());
         Ok(())
     }
 
@@ -511,6 +644,8 @@ impl Dfg {
         ArcSavepoint {
             strict: self.extra_prec.len(),
             weak: self.weak_prec.len(),
+            closure: self.closure.undo.len(),
+            epoch: self.closure.epoch,
         }
     }
 
@@ -547,7 +682,22 @@ impl Dfg {
             let popped = self.ov_weak_pred[b.index()].pop();
             debug_assert_eq!(popped, Some(a));
         }
+        if sp.epoch == self.closure.epoch {
+            self.closure.restore(sp.closure);
+        } else if dropped > 0 {
+            self.rebuild_closure();
+        }
         dropped
+    }
+
+    /// Forget the reachability index's undo log. A committing synthesis
+    /// transaction (`hlts_core::StateTxn::commit`) calls this: a committed merger's arcs are never truncated by the
+    /// transaction again, and without it the log would grow by every
+    /// word a committed arc changed. A savepoint taken before this call
+    /// still restores exactly — [`Dfg::truncate_arcs`] then rebuilds the
+    /// index from the arcs.
+    pub fn forget_arc_undo(&mut self) {
+        self.closure.forget();
     }
 
     /// Whether two graphs share one immutable core (i.e. one was cloned
@@ -581,11 +731,13 @@ impl Dfg {
             ov_succ: self.ov_succ.clone(),
             ov_weak_pred: self.ov_weak_pred.clone(),
             ov_weak_succ: self.ov_weak_succ.clone(),
+            closure: self.closure.clone(),
         }
     }
 
     /// Remove a previously added extra precedence arc. Returns whether the
-    /// arc was present.
+    /// arc was present. The reachability index is rebuilt from the
+    /// remaining arcs.
     pub fn remove_precedence(&mut self, from: OpId, to: OpId) -> bool {
         let before = self.extra_prec.len();
         self.extra_prec.retain(|&(a, b)| (a, b) != (from, to));
@@ -594,6 +746,7 @@ impl Dfg {
         }
         self.ov_succ[from.index()].retain(|&b| b != to);
         self.ov_pred[to.index()].retain(|&a| a != from);
+        self.rebuild_closure();
         true
     }
 
@@ -601,10 +754,27 @@ impl Dfg {
     /// dependences, extra strict arcs and weak arcs. An operation does
     /// not reach itself.
     ///
+    /// One bit of the reachability index. Debug builds check every
+    /// answer against [`Dfg::reaches_dfs`].
+    #[must_use]
+    pub fn reaches(&self, from: OpId, to: OpId) -> bool {
+        let hit = from != to && self.closure.has(from.index(), to.index());
+        debug_assert_eq!(
+            hit,
+            self.reaches_dfs(from, to),
+            "reachability index out of step: {from} -> {to}"
+        );
+        hit
+    }
+
+    /// [`Dfg::reaches`] by a depth-first search over the arcs, sharing
+    /// no code with the reachability index: the reference the index is
+    /// tested against.
+    ///
     /// Uses a thread-local epoch-marked visited set — steady-state calls
     /// perform no heap allocation.
     #[must_use]
-    pub fn reaches(&self, from: OpId, to: OpId) -> bool {
+    pub fn reaches_dfs(&self, from: OpId, to: OpId) -> bool {
         if from == to {
             return false;
         }

@@ -803,4 +803,5 @@ fn add_txn(into: &mut TxnStats, s: TxnStats) {
     into.rolled_back += s.rolled_back;
     into.ops_recorded += s.ops_recorded;
     into.ops_replayed += s.ops_replayed;
+    into.prechecked += s.prechecked;
 }

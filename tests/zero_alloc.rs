@@ -1,7 +1,9 @@
 //! Counting-allocator proof of three steady-state claims:
 //!
 //! * the arena refactor's: once warmed up, a trial merge (apply →
-//!   price → roll back) performs **zero heap allocations**;
+//!   price → roll back) performs **zero heap allocations** — an
+//!   order-forced one, a register trial the dry walk refuses before a
+//!   transaction opens, and a module trial that runs both SR2 probes;
 //! * the floorplan's: once the thread's placer has seen a data path
 //!   this large, `estimate_cost` (placement and area sum, the ΔH of
 //!   every priced candidate) performs **zero heap allocations**;
@@ -28,9 +30,10 @@
 //! cargo test --release --features count-allocs --test zero_alloc
 //! ```
 //!
-//! The measured trial loop uses **order-forced** candidates (the
+//! The steady-state trial loop uses **order-forced** candidates (the
 //! precedence relation fixes every merge-sort decision), so no SR2
-//! merit probe runs: the gate pins the trial path alone.
+//! merit probe runs there: that gate pins the trial path alone, and the
+//! SR2-probing trial has a gate of its own.
 //! The strict zero assertion on trials runs in release only: debug
 //! builds re-audit the whole design after every rollback, and the
 //! auditor allocates by design.
@@ -42,11 +45,15 @@ use std::cell::Cell;
 mod common;
 
 use hlts_atpg::{FaultSimulator, FaultUniverse, Podem, PodemOutcome};
-use hlts_core::{merge_modules_with_resched, trial_merge, DesignState, MergeKind};
+use hlts_core::{
+    enumerate_candidates, merge_modules_with_resched, register_walk_verdict, trial_merge,
+    DesignState, MergeKind, WalkVerdict,
+};
 use hlts_cost::{estimate_cost, ModuleLibrary};
 use hlts_dfg::OpKind;
 use hlts_etpn::{DataPath, Etpn};
 use hlts_tcov::{fsim, TcovConfig};
+use hlts_testability::TestabilityAnalysis;
 
 /// Pass-through allocator that tallies every allocation of the calling
 /// thread. Per-thread counters keep the libtest harness threads (which
@@ -222,6 +229,84 @@ fn steady_state_trial_merge_allocates_zero_bytes() {
     );
     // Keep the trial results observable so the loop cannot be elided.
     assert!(state.validate().is_ok());
+}
+
+/// Warm `kind` up with a few trials, then assert that one more trial
+/// returns `want` (priced or not) without touching the heap.
+fn assert_trial_allocates_nothing(
+    state: &mut DesignState,
+    kind: MergeKind,
+    want: bool,
+    what: &str,
+) {
+    for _ in 0..3 {
+        assert_eq!(trial_merge(state, kind, price).is_some(), want, "{what}");
+    }
+    let (bytes, calls, priced) = measured(|| trial_merge(state, kind, price));
+    println!("ewf: {what} ({kind:?}): {bytes} bytes in {calls} allocations");
+    assert_eq!(priced.is_some(), want, "{what}");
+    // Debug builds re-audit the rolled-back design (hlts-check allocates
+    // its report), as in the steady-state gate above.
+    #[cfg(not(debug_assertions))]
+    assert_eq!((bytes, calls), (0, 0), "{what} must not touch the heap");
+}
+
+#[test]
+fn rejected_register_trial_allocates_zero_bytes() {
+    let dfg = hlts_benchmarks::by_name("ewf").expect("bundled benchmark");
+    let mut state = DesignState::initial(&dfg).expect("initial state");
+    // A register candidate of the real shortlist that the dry walk
+    // refuses before a transaction opens.
+    let dp = state.data_path().expect("structural path");
+    let analysis = TestabilityAnalysis::analyze(&dp);
+    let registers: Vec<_> = enumerate_candidates(&state, &dp, &analysis)
+        .into_iter()
+        .filter_map(|c| match c.kind {
+            MergeKind::Registers(a, b) => Some((a, b)),
+            MergeKind::Modules(..) => None,
+        })
+        .collect();
+    let refused = registers
+        .iter()
+        .copied()
+        .find(|&(a, b)| register_walk_verdict(&mut state, a, b) == WalkVerdict::Refused)
+        .expect("the shortlist holds a refused register pair");
+    let before = state.txn_stats();
+    assert_trial_allocates_nothing(
+        &mut state,
+        MergeKind::Registers(refused.0, refused.1),
+        false,
+        "a register trial refused on the graph",
+    );
+    let after = state.txn_stats();
+    assert_eq!(
+        after.begun, before.begun,
+        "a refused trial opens no transaction"
+    );
+    assert_eq!(after.prechecked, before.prechecked + 4);
+}
+
+#[test]
+fn sr2_probing_trial_allocates_zero_bytes() {
+    let dfg = hlts_benchmarks::by_name("ewf").expect("bundled benchmark");
+    let mut state = DesignState::initial(&dfg).expect("initial state");
+    // Two adders whose operations neither precedes the other: the
+    // module walk's first head pair is a free decision, so the trial
+    // runs both SR2 probes (each a reschedule and an `E`).
+    let adders: Vec<_> = state
+        .allocation
+        .modules()
+        .filter(|m| dfg.op(m.ops()[0]).kind() == OpKind::Add)
+        .map(|m| (m.id(), m.ops()[0]))
+        .collect();
+    let kind = adders
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &x)| adders[i + 1..].iter().map(move |&y| (x, y)))
+        .find(|&((_, oa), (_, ob))| !state.dfg.reaches(oa, ob) && !state.dfg.reaches(ob, oa))
+        .map(|((ma, _), (mb, _))| MergeKind::Modules(ma, mb))
+        .expect("ewf has two unordered adders");
+    assert_trial_allocates_nothing(&mut state, kind, true, "an SR2-probing module trial");
 }
 
 #[test]
